@@ -409,6 +409,8 @@ def cmd_wavefunction(args) -> int:
     lo, hi = _parse_range(args.range)
     if not lo < hi:
         raise ConfigError(f"range must satisfy LO < HI, got {args.range!r}")
+    if args.samples < 1:
+        raise ConfigError(f"need at least 1 sample, got {args.samples}")
     coords = np.linspace(lo, hi, args.samples)
     if kind == "toy":
         if lo <= 0.0:
@@ -449,6 +451,8 @@ def cmd_scan(args) -> int:
     lo, hi = _parse_range(args.lambda_range)
     if lo > hi:
         raise ConfigError(f"lambda range is empty: {args.lambda_range!r}")
+    if args.curve_samples < 1:
+        raise ConfigError(f"need at least 1 curve sample, got {args.curve_samples}")
     n_points = cfg.n_points or 2050
     curve = md.scan_curve(model.ordering, (lo, hi), args.curve_samples,
                           state_index=args.state_index, n_points=n_points)

@@ -16,6 +16,15 @@ degeneracy of travelling-wave pairs explicit.  It requires the sampled
 potential to be reflection symmetric about x_min, which holds for every
 periodic problem this package builds.
 
+Two request shapes share that kernel.  :func:`eigen_lowest` and
+:func:`refine` return the lowest k eigenpairs, vectors included.
+:func:`eigenvalue` and :func:`refine_eigenvalue` return one eigenvalue,
+selected by index, with no vectors: bisection costs one Sturm-sequence
+search per eigenvalue and inverse iteration is skipped, so a caller that
+reads a single level should use them.  On a Dirichlet grid LAPACK is asked
+for that index alone; a ring asks each parity sector for its lowest
+index + 1 values and merges them.
+
 A small pure-Python Sturm counter is included so tests can confirm the
 eigenvalue counts independently of LAPACK.
 """
@@ -179,9 +188,11 @@ def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) 
     return count
 
 
-def _solve_sector(diag: np.ndarray, off: np.ndarray, k: int):
+def _solve_sector(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, *, vectors: bool):
+    """Eigenvalues of indices lo..hi of one symmetric tridiagonal, with vectors if asked."""
     try:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+        return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
+                                select="i", select_range=(lo, hi))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate cluster
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -200,24 +211,28 @@ def _symmetrized_ring_diagonal(diag: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parity_sectors(op: DiscretizedOperator):
+    """(diagonal, off-diagonal) of the even and the odd reflection-parity sector.
+
+    The even sector holds nodes 0..m (m = n/2), the odd one nodes 1..m-1, so
+    both have more than n/4 rows and any index below n/4 exists in each.
+    """
+    m = op.n // 2
+    diag = _symmetrized_ring_diagonal(op.diagonal)
+    coupling = float(op.off_diagonal[0])
+    e_even = np.full(m, coupling)
+    e_even[0] = math.sqrt(2.0) * coupling
+    e_even[-1] = math.sqrt(2.0) * coupling
+    return (diag[: m + 1], e_even), (diag[1:m], np.full(m - 2, coupling))
+
+
 def _eigen_periodic(op: DiscretizedOperator, k: int):
     """Even/odd reflection-parity split of the ring into two tridiagonals."""
     n = op.n
     m = n // 2
-    diag = _symmetrized_ring_diagonal(op.diagonal)
-    coupling = float(op.off_diagonal[0])
-
-    d_even = diag[: m + 1].copy()
-    e_even = np.full(m, coupling)
-    e_even[0] = math.sqrt(2.0) * coupling
-    e_even[-1] = math.sqrt(2.0) * coupling
-    k_even = min(k, m + 1)
-    w_even, u_even = _solve_sector(d_even, e_even, k_even)
-
-    d_odd = diag[1:m].copy()
-    e_odd = np.full(m - 2, coupling)
-    k_odd = min(k, m - 1)
-    w_odd, u_odd = _solve_sector(d_odd, e_odd, k_odd)
+    even, odd = _parity_sectors(op)
+    w_even, u_even = _solve_sector(*even, 0, k - 1, vectors=True)
+    w_odd, u_odd = _solve_sector(*odd, 0, k - 1, vectors=True)
 
     merged = sorted(
         [(w, "even", j) for j, w in enumerate(w_even)]
@@ -269,9 +284,30 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     if op.boundary == PERIODIC:
         w, v = _eigen_periodic(op, k)
     else:
-        w, v = _solve_sector(op.diagonal, op.off_diagonal, k)
+        w, v = _solve_sector(op.diagonal, op.off_diagonal, 0, k - 1, vectors=True)
     v = v / math.sqrt(op.grid.h)
     return EigenResult(w, v, op.grid, None, _clusters(w))
+
+
+def eigenvalue(op: DiscretizedOperator, index: int) -> float:
+    """The eigenvalue of the given 0-based index, without eigenvectors.
+
+    Equals ``eigen_lowest(op, index + 1).eigenvalues[index]`` up to the
+    bisection tolerance (a few eps times the operator's norm) and shares its
+    guard: 0 <= index < n/4.
+    """
+    if not 0 <= index < op.n // 4:
+        raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
+    if op.boundary == PERIODIC:
+        lowest = [_solve_sector(*sector, 0, index, vectors=False) for sector in _parity_sectors(op)]
+        return float(np.sort(np.concatenate(lowest))[index])
+    return float(_solve_sector(op.diagonal, op.off_diagonal, index, index, vectors=False)[0])
+
+
+def _richardson(coarse, fine):
+    """h^2 extrapolation of values at h and h/2, and |extrapolated - fine|."""
+    extrapolated = (4.0 * fine - coarse) / 3.0
+    return extrapolated, abs(extrapolated - fine)
 
 
 def refine(op_factory, grid: Grid, k: int) -> EigenResult:
@@ -284,8 +320,7 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     coarse = eigen_lowest(op_factory(grid), k)
     fine_grid = grid.refined()
     fine = eigen_lowest(op_factory(fine_grid), k)
-    extrapolated = (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0
-    estimate = np.abs(extrapolated - fine.eigenvalues)
+    extrapolated, estimate = _richardson(coarse.eigenvalues, fine.eigenvalues)
     return EigenResult(
         extrapolated,
         fine.eigenvectors,
@@ -293,6 +328,17 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
         estimate,
         _clusters(extrapolated),
     )
+
+
+def refine_eigenvalue(op_factory, grid: Grid, index: int) -> tuple[float, float]:
+    """:func:`refine` for the one eigenvalue of the given index, without vectors.
+
+    Returns (extrapolated value, |extrapolated - fine|), the Richardson step
+    of :func:`refine` applied to :func:`eigenvalue` at h and h/2.
+    """
+    coarse = eigenvalue(op_factory(grid), index)
+    fine = eigenvalue(op_factory(grid.refined()), index)
+    return _richardson(coarse, fine)
 
 
 def observed_order(e_h: float, e_h2: float, e_h4: float) -> float:

@@ -27,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySet, bracket
-from .eigensolve import DIRICHLET, PERIODIC, Grid, discretize, eigen_lowest, refine
+from .eigensolve import (
+    DIRICHLET,
+    PERIODIC,
+    Grid,
+    discretize,
+    eigen_lowest,
+    eigenvalue,
+    refine,
+    refine_eigenvalue,
+)
 from .errors import DomainError, NoRoot
 from .separation import CosSquaredProfile, SeparableModel, angular_problem
 from .specfun import BesselOrder, bessel_j
@@ -165,8 +174,7 @@ def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = 4000,
     def factory(grid):
         return discretize(lambda r: c / r**2 - 2.0 / r, grid, prefactor=1.0)
 
-    result = refine(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho + 1)
-    return float(result.eigenvalues[n_rho]), float(result.convergence_estimate[n_rho])
+    return refine_eigenvalue(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho)
 
 
 def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
@@ -182,8 +190,7 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
     def factory(grid):
         return discretize(lambda r: c / r**2 + 0.25 * a_param**2 * r**2, grid, prefactor=1.0)
 
-    result = refine(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho + 1)
-    return float(result.eigenvalues[n_rho]), float(result.convergence_estimate[n_rho])
+    return refine_eigenvalue(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho)
 
 
 def _max_workers() -> int:
@@ -203,6 +210,11 @@ def _ordered_parallel(fn, cases):
         return list(pool.map(fn, cases))
 
 
+def _require_levels(n_rho_max: int) -> None:
+    if n_rho_max < 0:
+        raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
+
+
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000,
                    rho_max: float | None = None) -> list[SpectrumRecord]:
     """Closed-form-versus-numeric sweep for the Coulomb-like radial levels.
@@ -213,8 +225,10 @@ def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000
     side is the index-n_rho eigenvalue of the assembled operator.  Every
     level has nu = b, so the default wall is :func:`coulomb_rho_max` of b.
     Each record carries the absolute difference; use :func:`all_within` to
-    gate on a tolerance.
+    gate on a tolerance.  A negative n_rho_max, which would sweep no level
+    and pass vacuously, raises DomainError.
     """
+    _require_levels(n_rho_max)
     if not b > n_rho_max + 0.5:
         raise DomainError(f"need b > n_rho_max + 1/2, got b = {b}, n_rho_max = {n_rho_max}")
     if rho_max is None:
@@ -246,8 +260,9 @@ def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
 
     The quantization d = a (2 n_rho + ell + 1) makes d itself the closed-form
     eigenvalue for every n_rho; the per-case ell follows from the model
-    parameters.
+    parameters.  A negative n_rho_max raises DomainError.
     """
+    _require_levels(n_rho_max)
     if not a_param > 0:
         raise DomainError(f"need a > 0, got {a_param}")
     if not d / a_param > 2 * n_rho_max + 1:
@@ -356,13 +371,20 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     The ring (0, 2pi) keeps the zero-potential limit exact: at the point
     where both potential coefficients vanish the levels are m^2/2.  The
     default point count keeps grid nodes half a spacing away from the mass
-    zeros; counts divisible by 4 put a node on the singularity and are
-    rejected by the discretization guard.
+    zeros at pi/2 and 3pi/2; that holds exactly when n_points % 4 == 2 (a
+    multiple of 4 puts a node on a zero, an odd count breaks the parity
+    split), so any other count raises DomainError, as does a negative
+    state_index.
     """
+    if state_index < 0:
+        raise DomainError(f"state_index must be >= 0, got {state_index}")
+    if n_points % 4 != 2:
+        raise DomainError(
+            f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
+        )
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
     op = discretize(_scan_potential(a, lam), grid, prefactor=0.5)
-    result = eigen_lowest(op, state_index + 1)
-    return float(result.eigenvalues[state_index])
+    return eigenvalue(op, state_index)
 
 
 def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int, *,

@@ -141,6 +141,14 @@ def test_verify_coulomb_reports_closed_form_mismatch(coulomb_model_file):
         assert row["energy_closed"] == pytest.approx(-1.0 / 9.0, rel=1e-12)
 
 
+def test_verify_rejects_empty_sweep(oscillator_model_file):
+    # no level to check must not read as a pass
+    result = run_cli(["verify", "--model", str(oscillator_model_file), "--n-rho-max=-1"])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert stderr_error(result)["code"] == "domain"
+
+
 def test_verify_needs_radial_model(flat_model_file):
     result = run_cli(["verify", "--model", str(flat_model_file)])
     assert result.returncode == 2
@@ -329,6 +337,36 @@ def test_scan_degenerate_range(cos2_model_file):
          "--lambda-range=-0.75,-0.75", "--curve-samples", "3"]
     )
     assert result.returncode == 5
+
+
+@pytest.mark.parametrize("option", ["--state-index=-1", "--n-points=4000", "--n-points=2051"])
+def test_scan_domain_guards(cos2_model_file, option):
+    result = run_cli(
+        ["scan", "--model", str(cos2_model_file), "--energy", "0.5",
+         "--lambda-range=-1,0", "--curve-samples", "3", option]
+    )
+    assert result.returncode == 3
+    assert stderr_error(result)["code"] == "domain"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--energy", "0.5", "--lambda-range=-1,0", "--curve-samples", "0"],
+    ["effpot", "--which", "angular", "--range=-0.9,0.9", "--samples", "0"],
+    ["wavefunction", "--state", "toy:n=1/2", "--range", "0.5,12", "--samples", "0"],
+])
+def test_sample_counts_below_one_rejected(cos2_model_file, argv):
+    result = run_cli([*argv, "--model", str(cos2_model_file)])
+    assert result.returncode == 2
+    assert stderr_error(result)["code"] == "config"
+
+
+def test_scan_determinism(cos2_model_file):
+    args = ["scan", "--model", str(cos2_model_file), "--energy", "0.5",
+            "--lambda-range=-1,0", "--curve-samples", "3"]
+    first = run_cli(args)
+    second = run_cli(args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout.encode() == second.stdout.encode()
 
 
 def test_scan_needs_cos2(flat_model_file):

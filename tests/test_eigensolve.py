@@ -11,8 +11,10 @@ from pdm_polar.eigensolve import (
     Grid,
     discretize,
     eigen_lowest,
+    eigenvalue,
     observed_order,
     refine,
+    refine_eigenvalue,
     sign_changes,
     sturm_count_below,
 )
@@ -25,6 +27,23 @@ def zero(x):
 
 def harmonic(x):
     return 0.5 * x**2
+
+
+def coulombish(r):
+    return 0.75 / r**2 - 2.0 / r
+
+
+EPS = np.finfo(float).eps
+
+# (grid, potential, prefactor, levels checked); the free ring has the doubly
+# degenerate +/-m pairs
+SOLVE_CASES = {
+    "box": (Grid(0.0, math.pi, 2000, DIRICHLET), zero, 1.0, 5),
+    "harmonic": (Grid(-8.0, 8.0, 600, DIRICHLET), harmonic, 0.5, 6),
+    "coulombish": (Grid(0.0, 60.0, 2000, DIRICHLET), coulombish, 1.0, 3),
+    "free ring": (Grid(0.0, 2.0 * math.pi, 1024, PERIODIC), zero, 0.5, 7),
+    "cos ring": (Grid(0.0, 2.0 * math.pi, 512, PERIODIC), np.cos, 0.5, 6),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +150,11 @@ def test_k_bounds():
         eigen_lowest(op, 0)
     with pytest.raises(ValueError):
         eigen_lowest(op, 17)
+    eigenvalue(op, 15)
+    with pytest.raises(ValueError):
+        eigenvalue(op, -1)
+    with pytest.raises(ValueError):
+        eigenvalue(op, 16)
 
 
 def test_sturm_count_matches_returned_eigenvalues():
@@ -144,6 +168,21 @@ def test_sturm_count_matches_returned_eigenvalues():
         op.diagonal, op.off_diagonal, lo
     )
     assert count == k
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_eigenvalue_matches_eigen_lowest(case):
+    grid, potential, prefactor, k = SOLVE_CASES[case]
+    op = discretize(potential, grid, prefactor=prefactor)
+    lowest = eigen_lowest(op, k).eigenvalues
+    bound = 4.0 * EPS * op.inf_norm()
+    for j in range(k):
+        value = eigenvalue(op, j)
+        assert abs(value - lowest[j]) <= bound
+        if grid.boundary == DIRICHLET:
+            tol = 1e-9 * op.inf_norm()
+            assert sturm_count_below(op.diagonal, op.off_diagonal, value - tol) == j
+            assert sturm_count_below(op.diagonal, op.off_diagonal, value + tol) == j + 1
 
 
 def test_eigenvector_normalization_and_residual():
@@ -190,6 +229,8 @@ def test_periodic_requires_symmetric_potential():
     op = discretize(lambda x: np.sin(x), g, prefactor=0.5)
     with pytest.raises(ValueError):
         eigen_lowest(op, 2)
+    with pytest.raises(ValueError):
+        eigenvalue(op, 1)
 
 
 def test_sturm_oscillation_node_counts():
@@ -222,6 +263,23 @@ def test_refine_box_extrapolation():
     assert abs(result.eigenvalues[0] - 1.0) < 1e-6
     assert result.convergence_estimate[0] < 1e-5
     assert result.grid.n_points == 2001
+
+
+@pytest.mark.parametrize("case", ["coulombish", "free ring"])
+def test_refine_eigenvalue_matches_refine(case):
+    grid, potential, prefactor, k = SOLVE_CASES[case]
+
+    def factory(g):
+        return discretize(potential, g, prefactor=prefactor)
+
+    full = refine(factory, grid, k)
+    # (4 fine - coarse) / 3 carries at most 5/3 of the per-solve difference,
+    # and |extrapolated - fine| one per-solve difference more
+    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
+    for j in range(k):
+        value, estimate = refine_eigenvalue(factory, grid, j)
+        assert abs(value - full.eigenvalues[j]) <= 5.0 / 3.0 * per_solve
+        assert abs(estimate - full.convergence_estimate[j]) <= 8.0 / 3.0 * per_solve
 
 
 def test_observed_order_box():

@@ -32,6 +32,7 @@ from pdm_polar.models import (
     angular_confined_levels,
     record_to_row,
     records_to_csv,
+    scan_level,
     zero_zeta_levels,
 )
 from pdm_polar.specfun import bessel_j
@@ -184,6 +185,8 @@ def test_verify_oscillator_domain_guard():
         verify_oscillator(0.0, 4.0, 1, 1e-4)
     with pytest.raises(DomainError):
         verify_oscillator(1.0, 4.0, 2, 1e-4)
+    with pytest.raises(DomainError):
+        verify_oscillator(1.0, 4.0, -1, 1e-4)
 
 
 def test_verify_coulomb_structure_and_honest_deltas():
@@ -208,6 +211,8 @@ def test_verify_coulomb_structure_and_honest_deltas():
 def test_verify_coulomb_domain_guard():
     with pytest.raises(DomainError):
         verify_coulomb(1.5, 1, 1e-4)
+    with pytest.raises(DomainError):
+        verify_coulomb(3.0, -1, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,16 @@ def test_scan_degenerate_range():
 def test_scan_inverted_range():
     with pytest.raises(DomainError):
         heun_regime_scan(MM, 0.5, (0.0, -1.0))
+
+
+def test_scan_level_guards():
+    # nodes stay half a spacing off the mass zeros only for n_points % 4 == 2
+    assert scan_level(MM, -0.75, state_index=0, n_points=2050) == pytest.approx(0.0, abs=1e-4)
+    with pytest.raises(DomainError):
+        scan_level(MM, -0.75, state_index=-1)
+    for n_points in (4000, 2051):
+        with pytest.raises(DomainError):
+            scan_level(MM, -0.75, n_points=n_points)
 
 
 # ---------------------------------------------------------------------------
