@@ -144,14 +144,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def args_ordering_token(args) -> str:
-    import json
-
-    with open(args.model, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data.get("ordering", "") if isinstance(data, dict) else ""
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -216,7 +208,7 @@ def cmd_spectrum(args) -> int:
         payload = {
             "command": "spectrum",
             "model": header,
-            "ordering": args.ordering_token,
+            "ordering": model.ordering_token,
             "records": [md.record_to_row(r) for r in records],
         }
         _emit(dump_json(payload) + "\n", cfg.out)
@@ -246,7 +238,7 @@ def cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "model": header,
-        "ordering": args.ordering_token,
+        "ordering": model.ordering_token,
         "tol": tol,
         "n_points": n_points,
         "rho_max": rho_max,
@@ -454,8 +446,21 @@ def cmd_scan(args) -> int:
     if args.curve_samples < 1:
         raise ConfigError(f"need at least 1 curve sample, got {args.curve_samples}")
     n_points = cfg.n_points or 2050
-    curve = md.scan_curve(model.ordering, (lo, hi), args.curve_samples,
-                          state_index=args.state_index, n_points=n_points)
+    no_root = None
+    try:
+        lam_star, residual = md.heun_regime_scan(
+            model.ordering, args.energy, (lo, hi), state_index=args.state_index,
+            n_points=n_points, curve_samples=args.curve_samples,
+        )
+    except NoRoot as exc:
+        no_root = exc
+    # an unbracketed range has already sampled this very curve; a degenerate
+    # one carries only its single point
+    if no_root is not None and len(no_root.curve) == args.curve_samples:
+        curve = no_root.curve
+    else:
+        curve = md.scan_curve(model.ordering, (lo, hi), args.curve_samples,
+                              state_index=args.state_index, n_points=n_points)
     payload = {
         "command": "scan",
         "energy_target": args.energy,
@@ -463,14 +468,9 @@ def cmd_scan(args) -> int:
         "state_index": args.state_index,
         "curve": [{"lambda": lam, "energy": e} for lam, e in curve],
     }
-    try:
-        lam_star, residual = md.heun_regime_scan(
-            model.ordering, args.energy, (lo, hi),
-            state_index=args.state_index, n_points=n_points,
-        )
-    except NoRoot as exc:
+    if no_root is not None:
         payload["root"] = None
-        payload["message"] = str(exc)
+        payload["message"] = str(no_root)
         _emit(dump_json(payload) + "\n", cfg.out)
         return EXIT_NO_ROOT
     payload["root"] = {"lambda_star": lam_star, "residual": residual}
@@ -548,10 +548,6 @@ def _error_payload(code: int, name: str, exc: Exception) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.ordering_token = args_ordering_token(args)
-    except Exception:
-        args.ordering_token = ""
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

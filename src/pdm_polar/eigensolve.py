@@ -25,6 +25,9 @@ reads a single level should use them.  On a Dirichlet grid LAPACK is asked
 for that index alone; a ring asks each parity sector for its lowest
 index + 1 values and merges them.
 
+scipy is imported on the first solve, inside the one LAPACK call site, so
+code that never solves runs on numpy alone.
+
 A small pure-Python Sturm counter is included so tests can confirm the
 eigenvalue counts independently of LAPACK.
 """
@@ -35,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceFailure, PotentialSingular
 
@@ -190,6 +192,9 @@ def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) 
 
 def _solve_sector(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, *, vectors: bool):
     """Eigenvalues of indices lo..hi of one symmetric tridiagonal, with vectors if asked."""
+    # imported here so that commands which never solve do not load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
                                 select="i", select_range=(lo, hi))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -213,12 +213,15 @@ class SeparableModel:
     """Complete problem definition: angular profile, radial potential, ordering.
 
     The radial mass factor is fixed to rho^(-2); nothing else separates.
-    ``v`` may be None for purely angular studies.
+    ``v`` may be None for purely angular studies.  ``ordering_token`` is the
+    ordering as written in the model file ("" for models built in code); it
+    is reported back verbatim and takes no part in comparisons.
     """
 
     f: object
     v: object | None
     ordering: AmbiguitySet
+    ordering_token: str = field(default="", compare=False)
 
     def mass(self, rho: float, phi: float) -> float:
         return self.f.value(phi) / float(rho) ** 2
@@ -479,7 +482,7 @@ def model_from_dict(data: dict) -> SeparableModel:
     if not isinstance(ordering_spec, str):
         raise ConfigError("ordering must be a token string")
     ordering = parse_ordering_token(ordering_spec)
-    return SeparableModel(profile, potential, ordering)
+    return SeparableModel(profile, potential, ordering, ordering_spec)
 
 
 def _require_keys(params: dict, keys: set, kind: str):
@@ -494,6 +497,6 @@ def load_model(path) -> SeparableModel:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(data)

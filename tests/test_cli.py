@@ -76,6 +76,14 @@ def test_spectrum_malformed_json(tmp_path):
     assert stderr_error(result)["code"] == "config"
 
 
+def test_spectrum_model_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"f": "flat", "ordering": "\xe9"}')
+    result = run_cli(["spectrum", "--model", str(path)])
+    assert result.returncode == 2
+    assert stderr_error(result)["code"] == "config"
+
+
 def test_spectrum_domain_error(coulomb_model_file):
     result = run_cli(["spectrum", "--model", str(coulomb_model_file), "--n-rho-max", "5"])
     assert result.returncode == 3
@@ -369,6 +377,26 @@ def test_scan_determinism(cos2_model_file):
     assert first.stdout.encode() == second.stdout.encode()
 
 
+def test_unbracketed_scan_solves_each_curve_point_once(cos2_model_file, monkeypatch, capsys):
+    from pdm_polar import cli
+    from pdm_polar import models as md
+
+    solved = []
+    scan_level = md.scan_level
+
+    def counting_scan_level(a, lam, **kwargs):
+        solved.append(lam)
+        return scan_level(a, lam, **kwargs)
+
+    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    code = cli.main(["scan", "--model", str(cos2_model_file), "--energy", "50.0",
+                     "--lambda-range=-0.9,-0.5", "--curve-samples", "5"])
+    assert code == 5
+    assert len(json.loads(capsys.readouterr().out)["curve"]) == 5
+    # the two range ends, then the five curve points, each solved once
+    assert len(solved) == 2 + 5
+
+
 def test_scan_needs_cos2(flat_model_file):
     result = run_cli(
         ["scan", "--model", str(flat_model_file), "--energy", "0.5",
@@ -390,3 +418,53 @@ def test_out_file_written(coulomb_model_file, tmp_path):
     assert result.stdout == ""
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert len(payload["records"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+
+import pdm_polar
+runs = ["scipy.linalg" in sys.modules]
+
+from pdm_polar.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    runs.append([code, "scipy.linalg" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_model_file,
+                                                flat_model_file, cos2_model_file):
+    # a fresh interpreter: the test process itself has scipy loaded already
+    closed_form = [
+        ["spectrum", "--model", str(coulomb_model_file)],
+        ["spectrum", "--model", str(oscillator_model_file)],
+        ["spectrum", "--model", str(flat_model_file)],
+        ["effpot", "--model", str(cos2_model_file), "--which", "angular",
+         "--range=-0.9,0.9", "--samples", "5"],
+        ["effpot", "--model", str(coulomb_model_file), "--which", "radial",
+         "--range", "0.5,20", "--samples", "5"],
+        ["wavefunction", "--model", str(cos2_model_file), "--state", "toy:n=1/2",
+         "--range", "0.5,12", "--samples", "5"],
+        ["wavefunction", "--model", str(flat_model_file), "--state", "angular:m=1",
+         "--range", "0,6.28", "--samples", "5"],
+    ]
+    solving = ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0",
+               "--n-points", "1024"]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(closed_form + [solving])],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    bare_import, *runs, verify = json.loads(result.stdout)
+    assert bare_import is False
+    for argv, outcome in zip(closed_form, runs, strict=True):
+        assert outcome == [0, False], argv
+    assert verify == [0, True]
