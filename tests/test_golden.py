@@ -73,12 +73,6 @@ def test_closed_form_stdout_matches_golden(capsys, case):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
-def test_raw_ordering_token_printed_as_written(capsys):
-    code, out = run_main(capsys, "spectrum", "oscillator_raw_token")
-    assert code == 0
-    assert json.loads(out)["ordering"] == " BenDaniel-Duke"
-
-
 @pytest.mark.parametrize("model", ["coulomb", "oscillator_raw_token"])
 def test_verify_payload_matches_library(capsys, model):
     code, out = run_main(capsys, "verify", model, "--n-rho-max", "1", "--n-points", "1024")
@@ -112,7 +106,7 @@ def test_verify_payload_matches_library(capsys, model):
     ((-1.0, 0.0), 0.5, 0),
     ((-0.9, -0.5), 50.0, 5),
     ((-0.75, -0.75), 0.5, 5),
-])
+], ids=["root", "no-root", "degenerate-range"])
 def test_scan_payload_matches_library(capsys, lambda_range, energy, expected_code):
     lo, hi = lambda_range
     code, out = run_main(capsys, "scan", "cos2", "--energy", repr(energy),
