@@ -122,6 +122,8 @@ class RunConfig:
             raise ConfigError(f"n_points must be in {N_POINTS_BOUNDS}, got {self.n_points}")
         if self.tol is not None and not TOL_BOUNDS[0] <= self.tol <= TOL_BOUNDS[1]:
             raise ConfigError(f"tol must be in {TOL_BOUNDS}, got {self.tol}")
+        if self.rho_max is not None and not (math.isfinite(self.rho_max) and self.rho_max > 0):
+            raise ConfigError(f"rho_max must be finite and > 0, got {self.rho_max}")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
@@ -151,38 +153,27 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_spectrum(args) -> int:
     cfg = RunConfig("spectrum", args.model, args.format, args.out)
     model = sp.load_model(args.model)
+    if not isinstance(model.f, sp.FlatProfile):
+        raise ConfigError("spectrum tables need a flat angular profile (f = \"flat\")")
     ordering = model.ordering
+    family = md.RADIAL_FAMILIES.get(type(model.v))
     records = []
-    if isinstance(model.v, sp.CoulombLike):
-        b = model.v.b
+    if family is not None:
+        params = family.params(model.v)
         for n_rho in range(args.n_rho_max + 1):
-            lam = md.coulomb_lambda(b, n_rho)
+            lam = family.lam(*params, n_rho)
             for m in range(-args.m_max, args.m_max + 1):
                 qn = md.QuantumNumbers(n_rho, m)
                 records.append(
                     md.SpectrumRecord(
                         qn=qn,
                         lam=lam,
-                        energy_closed=md.coulomb_energy(ordering, b, qn),
+                        energy_closed=family.energy(ordering, *params, qn),
                         provenance="closed-form",
                     )
                 )
-        header = {"model_kind": "coulomb_like", "b": b}
-    elif isinstance(model.v, sp.OscillatorLike):
-        for n_rho in range(args.n_rho_max + 1):
-            lam = md.oscillator_lambda(model.v.a, model.v.d, n_rho)
-            for m in range(-args.m_max, args.m_max + 1):
-                qn = md.QuantumNumbers(n_rho, m)
-                records.append(
-                    md.SpectrumRecord(
-                        qn=qn,
-                        lam=lam,
-                        energy_closed=md.oscillator_energy(ordering, model.v.a, model.v.d, qn),
-                        provenance="closed-form",
-                    )
-                )
-        header = {"model_kind": "oscillator_like", "a": model.v.a, "d": model.v.d}
-    elif model.v is None and isinstance(model.f, sp.FlatProfile):
+        header = family.header(params)
+    elif model.v is None:
         lam = args.lam
         for m in range(-args.m_max, args.m_max + 1):
             qn = md.QuantumNumbers(0, m)
@@ -221,23 +212,18 @@ def cmd_verify(args) -> int:
     model = sp.load_model(args.model)
     n_points = cfg.n_points or 4000
     tol = cfg.tol if cfg.tol is not None else 1e-4
-    if isinstance(model.v, sp.CoulombLike):
-        rho_max = cfg.rho_max or md.coulomb_rho_max(model.v.b)
-        records = md.verify_coulomb(model.v.b, args.n_rho_max, tol,
-                                    n_points=n_points, rho_max=rho_max)
-        header = {"model_kind": "coulomb_like", "b": model.v.b}
-    elif isinstance(model.v, sp.OscillatorLike):
-        rho_max = cfg.rho_max or 12.0 / math.sqrt(model.v.a)
-        records = md.verify_oscillator(model.v.a, model.v.d, args.n_rho_max, tol,
-                                       n_points=n_points, rho_max=rho_max)
-        header = {"model_kind": "oscillator_like", "a": model.v.a, "d": model.v.d}
-    else:
+    family = md.RADIAL_FAMILIES.get(type(model.v))
+    if family is None:
         raise ConfigError("verification sweeps need a coulomb-like or oscillator-like model")
+    params = family.params(model.v)
+    rho_max = family.wall(params, cfg.rho_max)
+    records = md.verify_family(family, params, args.n_rho_max,
+                               n_points=n_points, rho_max=rho_max)
 
     ok = md.all_within(records, tol)
     payload = {
         "command": "verify",
-        "model": header,
+        "model": family.header(params),
         "ordering": model.ordering_token,
         "tol": tol,
         "n_points": n_points,
@@ -326,27 +312,12 @@ def _toy_rows(model, order_fraction, coords) -> list:
 
 
 def _numeric_radial_rows(model, n_rho, coords, n_points, rho_max) -> list:
-    if isinstance(model.v, sp.CoulombLike):
-        lam = md.coulomb_lambda(model.v.b, n_rho)
-        rho_max = rho_max or md.coulomb_rho_max(model.v.b)
-        c = lam + 1.0 - 0.25
-
-        def potential(r):
-            return c / r**2 - 2.0 / r
-
-    elif isinstance(model.v, sp.OscillatorLike):
-        lam = md.oscillator_lambda(model.v.a, model.v.d, n_rho)
-        rho_max = rho_max or 12.0 / math.sqrt(model.v.a)
-        c = lam + 1.0 - 0.25
-        a2 = model.v.a**2
-
-        def potential(r):
-            return c / r**2 + 0.25 * a2 * r**2
-
-    else:
+    family = md.RADIAL_FAMILIES.get(type(model.v))
+    if family is None:
         raise DomainError("numeric radial states need a coulomb-like or oscillator-like model")
-
-    grid = Grid(0.0, rho_max, n_points or 4000, DIRICHLET)
+    params = family.params(model.v)
+    potential = family.operator(*params, family.lam(*params, n_rho) + 1.0)
+    grid = Grid(0.0, family.wall(params, rho_max), n_points or 4000, DIRICHLET)
     result = refine(lambda g: discretize(potential, g, prefactor=1.0), grid, n_rho + 1)
     u = result.eigenvectors[:, n_rho]
     rho = result.grid.points

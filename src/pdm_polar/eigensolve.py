@@ -138,24 +138,16 @@ class EigenResult:
     degenerate_clusters: list = field(default_factory=list)
 
 
-def _evaluate_potential(potential, x: np.ndarray) -> np.ndarray:
-    try:
-        v = np.asarray(potential(x), dtype=float)
-    except (TypeError, ValueError):
-        v = np.array([float(potential(xi)) for xi in x])
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape).astype(float)
-    return v
-
-
 def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedOperator:
     """Central-difference matrix of -prefactor * d^2/dx^2 + V on the grid.
 
+    ``potential`` is called once, on the array of grid points, and must be
+    vectorized; a scalar-only function such as ``math.cos`` raises TypeError.
     Raises PotentialSingular when |V| exceeds 1e12 at a grid point or is not
     finite there; the caller must move the domain off the singularity.
     """
     x = grid.points
-    v = _evaluate_potential(potential, x)
+    v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
     bad = ~np.isfinite(v) | (np.abs(v) > POTENTIAL_CAP)
     if np.any(bad):
         i = int(np.argmax(bad))

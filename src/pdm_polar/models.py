@@ -10,6 +10,10 @@ Three families are covered, all with the rho^(-2) radial mass factor:
 * oscillator-like radial potential a^2 rho^4/8 - d rho^2/2, quantized through
   lambda = (d/a - 2 n_rho - 1)^2 - 1.
 
+The two radial families are declared once each, as :class:`RadialFamily`
+entries of :data:`RADIAL_FAMILIES`; the spectrum tables, the verify sweeps
+and the numeric radial states all read them.
+
 Every closed form is cross-checked against the finite-difference solver,
 which plays the independent-oracle role.  The cos^2-profile system supplies
 the Bessel radial solution and the zero-potential angular line E = m^2/2;
@@ -20,9 +24,8 @@ away from that line the (E, lambda) pairing is explored numerically by
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,13 @@ from .eigensolve import (
     refine_eigenvalue,
 )
 from .errors import DomainError, NoRoot
-from .separation import CosSquaredProfile, SeparableModel, angular_problem
+from .separation import (
+    CosSquaredProfile,
+    CoulombLike,
+    OscillatorLike,
+    SeparableModel,
+    angular_problem,
+)
 from .specfun import BesselOrder, bessel_j
 
 ZERO_ZETA_NOTE = (
@@ -146,7 +155,42 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 
 
 # ---------------------------------------------------------------------------
-# numeric levels (the independent oracle)
+# the radial families, each declared once
+
+
+@dataclass(frozen=True)
+class RadialFamily:
+    """One exactly solvable radial family: operator, quantization, closed value.
+
+    ``names`` lists the family's own parameters as the potential carries
+    them (b for Coulomb-like, a and d for oscillator-like); every callable
+    takes them unpacked, in that order, ahead of its own arguments:
+
+    * ``lam(*params, n_rho)`` is the quantization lambda(n_rho);
+    * ``energy(ordering, *params, qn)`` is the closed energy;
+    * ``operator(*params, ell_sq)`` is the potential of the eigenvalue form
+      -U'' + V U = eps U at squared radial order ell_sq = lambda + 1;
+    * ``closed(*params, n_rho, ell)`` is the closed spectral value eps;
+    * ``default_wall(*params)`` is the default outer Dirichlet wall.
+    """
+
+    kind: str
+    names: tuple
+    lam: Callable
+    energy: Callable
+    operator: Callable
+    closed: Callable
+    default_wall: Callable
+    note: str
+
+    def params(self, v) -> tuple:
+        return tuple(getattr(v, name) for name in self.names)
+
+    def header(self, params) -> dict:
+        return {"model_kind": self.kind, **dict(zip(self.names, params))}
+
+    def wall(self, params, rho_max: float | None) -> float:
+        return self.default_wall(*params) if rho_max is None else rho_max
 
 
 def coulomb_rho_max(nu: float) -> float:
@@ -159,87 +203,106 @@ def coulomb_rho_max(nu: float) -> float:
     return 2.0 * nu * nu + 20.0 * nu
 
 
+def _coulomb_operator(b: float, ell_sq: float):
+    c = ell_sq - 0.25
+    return lambda r: c / r**2 - 2.0 / r
+
+
+def _oscillator_operator(a_param: float, d: float, ell_sq: float):
+    c = ell_sq - 0.25
+    return lambda r: c / r**2 + 0.25 * a_param**2 * r**2
+
+
+COULOMB = RadialFamily(
+    kind=CoulombLike.kind,
+    names=("b",),
+    lam=coulomb_lambda,
+    energy=coulomb_energy,
+    operator=_coulomb_operator,
+    closed=lambda b, n_rho, ell: -1.0 / (b * b),
+    default_wall=coulomb_rho_max,
+    note="radial spectral value eps = -omega^2; independent of m",
+)
+
+OSCILLATOR = RadialFamily(
+    kind=OscillatorLike.kind,
+    names=("a", "d"),
+    lam=oscillator_lambda,
+    energy=oscillator_energy,
+    operator=_oscillator_operator,
+    closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
+    default_wall=lambda a_param, d: 12.0 / math.sqrt(a_param),
+    note="radial spectral value d; independent of m",
+)
+
+RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
+
+
+# ---------------------------------------------------------------------------
+# numeric levels (the independent oracle)
+
+
+def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
+                   n_points: int, rho_max: float | None) -> tuple[float, float]:
+    """Index-n_rho eigenvalue of the family's operator at radial order ell.
+
+    Dirichlet walls at rho = h and rho_max (default: the family's wall), one
+    Richardson refinement.  Returns (eigenvalue, convergence_estimate).
+    """
+    potential = family.operator(*params, ell * ell)
+
+    def factory(grid):
+        return discretize(potential, grid, prefactor=1.0)
+
+    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    return refine_eigenvalue(factory, grid, n_rho)
+
+
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = 4000,
                           rho_max: float | None = None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of -U'' + [(ell^2 - 1/4)/rho^2 - 2/rho] U = eps U.
 
-    The exact level is -1/(n_rho + ell + 1/2)^2.  Dirichlet walls at rho = h
-    and rho_max (default :func:`coulomb_rho_max` of nu = n_rho + ell + 1/2),
-    one Richardson refinement.  Returns (eigenvalue, convergence_estimate).
+    The exact level is -1/nu^2 with nu = n_rho + ell + 1/2, the level's own
+    b; the default wall is :func:`coulomb_rho_max` of nu.
     """
-    if rho_max is None:
-        rho_max = coulomb_rho_max(n_rho + ell + 0.5)
-    c = ell * ell - 0.25
-
-    def factory(grid):
-        return discretize(lambda r: c / r**2 - 2.0 / r, grid, prefactor=1.0)
-
-    return refine_eigenvalue(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho)
+    return _numeric_level(COULOMB, (n_rho + ell + 0.5,), ell, n_rho, n_points, rho_max)
 
 
 def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
                              n_points: int = 4000,
                              rho_max: float | None = None) -> tuple[float, float]:
-    """Index-n_rho eigenvalue of -U'' + [(l^2-1/4)/rho^2 + a^2 rho^2/4] U = d U."""
+    """Index-n_rho eigenvalue of -U'' + [(l^2-1/4)/rho^2 + a^2 rho^2/4] U = d U.
+
+    The exact level is the level's own d = a (2 n_rho + ell + 1).
+    """
     if not a_param > 0:
         raise DomainError(f"need a > 0, got {a_param}")
-    if rho_max is None:
-        rho_max = 12.0 / math.sqrt(a_param)
-    c = ell * ell - 0.25
-
-    def factory(grid):
-        return discretize(lambda r: c / r**2 + 0.25 * a_param**2 * r**2, grid, prefactor=1.0)
-
-    return refine_eigenvalue(factory, Grid(0.0, rho_max, n_points, DIRICHLET), n_rho)
+    d = a_param * (2.0 * n_rho + ell + 1.0)
+    return _numeric_level(OSCILLATOR, (a_param, d), ell, n_rho, n_points, rho_max)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("PDM_POLAR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = os.cpu_count() or 1
-    return max(1, n)
+def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
+                  n_points: int = 4000,
+                  rho_max: float | None = None) -> list[SpectrumRecord]:
+    """Closed-form-versus-numeric sweep over n_rho = 0..n_rho_max.
 
-
-def _ordered_parallel(fn, cases):
-    workers = min(_max_workers(), max(1, len(cases)))
-    if workers == 1:
-        return [fn(case) for case in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases))
-
-
-def _require_levels(n_rho_max: int) -> None:
+    For each n_rho the closed spectral value is set against the
+    index-n_rho eigenvalue of the family's operator at the quantized radial
+    order ell = sqrt(1 + lambda), all inside one wall (default: the
+    family's).  Each record carries the absolute difference; use
+    :func:`all_within` to gate on a tolerance.  A negative n_rho_max, which
+    would sweep no level and pass vacuously, raises DomainError before any
+    solve, as does a level outside the quantization's domain.
+    """
     if n_rho_max < 0:
         raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
-
-
-def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000,
-                   rho_max: float | None = None) -> list[SpectrumRecord]:
-    """Closed-form-versus-numeric sweep for the Coulomb-like radial levels.
-
-    For each n_rho the closed-form spectral value is -omega^2 = -1/b^2 with
-    omega read from the quantization omega = 1/(n_rho + l + 1), where
-    l(l+1) = 3/4 + lambda, i.e. omega = 1/(n_rho + ell + 1/2); the numeric
-    side is the index-n_rho eigenvalue of the assembled operator.  Every
-    level has nu = b, so the default wall is :func:`coulomb_rho_max` of b.
-    Each record carries the absolute difference; use :func:`all_within` to
-    gate on a tolerance.  A negative n_rho_max, which would sweep no level
-    and pass vacuously, raises DomainError.
-    """
-    _require_levels(n_rho_max)
-    if not b > n_rho_max + 0.5:
-        raise DomainError(f"need b > n_rho_max + 1/2, got b = {b}, n_rho_max = {n_rho_max}")
-    if rho_max is None:
-        rho_max = coulomb_rho_max(b)
-
-    def solve_case(n_rho: int) -> SpectrumRecord:
-        lam = coulomb_lambda(b, n_rho)
+    lams = [family.lam(*params, n_rho) for n_rho in range(n_rho_max + 1)]
+    records = []
+    for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
-        numeric, conv = coulomb_numeric_level(ell, n_rho, n_points=n_points, rho_max=rho_max)
-        closed = -1.0 / (b * b)
-        return SpectrumRecord(
+        numeric, conv = _numeric_level(family, params, ell, n_rho, n_points, rho_max)
+        closed = family.closed(*params, n_rho, ell)
+        records.append(SpectrumRecord(
             qn=QuantumNumbers(n_rho, 0),
             lam=lam,
             energy_closed=closed,
@@ -247,48 +310,32 @@ def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000
             delta=abs(closed - numeric),
             provenance="both",
             convergence_estimate=conv,
-            note="radial spectral value eps = -omega^2; independent of m",
-        )
+            note=family.note,
+        ))
+    return records
 
-    return _ordered_parallel(solve_case, list(range(n_rho_max + 1)))
+
+def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000,
+                   rho_max: float | None = None) -> list[SpectrumRecord]:
+    """Sweep of the Coulomb-like levels; closed value -omega^2 = -1/b^2.
+
+    omega is read from the quantization omega = 1/(n_rho + l + 1) with
+    l(l+1) = 3/4 + lambda, i.e. omega = 1/(n_rho + ell + 1/2).  Every level
+    has nu = b, so the default wall is :func:`coulomb_rho_max` of b.  ``tol``
+    is accepted for the caller's gate and not used here.
+    """
+    return verify_family(COULOMB, (b,), n_rho_max, n_points=n_points, rho_max=rho_max)
 
 
 def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
                       n_points: int = 4000,
                       rho_max: float | None = None) -> list[SpectrumRecord]:
-    """Closed-form-versus-numeric sweep for the oscillator-like radial levels.
+    """Sweep of the oscillator-like levels; closed value d = a (2 n_rho + ell + 1).
 
-    The quantization d = a (2 n_rho + ell + 1) makes d itself the closed-form
-    eigenvalue for every n_rho; the per-case ell follows from the model
-    parameters.  A negative n_rho_max raises DomainError.
+    ``tol`` is accepted for the caller's gate and not used here.
     """
-    _require_levels(n_rho_max)
-    if not a_param > 0:
-        raise DomainError(f"need a > 0, got {a_param}")
-    if not d / a_param > 2 * n_rho_max + 1:
-        raise DomainError(
-            f"need d/a > 2 n_rho_max + 1, got d/a = {d / a_param}, n_rho_max = {n_rho_max}"
-        )
-
-    def solve_case(n_rho: int) -> SpectrumRecord:
-        lam = oscillator_lambda(a_param, d, n_rho)
-        ell = math.sqrt(lam + 1.0)
-        numeric, conv = oscillator_numeric_level(
-            a_param, ell, n_rho, n_points=n_points, rho_max=rho_max
-        )
-        closed = a_param * (2.0 * n_rho + ell + 1.0)
-        return SpectrumRecord(
-            qn=QuantumNumbers(n_rho, 0),
-            lam=lam,
-            energy_closed=closed,
-            energy_numeric=numeric,
-            delta=abs(closed - numeric),
-            provenance="both",
-            convergence_estimate=conv,
-            note="radial spectral value d; independent of m",
-        )
-
-    return _ordered_parallel(solve_case, list(range(n_rho_max + 1)))
+    return verify_family(OSCILLATOR, (a_param, d), n_rho_max,
+                         n_points=n_points, rho_max=rho_max)
 
 
 def all_within(records, tol: float) -> bool:
@@ -392,11 +439,8 @@ def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int,
     """Sample the eigenvalue-versus-lambda curve over the range."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     lams = np.linspace(lo, hi, samples)
-    values = _ordered_parallel(
-        lambda lam: scan_level(a, lam, state_index=state_index, n_points=n_points),
-        list(lams),
-    )
-    return [(float(lam), float(val)) for lam, val in zip(lams, values)]
+    return [(float(lam), float(scan_level(a, lam, state_index=state_index, n_points=n_points)))
+            for lam in lams]
 
 
 def heun_regime_scan(a: AmbiguitySet, energy_target: float,

@@ -37,11 +37,11 @@ from .ambiguity import (
     parse_ordering_token,
     xi,
 )
+from .eigensolve import PERIODIC
 from .errors import ConfigError, DomainError, MassVanishes, UnsupportedProfile
 
 MASS_EPS = 1e-8
 
-PERIODIC = "periodic"
 CONFINED = "confined-by-divergence"
 
 
@@ -187,25 +187,6 @@ class OscillatorLike:
     def tilde_v(self, rho):
         rho = np.asarray(rho, dtype=float)
         return self.a**2 * rho**4 / 8.0 - 0.5 * self.d * rho**2
-
-
-class TabulatedPotential:
-    """Radial potential sampled on a rho grid, linearly interpolated."""
-
-    kind = "tabulated"
-
-    def __init__(self, rho, values):
-        rho = np.asarray(rho, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if rho.ndim != 1 or rho.size < 2 or rho.shape != values.shape:
-            raise DomainError("need matching 1-d rho and value arrays")
-        if np.any(np.diff(rho) <= 0):
-            raise DomainError("rho grid must be strictly increasing")
-        self.rho = rho
-        self.values = values
-
-    def tilde_v(self, rho):
-        return np.interp(rho, self.rho, self.values)
 
 
 @dataclass(frozen=True)

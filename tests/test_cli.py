@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -12,16 +11,11 @@ import pytest
 from conftest import write_model
 
 
-def run_cli(args, env_extra=None):
-    env = os.environ.copy()
-    env.setdefault("PDM_POLAR_THREADS", "2")
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "pdm_polar.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -90,9 +84,20 @@ def test_spectrum_domain_error(coulomb_model_file):
     assert stderr_error(result)["code"] == "domain"
 
 
-def test_spectrum_rejects_cos2_model(cos2_model_file):
-    result = run_cli(["spectrum", "--model", str(cos2_model_file)])
-    assert result.returncode == 2
+def test_spectrum_rejects_cos2_model(tmp_path, cos2_model_file):
+    # the tables hold the flat-profile angular spectrum, which a cos^2
+    # profile does not have, whatever its radial family
+    radial = {"coulomb_like": {"omega": 1.0 / 3.0}, "oscillator_like": {"a": 1.0, "d": 4.0}}
+    paths = [cos2_model_file] + [
+        write_model(tmp_path, f"cos2-{kind}.json",
+                    {"f": "cos2", "potential": {kind: params}, "ordering": "bendaniel-duke"})
+        for kind, params in radial.items()
+    ]
+    for path in paths:
+        result = run_cli(["spectrum", "--model", str(path)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert stderr_error(result)["code"] == "config"
 
 
 def test_spectrum_unknown_model_key(tmp_path):
@@ -177,13 +182,16 @@ def test_verify_determinism(oscillator_model_file):
     assert first.stdout.encode() == second.stdout.encode()
 
 
-def test_verify_single_thread_env(oscillator_model_file):
-    result = run_cli(
-        ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "1",
-         "--n-points", "1024"],
-        env_extra={"PDM_POLAR_THREADS": "1"},
-    )
-    assert result.returncode == 0
+@pytest.mark.parametrize("rho_max", ["0", "-5", "nan"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--n-rho-max", "1"],
+    ["wavefunction", "--state", "radial:n_rho=0", "--range", "0.5,5"],
+], ids=["verify", "wavefunction"])
+def test_rho_max_must_be_finite_and_positive(oscillator_model_file, command, rho_max):
+    result = run_cli([*command, "--model", str(oscillator_model_file), f"--rho-max={rho_max}"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert stderr_error(result)["code"] == "config"
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_discretize_rejects_singular_potential():
         discretize(lambda x: np.where(x > 0.5, np.inf, 0.0), g)
 
 
+def test_discretize_needs_vectorized_potential():
+    # the potential is evaluated once on the whole grid, never point by point
+    with pytest.raises(TypeError):
+        discretize(math.cos, Grid(0.0, 1.0, 31, DIRICHLET))
+
+
 def test_box_ground_state():
     # particle in a box on (0, pi): E_n = n^2
     g = Grid(0.0, math.pi, 2000, DIRICHLET)
