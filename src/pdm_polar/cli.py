@@ -155,10 +155,14 @@ def cmd_spectrum(args) -> int:
     model = sp.load_model(args.model)
     if not isinstance(model.f, sp.FlatProfile):
         raise ConfigError("spectrum tables need a flat angular profile (f = \"flat\")")
+    if args.m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {args.m_max}")
     ordering = model.ordering
     family = md.RADIAL_FAMILIES.get(type(model.v))
     records = []
     if family is not None:
+        if args.n_rho_max < 0:
+            raise DomainError(f"n_rho_max must be >= 0, got {args.n_rho_max}")
         params = family.params(model.v)
         for n_rho in range(args.n_rho_max + 1):
             lam = family.lam(*params, n_rho)

@@ -25,11 +25,17 @@ reads a single level should use them.  On a Dirichlet grid LAPACK is asked
 for that index alone; a ring asks each parity sector for its lowest
 index + 1 values and merges them.
 
-scipy is imported on the first solve, inside the one LAPACK call site, so
-code that never solves runs on numpy alone.
+A caller that only needs to know on which side of a value a level lies
+should use :func:`count_below`: it returns the number of eigenvalues at or
+below x from LAPACK's Sturm inertia count (a by-value ``?stebz`` request
+that stops after the count), O(n) per sector, with no bisection towards
+any eigenvalue.  The lambda scan bisects on it.
 
-A small pure-Python Sturm counter is included so tests can confirm the
-eigenvalue counts independently of LAPACK.
+scipy is imported on the first solve or count, inside the LAPACK call
+sites, so code that never solves runs on numpy alone.
+
+A small pure-Python Sturm counter, :func:`sturm_count_below`, stays as the
+test reference for those counts; it is too slow for production use.
 """
 
 from __future__ import annotations
@@ -147,7 +153,9 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
     finite there; the caller must move the domain off the singularity.
     """
     x = grid.points
-    v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
+    # a non-finite sample is refused just below, so numpy need not warn about it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
     bad = ~np.isfinite(v) | (np.abs(v) > POTENTIAL_CAP)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -192,6 +200,24 @@ def _solve_sector(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, *, vector
                                 select="i", select_range=(lo, hi))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate cluster
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def _count_sector(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Number of eigenvalues of one symmetric tridiagonal at or below x.
+
+    A by-value request for (-inf, x] with a tolerance wider than the whole
+    Gershgorin interval: ``?stebz`` takes the Sturm count at x and stops, so
+    the length of what it returns is that count.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    width = 4.0 * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
+    try:
+        found = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                 select_range=(-np.inf, x), tol=width)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - never seen at this tolerance
+        raise ConvergenceFailure(str(exc)) from exc
+    return len(found)
 
 
 def _symmetrized_ring_diagonal(diag: np.ndarray) -> np.ndarray:
@@ -299,6 +325,18 @@ def eigenvalue(op: DiscretizedOperator, index: int) -> float:
         lowest = [_solve_sector(*sector, 0, index, vectors=False) for sector in _parity_sectors(op)]
         return float(np.sort(np.concatenate(lowest))[index])
     return float(_solve_sector(op.diagonal, op.off_diagonal, index, index, vectors=False)[0])
+
+
+def count_below(op: DiscretizedOperator, x: float) -> int:
+    """Number of eigenvalues of the operator at or below x, without solving.
+
+    A ring counts in each reflection-parity sector and sums the two.  So the
+    eigenvalue of a given index lies above x exactly when the count is at
+    most that index.
+    """
+    if op.boundary == PERIODIC:
+        return sum(_count_sector(*sector, x) for sector in _parity_sectors(op))
+    return _count_sector(op.diagonal, op.off_diagonal, x)
 
 
 def _richardson(coarse, fine):

@@ -34,6 +34,7 @@ from .eigensolve import (
     DIRICHLET,
     PERIODIC,
     Grid,
+    count_below,
     discretize,
     eigen_lowest,
     eigenvalue,
@@ -411,6 +412,21 @@ def _scan_potential(a: AmbiguitySet, lam: float):
     return potential
 
 
+def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int):
+    """The discretized ring of :func:`scan_level`, built after its guards."""
+    if not 0 <= state_index < n_points // 4:
+        raise DomainError(
+            f"state_index must satisfy 0 <= state_index < n_points/4 = {n_points // 4}, "
+            f"got {state_index}"
+        )
+    if n_points % 4 != 2:
+        raise DomainError(
+            f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
+        )
+    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    return discretize(_scan_potential(a, lam), grid, prefactor=0.5)
+
+
 def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
                n_points: int = 2050) -> float:
     """Eigenvalue of given index of the periodic angular problem at lambda.
@@ -420,18 +436,10 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     default point count keeps grid nodes half a spacing away from the mass
     zeros at pi/2 and 3pi/2; that holds exactly when n_points % 4 == 2 (a
     multiple of 4 puts a node on a zero, an odd count breaks the parity
-    split), so any other count raises DomainError, as does a negative
-    state_index.
+    split), so any other count raises DomainError, as does a state_index
+    outside 0 <= state_index < n_points/4.
     """
-    if state_index < 0:
-        raise DomainError(f"state_index must be >= 0, got {state_index}")
-    if n_points % 4 != 2:
-        raise DomainError(
-            f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
-        )
-    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
-    op = discretize(_scan_potential(a, lam), grid, prefactor=0.5)
-    return eigenvalue(op, state_index)
+    return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index)
 
 
 def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int, *,
@@ -450,9 +458,14 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     """Find lambda* with E_index(lambda*) = energy_target by bisection.
 
     The tracked eigenvalue decreases monotonically in lambda (the potential
-    decreases pointwise), so a sign check at the range ends either brackets
-    the root or proves there is none; NoRoot carries a sampled curve for
-    diagnosis.  Returns (lambda*, |E(lambda*) - energy_target|).
+    decreases pointwise).  Each step only asks on which side of the target
+    the level lies: E_index(lambda) > target exactly when at most
+    state_index eigenvalues of the ring lie at or below the target, which
+    LAPACK's Sturm count (:func:`eigensolve.count_below`) answers in O(n)
+    per parity sector without solving for the level.  The same test at the range
+    ends either brackets the root or proves there is none; NoRoot then
+    carries the sampled curve for diagnosis.  The one eigenvalue solve is
+    the residual at the end.  Returns (lambda*, |E(lambda*) - energy_target|).
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if lo > hi:
@@ -466,10 +479,17 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     def level(lam: float) -> float:
         return scan_level(a, lam, state_index=state_index, n_points=n_points)
 
-    e_lo, e_hi = level(lo), level(hi)
-    if not (e_hi <= energy_target <= e_lo):
+    def above_target(lam: float) -> bool:
+        op = _scan_operator(a, lam, state_index, n_points)
+        return count_below(op, energy_target) <= state_index
+
+    if not above_target(lo) or above_target(hi):
         curve = scan_curve(a, (lo, hi), curve_samples,
                            state_index=state_index, n_points=n_points)
+        # the curve holds both range ends unless it has fewer than two samples
+        sampled = dict(curve)
+        e_lo = sampled[lo] if lo in sampled else level(lo)
+        e_hi = sampled[hi] if hi in sampled else level(hi)
         raise NoRoot(
             f"eigenvalue curve spans [{e_hi}, {e_lo}] over the range and does "
             f"not cross {energy_target}",
@@ -479,7 +499,7 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
         if hi - lo <= lambda_tol:
             break
         mid = 0.5 * (lo + hi)
-        if level(mid) >= energy_target:
+        if above_target(mid):
             lo = mid
         else:
             hi = mid

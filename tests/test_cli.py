@@ -84,6 +84,14 @@ def test_spectrum_domain_error(coulomb_model_file):
     assert stderr_error(result)["code"] == "domain"
 
 
+@pytest.mark.parametrize("option", ["--m-max=-1", "--n-rho-max=-2"])
+def test_spectrum_rejects_empty_table(coulomb_model_file, option):
+    result = run_cli(["spectrum", "--model", str(coulomb_model_file), option])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert stderr_error(result)["code"] == "domain"
+
+
 def test_spectrum_rejects_cos2_model(tmp_path, cos2_model_file):
     # the tables hold the flat-profile angular spectrum, which a cos^2
     # profile does not have, whatever its radial family
@@ -305,6 +313,16 @@ def test_wavefunction_numeric_coulomb_ground_state_nodeless(coulomb_model_file):
     assert np.all(values > 0.0)
 
 
+def test_wavefunction_underflowing_wall_leaves_one_json_error(coulomb_model_file):
+    # the first node's r**2 underflows to 0, so the potential there is inf
+    result = run_cli(
+        ["wavefunction", "--model", str(coulomb_model_file), "--state", "radial:n_rho=0",
+         "--range", "1,2", "--n-points", "64", "--rho-max", "1e-300"]
+    )
+    assert result.returncode == 3
+    assert stderr_error(result)["code"] == "domain"
+
+
 def test_wavefunction_invalid_selector(coulomb_model_file):
     result = run_cli(
         ["wavefunction", "--model", str(coulomb_model_file), "--state", "bogus:q=1",
@@ -355,7 +373,8 @@ def test_scan_degenerate_range(cos2_model_file):
     assert result.returncode == 5
 
 
-@pytest.mark.parametrize("option", ["--state-index=-1", "--n-points=4000", "--n-points=2051"])
+@pytest.mark.parametrize("option", ["--state-index=-1", "--state-index=512",
+                                    "--n-points=4000", "--n-points=2051"])
 def test_scan_domain_guards(cos2_model_file, option):
     result = run_cli(
         ["scan", "--model", str(cos2_model_file), "--energy", "0.5",
@@ -401,8 +420,9 @@ def test_unbracketed_scan_solves_each_curve_point_once(cos2_model_file, monkeypa
                      "--lambda-range=-0.9,-0.5", "--curve-samples", "5"])
     assert code == 5
     assert len(json.loads(capsys.readouterr().out)["curve"]) == 5
-    # the two range ends, then the five curve points, each solved once
-    assert len(solved) == 2 + 5
+    # the bracket check counts levels instead of solving, and the message
+    # reads the range ends off the curve, so only the five curve points solve
+    assert len(solved) == 5
 
 
 def test_scan_needs_cos2(flat_model_file):

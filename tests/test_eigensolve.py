@@ -9,6 +9,9 @@ from pdm_polar.eigensolve import (
     DIRICHLET,
     PERIODIC,
     Grid,
+    _count_sector,
+    _parity_sectors,
+    count_below,
     discretize,
     eigen_lowest,
     eigenvalue,
@@ -189,6 +192,33 @@ def test_eigenvalue_matches_eigen_lowest(case):
             tol = 1e-9 * op.inf_norm()
             assert sturm_count_below(op.diagonal, op.off_diagonal, value - tol) == j
             assert sturm_count_below(op.diagonal, op.off_diagonal, value + tol) == j + 1
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_count_below_matches_references(case):
+    grid, potential, prefactor, k = SOLVE_CASES[case]
+    op = discretize(potential, grid, prefactor=prefactor)
+    lowest = eigen_lowest(op, k).eigenvalues
+    bound = 4.0 * EPS * op.inf_norm()
+    # below the spectrum, and midway in every gap between the lowest levels
+    # that is wide enough to keep the target clear of both ends
+    targets = [lowest[0] - 1.0] + [
+        0.5 * (below + above) for below, above in zip(lowest, lowest[1:])
+        if above - below > 8.0 * bound
+    ]
+    assert len(targets) >= 3
+    if grid.boundary == PERIODIC:
+        sectors = _parity_sectors(op)
+    else:
+        sectors = [(op.diagonal, op.off_diagonal)]
+    for x in targets:
+        assert np.min(np.abs(lowest - x)) > bound
+        expected = int(np.sum(lowest <= x))
+        assert count_below(op, x) == expected
+        for diag, off in sectors:
+            assert _count_sector(diag, off, x) == sturm_count_below(diag, off, x)
+    # a target above the Gershgorin interval counts every eigenvalue
+    assert count_below(op, 2.0 * op.inf_norm()) == op.n
 
 
 def test_eigenvector_normalization_and_residual():

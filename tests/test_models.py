@@ -297,6 +297,67 @@ def test_scan_inverted_range():
         heun_regime_scan(MM, 0.5, (0.0, -1.0))
 
 
+def test_scan_no_root_solves_each_range_end_once(monkeypatch):
+    import pdm_polar.models as md
+
+    solved = []
+
+    def counting_scan_level(a, lam, **kwargs):
+        solved.append(lam)
+        return scan_level(a, lam, **kwargs)
+
+    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    with pytest.raises(NoRoot) as excinfo:
+        heun_regime_scan(MM, 50.0, (-0.9, -0.5), state_index=1, curve_samples=1)
+    # the one curve point is the lower end; only the upper end is solved besides
+    assert [lam for lam, _ in excinfo.value.curve] == [-0.9]
+    assert solved == [-0.9, -0.5]
+    e_hi = scan_level(MM, -0.5, state_index=1)
+    assert f"spans [{e_hi}, {excinfo.value.curve[0][1]}]" in str(excinfo.value)
+
+
+def _value_bisection(a, target, lo, hi, *, state_index, n_points, lambda_tol=1e-6):
+    """The scan's bisection decided on solved eigenvalues instead of counts."""
+    def level(lam):
+        return scan_level(a, lam, state_index=state_index, n_points=n_points)
+
+    assert level(hi) <= target <= level(lo)
+    while hi - lo > lambda_tol:
+        mid = 0.5 * (lo + hi)
+        if level(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n_points", [2050, 4098, 8194])
+def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch, n_points):
+    import pdm_polar.models as md
+
+    solved = []
+
+    def counting_scan_level(a, lam, **kwargs):
+        solved.append(lam)
+        return scan_level(a, lam, **kwargs)
+
+    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    lam_star, residual = heun_regime_scan(MM, 0.5, (-1.0, 0.0), state_index=1,
+                                          n_points=n_points)
+    # the bisection only counts levels; the residual at lambda* is the one solve
+    assert solved == [lam_star]
+    assert residual == abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
+    assert lam_star == _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_points": 4000}, {"n_points": 2051}, {"state_index": -1}, {"state_index": 512},
+], ids=["n_points=4000", "n_points=2051", "state_index=-1", "state_index=512"])
+def test_scan_guards_run_before_any_solve(kwargs):
+    with pytest.raises(DomainError):
+        heun_regime_scan(MM, 0.5, (-1.0, 0.0), **kwargs)
+
+
 def test_scan_level_guards():
     # nodes stay half a spacing off the mass zeros only for n_points % 4 == 2
     assert scan_level(MM, -0.75, state_index=0, n_points=2050) == pytest.approx(0.0, abs=1e-4)
