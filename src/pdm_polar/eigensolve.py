@@ -150,7 +150,8 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
     ``potential`` is called once, on the array of grid points, and must be
     vectorized; a scalar-only function such as ``math.cos`` raises TypeError.
     Raises PotentialSingular when |V| exceeds 1e12 at a grid point or is not
-    finite there; the caller must move the domain off the singularity.
+    finite there; the caller must move the domain off the singularity.  It is
+    also raised when the spacing puts prefactor/h^2 outside the float range.
     """
     x = grid.points
     # a non-finite sample is refused just below, so numpy need not warn about it
@@ -163,7 +164,12 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
             f"potential is {v[i]!r} at x = {x[i]!r}; shrink or shift the domain"
         )
     h = grid.h
-    kin = prefactor / h**2
+    try:
+        kin = prefactor / h**2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise PotentialSingular(
+            f"grid spacing {h!r} puts 1/h^2 outside the float range; resize the domain"
+        ) from exc
     diag = 2.0 * kin + v
     off = np.full(grid.n_points - 1, -kin)
     corner = -kin if grid.boundary == PERIODIC else None

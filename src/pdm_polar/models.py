@@ -49,6 +49,7 @@ from .separation import (
     SeparableModel,
     angular_problem,
 )
+from .serialize import to_csv
 from .specfun import BesselOrder, bessel_j
 
 ZERO_ZETA_NOTE = (
@@ -293,11 +294,15 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     family's).  Each record carries the absolute difference; use
     :func:`all_within` to gate on a tolerance.  A negative n_rho_max, which
     would sweep no level and pass vacuously, raises DomainError before any
-    solve, as does a level outside the quantization's domain.
+    solve, as does a level outside the quantization's domain or at an index
+    of n_points/4 or more, which the solver does not resolve.
     """
     if n_rho_max < 0:
         raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
     lams = [family.lam(*params, n_rho) for n_rho in range(n_rho_max + 1)]
+    if n_rho_max >= n_points // 4:
+        raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
+                          f"got n_rho_max = {n_rho_max}")
     records = []
     for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
@@ -619,17 +624,4 @@ CSV_COLUMNS = ("n_rho", "m", "lambda", "energy_closed", "energy_numeric", "delta
 
 def records_to_csv(records) -> str:
     """CSV table with the documented column set."""
-    lines = [",".join(CSV_COLUMNS)]
-    for record in records:
-        row = record_to_row(record)
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row.get(col)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(format(value, ".17g"))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return to_csv(CSV_COLUMNS, [[record_to_row(r).get(c) for c in CSV_COLUMNS] for r in records])

@@ -8,8 +8,8 @@ solver.  Methods are the classical ones:
   cf. Numerical Recipes ch. 6 / Abramowitz & Stegun 6.1.
 * Bessel J: ascending power series for small argument, Miller's downward
   recurrence with sum normalization for the rest (A&S 9.12); half-integer
-  orders go through the spherical recurrence and collapse to closed
-  trigonometric forms.
+  orders run Miller's recurrence on the spherical j_n, normalized through
+  the Legendre-at-zero sum, and are scaled by sqrt(2x/pi).
 * associated Laguerre: stable three-term recurrence in the degree.
 
 Only integer and half-integer Bessel orders are supported; that is all the
@@ -40,6 +40,9 @@ _LANCZOS = (
 # beyond this the alternating series loses enough digits to cancellation to
 # matter; Miller's recurrence is uniformly machine-accurate there
 _SERIES_CUTOFF = 2.0
+# Miller's recurrence starts above max(nu, x), so its cost grows with both;
+# far past this cap a call would not end in any useful time
+_ARG_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,13 @@ def bessel_j(nu, x: float) -> float:
 
     nu may be a BesselOrder or any number equal to an integer or
     half-integer.  Absolute accuracy is 1e-10 or better for x <= 50.
+    Raises ValueError for x outside [0, 1e4], nan included, or nu > 1e4.
     """
     order = _as_order(nu)
     x = float(x)
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
+    if not (0.0 <= x <= _ARG_MAX and order.value <= _ARG_MAX):
+        raise ValueError(f"need 0 <= x <= {_ARG_MAX:g} and nu <= {_ARG_MAX:g}, "
+                         f"got nu = {order.value}, x = {x}")
     v = order.value
     if x == 0.0:
         return 1.0 if order.twice_order == 0 else 0.0

@@ -12,10 +12,12 @@ from conftest import write_model
 
 
 def run_cli(args):
+    # a command that does not end fails its test instead of stalling the suite
     return subprocess.run(
         [sys.executable, "-m", "pdm_polar.cli", *args],
         capture_output=True,
         text=True,
+        timeout=60,
     )
 
 
@@ -140,6 +142,7 @@ def test_verify_tolerance_below_discretization_floor(oscillator_model_file):
          "--n-points", "1024", "--tol", "1e-10"]
     )
     assert result.returncode == 4
+    assert stderr_error(result)["exit_code"] == 4
     payload = json.loads(result.stdout)
     assert payload["all_within_tol"] is False
     assert any(row["delta"] > 1e-10 for row in payload["records"])
@@ -323,6 +326,41 @@ def test_wavefunction_underflowing_wall_leaves_one_json_error(coulomb_model_file
     assert stderr_error(result)["code"] == "domain"
 
 
+def test_radial_wavefunction_solves_once_on_the_fine_grid(oscillator_model_file, monkeypatch,
+                                                          capsys):
+    from pdm_polar import cli
+    from pdm_polar import models as md
+    from pdm_polar import separation as sp
+    from pdm_polar.eigensolve import DIRICHLET, Grid, discretize, refine
+
+    solved = []
+    eigen_lowest = cli.eigen_lowest
+
+    def counting_eigen_lowest(op, k):
+        solved.append(op.n)
+        return eigen_lowest(op, k)
+
+    monkeypatch.setattr(cli, "eigen_lowest", counting_eigen_lowest)
+    code = cli.main(["wavefunction", "--model", str(oscillator_model_file),
+                     "--state", "radial:n_rho=1", "--range", "0.5,6", "--samples", "7",
+                     "--n-points", "500", "--rho-max", "12"])
+    assert code == 0
+    assert solved == [1001]
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    # the state the fine solve of a Richardson step returns, bit for bit
+    model = sp.load_model(oscillator_model_file)
+    family = md.RADIAL_FAMILIES[type(model.v)]
+    params = family.params(model.v)
+    potential = family.operator(*params, family.lam(*params, 1) + 1.0)
+    result = refine(lambda g: discretize(potential, g), Grid(0.0, 12.0, 500, DIRICHLET), 2)
+    u = result.eigenvectors[:, 1]
+    u = -u if u[np.argmax(np.abs(u))] < 0 else u
+    rho = result.grid.points
+    coords = np.linspace(0.5, 6.0, 7)
+    expected = np.interp(coords, rho, sp.radial_to_R(rho, u))
+    assert [row["value"] for row in samples] == expected.tolist()
+
+
 def test_wavefunction_invalid_selector(coulomb_model_file):
     result = run_cli(
         ["wavefunction", "--model", str(coulomb_model_file), "--state", "bogus:q=1",
@@ -352,6 +390,7 @@ def test_scan_unbracketed_target(cos2_model_file):
          "--lambda-range=-0.9,-0.5", "--curve-samples", "5"]
     )
     assert result.returncode == 5
+    assert stderr_error(result)["exit_code"] == 5
     payload = json.loads(result.stdout)
     assert payload["root"] is None
     assert len(payload["curve"]) == 5
@@ -446,6 +485,67 @@ def test_out_file_written(coulomb_model_file, tmp_path):
     assert result.stdout == ""
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert len(payload["records"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the error boundary
+
+
+def one_json_error(result, code):
+    """Exit code, nothing on stdout, and stderr holding exactly one JSON error."""
+    assert result.returncode == code
+    assert result.stdout == ""
+    error = stderr_error(result)
+    assert error["exit_code"] == code
+    return error
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "OSCILLATOR", "--n-points", "abc"],
+    ["verify", "--n-rho-max", "1"],
+    [],
+    ["spectrum", "--model", "COULOMB", "--out", "MISSING_DIR"],
+    ["scan", "--model", "COS2", "--energy", "0.5", "--lambda-range=-1,0", "--format", "csv"],
+], ids=["bad-int", "no-model", "no-subcommand", "out-in-missing-dir", "scan-csv"])
+def test_bad_command_line_exits_2_with_one_json_error(oscillator_model_file, coulomb_model_file,
+                                                      cos2_model_file, tmp_path, argv):
+    files = {"OSCILLATOR": oscillator_model_file, "COULOMB": coulomb_model_file,
+             "COS2": cos2_model_file, "MISSING_DIR": tmp_path / "missing" / "table.json"}
+    result = run_cli([str(files.get(token, token)) for token in argv])
+    assert one_json_error(result, 2)["code"] == "config"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "FLAT", "--lambda", "nan"],
+    ["effpot", "--model", "COULOMB", "--which", "radial", "--range", "0.5,1", "--lambda", "1e308"],
+], ids=["spectrum-nan", "effpot-overflow"])
+def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_model_file,
+                                                       argv, fmt):
+    files = {"FLAT": flat_model_file, "COULOMB": coulomb_model_file}
+    result = run_cli([str(files.get(token, token)) for token in argv] + ["--format", fmt])
+    assert one_json_error(result, 3)["code"] == "domain"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--model", "COS2", "--state", "toy:n=1/3", "--range", "0.5,2"],
+    ["wavefunction", "--model", "COS2", "--state", "toy:n=1/2", "--range", "0.5,1e300",
+     "--samples", "3"],
+    ["verify", "--model", "COULOMB", "--n-points", "64", "--rho-max", "1e300"],
+    # d/a = 100 quantizes n_rho up to 49, past what 64 grid points resolve
+    ["verify", "--model", "WIDE", "--n-points", "64", "--n-rho-max", "20"],
+    ["wavefunction", "--model", "WIDE", "--state", "radial:n_rho=40", "--range", "0.5,2",
+     "--n-points", "64"],
+], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
+        "wavefunction-index-past-grid"])
+def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
+                                                        tmp_path, argv):
+    wide = write_model(tmp_path, "wide.json",
+                       {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 100.0}},
+                        "ordering": "bendaniel-duke"})
+    files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "WIDE": wide}
+    result = run_cli([str(files.get(token, token)) for token in argv])
+    assert one_json_error(result, 3)["code"] == "domain"
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,12 @@ def test_discretize_rejects_singular_potential():
         discretize(lambda x: np.where(x > 0.5, np.inf, 0.0), g)
 
 
+def test_discretize_rejects_spacing_outside_float_range():
+    # 1/h^2 overflows the float range before any potential sample is bad
+    with pytest.raises(PotentialSingular):
+        discretize(lambda x: np.zeros_like(x), Grid(0.0, 1e300, 64, DIRICHLET))
+
+
 def test_discretize_needs_vectorized_potential():
     # the potential is evaluated once on the whole grid, never point by point
     with pytest.raises(TypeError):

@@ -87,6 +87,13 @@ def test_bessel_rejects_negative_argument():
         bessel_j(0, -1.0)
 
 
+@pytest.mark.parametrize("nu, x", [(0, 2e4), (0.5, math.nan), (20000, 3.0)])
+def test_bessel_rejects_arguments_past_the_cap(nu, x):
+    # the recurrence's cost grows with max(nu, x), without bound for x = 1e300
+    with pytest.raises(ValueError):
+        bessel_j(nu, x)
+
+
 def test_bessel_j1_at_2_vs_fraction_series():
     expected = _series_oracle_fraction(1, Fraction(2))
     assert abs(bessel_j(1, 2.0) - expected) < 1e-12
