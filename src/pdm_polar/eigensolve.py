@@ -16,14 +16,14 @@ degeneracy of travelling-wave pairs explicit.  It requires the sampled
 potential to be reflection symmetric about x_min, which holds for every
 periodic problem this package builds.
 
-Two request shapes share that kernel.  :func:`eigen_lowest` and
-:func:`refine` return the lowest k eigenpairs, vectors included.
-:func:`eigenvalue` and :func:`refine_eigenvalue` return one eigenvalue,
-selected by index, with no vectors: bisection costs one Sturm-sequence
-search per eigenvalue and inverse iteration is skipped, so a caller that
-reads a single level should use them.  On a Dirichlet grid LAPACK is asked
-for that index alone; a ring asks each parity sector for its lowest
-index + 1 values and merges them.
+Eigenpairs exist on Dirichlet grids only: :func:`eigen_lowest` and
+:func:`refine` return the lowest k eigenpairs, vectors included, and refuse a
+ring.  Values by index exist on any grid: :func:`eigenvalue` and
+:func:`refine_eigenvalue` return one eigenvalue, selected by index, with no
+vectors; bisection costs one Sturm-sequence search per eigenvalue and inverse
+iteration is skipped.  On a Dirichlet grid LAPACK is asked for that index
+alone; a ring asks each parity sector for its lowest index + 1 values and
+merges them.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: it returns the number of eigenvalues at or
@@ -41,7 +41,7 @@ test reference for those counts; it is too slow for production use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
 POTENTIAL_CAP = 1e12
-CLUSTER_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,19 +128,17 @@ class DiscretizedOperator:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues with unit discrete-L2 eigenvectors.
+    """Ascending eigenvalues with unit discrete-L2 eigenvectors on a Dirichlet grid.
 
     ``eigenvectors[:, j]`` belongs to ``eigenvalues[j]`` and satisfies
     h * sum(v**2) = 1.  ``convergence_estimate`` is filled by :func:`refine`
     (absolute extrapolation delta per eigenvalue, None otherwise).
-    ``degenerate_clusters`` lists index groups equal to relative 1e-9.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: Grid
     convergence_estimate: np.ndarray | None = None
-    degenerate_clusters: list = field(default_factory=list)
 
 
 def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedOperator:
@@ -255,75 +252,28 @@ def _parity_sectors(op: DiscretizedOperator):
     return (diag[: m + 1], e_even), (diag[1:m], np.full(m - 2, coupling))
 
 
-def _eigen_periodic(op: DiscretizedOperator, k: int):
-    """Even/odd reflection-parity split of the ring into two tridiagonals."""
-    n = op.n
-    m = n // 2
-    even, odd = _parity_sectors(op)
-    w_even, u_even = _solve_sector(*even, 0, k - 1, vectors=True)
-    w_odd, u_odd = _solve_sector(*odd, 0, k - 1, vectors=True)
-
-    merged = sorted(
-        [(w, "even", j) for j, w in enumerate(w_even)]
-        + [(w, "odd", j) for j, w in enumerate(w_odd)],
-        key=lambda t: (t[0], t[1]),
-    )[:k]
-
-    eigenvalues = np.array([t[0] for t in merged])
-    vectors = np.empty((n, k))
-    for col, (_, sector, j) in enumerate(merged):
-        full = np.empty(n)
-        if sector == "even":
-            u = u_even[:, j]
-            full[0] = math.sqrt(2.0) * u[0]
-            full[m] = math.sqrt(2.0) * u[m]
-            full[1:m] = u[1:m]
-            full[m + 1:] = u[1:m][::-1]
-        else:
-            u = u_odd[:, j]
-            full[0] = 0.0
-            full[m] = 0.0
-            full[1:m] = u
-            full[m + 1:] = -u[::-1]
-        vectors[:, col] = full / np.linalg.norm(full)
-    return eigenvalues, vectors
-
-
-def _clusters(eigenvalues: np.ndarray) -> list:
-    groups = []
-    current = [0]
-    for i in range(1, len(eigenvalues)):
-        ref = max(1.0, abs(eigenvalues[i]), abs(eigenvalues[current[0]]))
-        if abs(eigenvalues[i] - eigenvalues[current[0]]) <= CLUSTER_RTOL * ref:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return groups
-
-
 def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
-    """The k smallest eigenpairs of the discretized operator.
+    """The k smallest eigenpairs of a Dirichlet operator.
 
-    Eigenvectors are normalized to unit discrete L2 norm (h-weighted).
+    Eigenvectors are normalized to unit discrete L2 norm (h-weighted).  A
+    ring has no eigenpairs here: ask :func:`eigenvalue` or
+    :func:`count_below` for its levels.
     """
+    if op.boundary != DIRICHLET:
+        raise ValueError(f"eigen_lowest solves Dirichlet operators only, got {op.boundary!r}; "
+                         "use eigenvalue or count_below")
     if not 1 <= k <= op.n // 4:
         raise ValueError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
-    if op.boundary == PERIODIC:
-        w, v = _eigen_periodic(op, k)
-    else:
-        w, v = _solve_sector(op.diagonal, op.off_diagonal, 0, k - 1, vectors=True)
-    v = v / math.sqrt(op.grid.h)
-    return EigenResult(w, v, op.grid, None, _clusters(w))
+    w, v = _solve_sector(op.diagonal, op.off_diagonal, 0, k - 1, vectors=True)
+    return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
 
 
 def eigenvalue(op: DiscretizedOperator, index: int) -> float:
     """The eigenvalue of the given 0-based index, without eigenvectors.
 
-    Equals ``eigen_lowest(op, index + 1).eigenvalues[index]`` up to the
-    bisection tolerance (a few eps times the operator's norm) and shares its
-    guard: 0 <= index < n/4.
+    On a Dirichlet grid it equals ``eigen_lowest(op, index + 1).eigenvalues[index]``
+    up to the bisection tolerance (a few eps times the operator's norm); the
+    guard is 0 <= index < n/4 on either boundary.
     """
     if not 0 <= index < op.n // 4:
         raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
@@ -354,7 +304,8 @@ def _richardson(coarse, fine):
 def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     """Solve at h and h/2 and Richardson-extrapolate the h^2 error away.
 
-    ``op_factory`` maps a Grid to a DiscretizedOperator.  The returned
+    ``op_factory`` maps a Dirichlet Grid to a DiscretizedOperator; a ring
+    raises ValueError through :func:`eigen_lowest`.  The returned
     eigenvalues are the extrapolated ones; eigenvectors and grid are from the
     fine solve; ``convergence_estimate[j] = |extrapolated_j - fine_j|``.
     """
@@ -362,13 +313,7 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     fine_grid = grid.refined()
     fine = eigen_lowest(op_factory(fine_grid), k)
     extrapolated, estimate = _richardson(coarse.eigenvalues, fine.eigenvalues)
-    return EigenResult(
-        extrapolated,
-        fine.eigenvectors,
-        fine_grid,
-        estimate,
-        _clusters(extrapolated),
-    )
+    return EigenResult(extrapolated, fine.eigenvectors, fine_grid, estimate)
 
 
 def refine_eigenvalue(op_factory, grid: Grid, index: int) -> tuple[float, float]:

@@ -204,17 +204,6 @@ class SeparableModel:
     ordering: AmbiguitySet
     ordering_token: str = field(default="", compare=False)
 
-    def mass(self, rho: float, phi: float) -> float:
-        return self.f.value(phi) / float(rho) ** 2
-
-    def potential_value(self, rho: float, phi: float) -> float:
-        if self.v is None:
-            raise DomainError("model has no radial potential")
-        fval = self.f.value(phi)
-        if fval <= MASS_EPS:
-            raise MassVanishes(f"mass factor f({phi}) = {fval} is not positive")
-        return float(self.v.tilde_v(rho)) / fval
-
 
 @dataclass(frozen=True)
 class RadialProblem:

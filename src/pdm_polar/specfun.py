@@ -141,17 +141,12 @@ def _miller_spherical(n: int, x: float) -> float:
     jp = 0.0
     jc = 1e-30
     result = jc if m_hi == n else 0.0
-    coeff_cache = {}
+    # p2k0[k] = |P_{2k}(0)| = prod_{i=1..k} (2i-1)/(2i), one running product
+    p2k0 = [1.0]
+    for i in range(1, m_hi // 2 + 1):
+        p2k0.append(p2k0[-1] * ((2 * i - 1) / (2 * i)))
 
-    def p2k0(k: int) -> float:
-        if k not in coeff_cache:
-            v = 1.0
-            for i in range(1, k + 1):
-                v *= (2 * i - 1) / (2 * i)
-            coeff_cache[k] = v
-        return coeff_cache[k]
-
-    total = (2 * m_hi + 1) * p2k0(m_hi // 2) * jc if m_hi % 2 == 0 else 0.0
+    total = (2 * m_hi + 1) * p2k0[m_hi // 2] * jc if m_hi % 2 == 0 else 0.0
     for k in range(m_hi, 0, -1):
         jm = ((2.0 * k + 1.0) / x) * jc - jp
         jp, jc = jc, jm
@@ -159,7 +154,7 @@ def _miller_spherical(n: int, x: float) -> float:
             result = jc
         if (k - 1) % 2 == 0:
             half = (k - 1) // 2
-            total += (4 * half + 1) * p2k0(half) * jc
+            total += (4 * half + 1) * p2k0[half] * jc
         if abs(jc) > 1e250:
             jc *= 1e-250
             jp *= 1e-250

@@ -49,6 +49,20 @@ SOLVE_CASES = {
 }
 
 
+def reference_lowest(op, k):
+    """The k lowest eigenvalues by a path that shares nothing ring-specific.
+
+    A Dirichlet operator is solved by :func:`eigen_lowest`; a ring by the dense
+    ``eigvalsh`` of its full matrix, corner entries included, so the parity
+    split of the production path is checked and not repeated.
+    """
+    if op.boundary == DIRICHLET:
+        return eigen_lowest(op, k).eigenvalues
+    dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+    dense[0, -1] = dense[-1, 0] = op.corner_coupling
+    return np.linalg.eigvalsh(dense)[:k]
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -137,9 +151,9 @@ def test_box_ground_state():
 def test_periodic_free_levels():
     # -(1/2) chi'' on a 2 pi ring: levels m^2/2, twofold for m != 0
     g = Grid(0.0, 2.0 * math.pi, 2048, PERIODIC)
-    result = eigen_lowest(discretize(zero, g, prefactor=0.5), 5)
+    op = discretize(zero, g, prefactor=0.5)
     expected = [0.0, 0.5, 0.5, 2.0, 2.0]
-    np.testing.assert_allclose(result.eigenvalues, expected, atol=1e-4)
+    np.testing.assert_allclose([eigenvalue(op, j) for j in range(5)], expected, atol=1e-4)
 
 
 def test_harmonic_ground_state():
@@ -189,7 +203,7 @@ def test_sturm_count_matches_returned_eigenvalues():
 def test_eigenvalue_matches_eigen_lowest(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
     op = discretize(potential, grid, prefactor=prefactor)
-    lowest = eigen_lowest(op, k).eigenvalues
+    lowest = reference_lowest(op, k)
     bound = 4.0 * EPS * op.inf_norm()
     for j in range(k):
         value = eigenvalue(op, j)
@@ -204,7 +218,7 @@ def test_eigenvalue_matches_eigen_lowest(case):
 def test_count_below_matches_references(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
     op = discretize(potential, grid, prefactor=prefactor)
-    lowest = eigen_lowest(op, k).eigenvalues
+    lowest = reference_lowest(op, k)
     bound = 4.0 * EPS * op.inf_norm()
     # below the spectrum, and midway in every gap between the lowest levels
     # that is wide enough to keep the target clear of both ends
@@ -239,40 +253,26 @@ def test_eigenvector_normalization_and_residual():
         assert residual <= bound
 
 
-def test_periodic_eigenvector_residual():
-    g = Grid(0.0, 2.0 * math.pi, 512, PERIODIC)
-    op = discretize(zero, g, prefactor=0.5)
-    result = eigen_lowest(op, 5)
-    bound = 1e-8 * op.inf_norm()
-    for j in range(5):
-        v = result.eigenvectors[:, j]
-        assert g.h * np.sum(v**2) == pytest.approx(1.0, abs=1e-10)
-        residual = np.linalg.norm(op.matvec(v) - result.eigenvalues[j] * v) * math.sqrt(g.h)
-        assert residual <= bound
+def test_ring_has_no_eigenpairs():
+    # rings are value-only: eigenpairs exist on Dirichlet grids alone
+    g = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
 
+    def factory(gr):
+        return discretize(zero, gr, prefactor=0.5)
 
-def test_periodic_degenerate_clusters_flagged():
-    g = Grid(0.0, 2.0 * math.pi, 1024, PERIODIC)
-    result = eigen_lowest(discretize(zero, g, prefactor=0.5), 5)
-    assert [0] in result.degenerate_clusters
-    assert [1, 2] in result.degenerate_clusters
-    assert [3, 4] in result.degenerate_clusters
-
-
-def test_periodic_pair_vectors_orthogonal():
-    g = Grid(0.0, 2.0 * math.pi, 512, PERIODIC)
-    result = eigen_lowest(discretize(zero, g, prefactor=0.5), 3)
-    v1, v2 = result.eigenvectors[:, 1], result.eigenvectors[:, 2]
-    assert abs(g.h * np.dot(v1, v2)) < 1e-10
+    with pytest.raises(ValueError, match="eigenvalue or count_below"):
+        eigen_lowest(factory(g), 2)
+    with pytest.raises(ValueError, match="eigenvalue or count_below"):
+        refine(factory, g, 2)
 
 
 def test_periodic_requires_symmetric_potential():
     g = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
     op = discretize(lambda x: np.sin(x), g, prefactor=0.5)
     with pytest.raises(ValueError):
-        eigen_lowest(op, 2)
-    with pytest.raises(ValueError):
         eigenvalue(op, 1)
+    with pytest.raises(ValueError):
+        count_below(op, 0.0)
 
 
 def test_sturm_oscillation_node_counts():
@@ -314,14 +314,21 @@ def test_refine_eigenvalue_matches_refine(case):
     def factory(g):
         return discretize(potential, g, prefactor=prefactor)
 
-    full = refine(factory, grid, k)
+    coarse = reference_lowest(factory(grid), k)
+    fine = reference_lowest(factory(grid.refined()), k)
+    extrapolated = (4.0 * fine - coarse) / 3.0
+    expected_estimate = np.abs(extrapolated - fine)
+    if grid.boundary == DIRICHLET:
+        full = refine(factory, grid, k)
+        np.testing.assert_array_equal(full.eigenvalues, extrapolated)
+        np.testing.assert_array_equal(full.convergence_estimate, expected_estimate)
     # (4 fine - coarse) / 3 carries at most 5/3 of the per-solve difference,
     # and |extrapolated - fine| one per-solve difference more
     per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
     for j in range(k):
         value, estimate = refine_eigenvalue(factory, grid, j)
-        assert abs(value - full.eigenvalues[j]) <= 5.0 / 3.0 * per_solve
-        assert abs(estimate - full.convergence_estimate[j]) <= 8.0 / 3.0 * per_solve
+        assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve
+        assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve
 
 
 def test_observed_order_box():

@@ -248,9 +248,29 @@ def test_zero_zeta_spectrum_records():
 
 
 def test_zero_zeta_levels_degeneracy():
-    result = zero_zeta_levels(2, n_points=1024)
-    np.testing.assert_allclose(result.eigenvalues, [0.0, 0.5, 0.5, 2.0, 2.0], atol=1e-5)
-    assert [1, 2] in result.degenerate_clusters
+    values, estimates = zero_zeta_levels(2, n_points=1024)
+    np.testing.assert_allclose(values, [0.0, 0.5, 0.5, 2.0, 2.0], atol=1e-5)
+    assert estimates.shape == values.shape
+    # each +/-m pair agrees to relative 1e-9 and is set apart from its neighbours
+    for lower, upper in ((1, 2), (3, 4)):
+        assert abs(values[upper] - values[lower]) <= 1e-9 * max(1.0, abs(values[lower]))
+    assert np.all(np.diff(values)[[0, 2]] > 0.4)
+
+
+def test_ring_callers_never_ask_for_vectors(monkeypatch):
+    from pdm_polar import eigensolve
+
+    solve_sector = eigensolve._solve_sector
+    flags = []
+
+    def recording_solve_sector(*args, vectors):
+        flags.append(vectors)
+        return solve_sector(*args, vectors=vectors)
+
+    monkeypatch.setattr(eigensolve, "_solve_sector", recording_solve_sector)
+    toy_zero_zeta_spectrum(2, n_points=256)
+    angular_confined_levels(BDD, 0.0, k=2, n_points=400)
+    assert flags and not any(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def test_half_integer_3_2_closed_form():
         assert abs(bessel_j(1.5, x) - expected) <= 1e-11
 
 
+@pytest.mark.parametrize("x", [1e3, 5e3, 1e4])
+def test_half_integer_closed_forms_at_large_argument(x):
+    # Miller's spherical chain starts above x here, so its normalization sum
+    # runs over about x / 2 Legendre-at-zero coefficients
+    scale = math.sqrt(2.0 / (math.pi * x))
+    assert abs(bessel_j(0.5, x) - scale * math.sin(x)) <= 1e-12
+    assert abs(bessel_j(1.5, x) - scale * (math.sin(x) / x - math.cos(x))) <= 1e-12
+
+
 def test_j_half_at_pi_is_zero():
     assert abs(bessel_j(Fraction(1, 2), math.pi)) <= 1e-12
 
