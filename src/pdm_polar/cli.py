@@ -92,46 +92,25 @@ def cmd_spectrum(args):
         raise ConfigError("spectrum tables need a flat angular profile (f = \"flat\")")
     if args.m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {args.m_max}")
-    ordering = model.ordering
     family = md.RADIAL_FAMILIES.get(type(model.v))
-    records = []
     if family is not None:
-        if args.n_rho_max < 0:
-            raise DomainError(f"n_rho_max must be >= 0, got {args.n_rho_max}")
         params = family.params(model.v)
-        for n_rho in range(args.n_rho_max + 1):
-            lam = family.lam(*params, n_rho)
-            for m in range(-args.m_max, args.m_max + 1):
-                qn = md.QuantumNumbers(n_rho, m)
-                records.append(
-                    md.SpectrumRecord(
-                        qn=qn,
-                        lam=lam,
-                        energy_closed=family.energy(ordering, *params, qn),
-                        provenance="closed-form",
-                    )
-                )
+        levels = enumerate(family.levels(params, args.n_rho_max))
         header = family.header(params)
     elif model.v is None:
-        lam = args.lam
-        for m in range(-args.m_max, args.m_max + 1):
-            qn = md.QuantumNumbers(0, m)
-            records.append(
-                md.SpectrumRecord(
-                    qn=qn,
-                    lam=lam,
-                    energy_closed=md.flat_energy(ordering, m, lam),
-                    provenance="closed-form",
-                )
-            )
-        header = {"model_kind": "flat", "lambda": lam}
+        levels = [(0, args.lam)]
+        header = {"model_kind": "flat", "lambda": args.lam}
     else:
         raise ConfigError(
             "spectrum tables exist only for coulomb-like, oscillator-like, or "
             "flat (potential-free) models"
         )
-
-    records.sort(key=lambda r: (r.qn.n_rho, r.qn.m, r.lam))
+    records = [
+        md.SpectrumRecord(qn=md.QuantumNumbers(n_rho, m), lam=lam,
+                          energy_closed=md.flat_energy(model.ordering, m, lam))
+        for n_rho, lam in levels
+        for m in range(-args.m_max, args.m_max + 1)
+    ]
     payload = {
         "command": "spectrum",
         "model": header,
@@ -378,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", cmd_verify, "closed-form versus numeric sweep")
     p.add_argument("--n-rho-max", type=int, default=2, dest="n_rho_max")
     p.add_argument("--tol", type=_TOL, default=1e-4)
-    p.add_argument("--n-points", type=_N_POINTS, default=4000, dest="n_points")
+    p.add_argument("--n-points", type=_N_POINTS, default=md.RADIAL_N_POINTS, dest="n_points")
     p.add_argument("--rho-max", type=_RHO_MAX, default=None, dest="rho_max")
 
     p = add_command("effpot", cmd_effpot, "effective potential samples")
@@ -392,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="toy:n=NU | radial:n_rho=K | angular:m=M")
     p.add_argument("--range", type=_SAMPLE_RANGE, required=True, help="LO,HI")
     p.add_argument("--samples", type=_at_least(1), default=101)
-    p.add_argument("--n-points", type=_N_POINTS, default=4000, dest="n_points")
+    p.add_argument("--n-points", type=_N_POINTS, default=md.RADIAL_N_POINTS, dest="n_points")
     p.add_argument("--rho-max", type=_RHO_MAX, default=None, dest="rho_max")
 
     # JSON only: a CSV curve would drop the root
@@ -404,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigenvalue index to track (1 = first level above the "
                         "constant mode at the zero-potential point)")
     p.add_argument("--curve-samples", type=_at_least(1), default=17, dest="curve_samples")
-    p.add_argument("--n-points", type=_N_POINTS, default=2050, dest="n_points")
+    p.add_argument("--n-points", type=_N_POINTS, default=md.SCAN_N_POINTS, dest="n_points")
     return parser
 
 

@@ -1,8 +1,10 @@
 """The concrete solvable systems and their closed-form-versus-numeric checks.
 
-Three families are covered, all with the rho^(-2) radial mass factor:
+Three families are covered, all with the rho^(-2) radial mass factor.  The
+one closed energy is the flat-profile one, E = (m^2 - lambda)/2 - bracket
+(:func:`flat_energy`); the radial families only fix lambda(n_rho):
 
-* flat angular profile, no radial quantization: E = (m^2 - lambda)/2 - bracket;
+* flat angular profile, no radial quantization: lambda is free;
 * Coulomb-like radial potential omega^2 rho^2/2 - rho, quantized through
   lambda = (b - n_rho - 1/2)^2 - 1 with omega = 1/b: the paper's
   omega = 1/(n_rho + l + 1) with l(l+1) = 3/4 + lambda, that is
@@ -11,8 +13,9 @@ Three families are covered, all with the rho^(-2) radial mass factor:
   lambda = (d/a - 2 n_rho - 1)^2 - 1.
 
 The two radial families are declared once each, as :class:`RadialFamily`
-entries of :data:`RADIAL_FAMILIES`; the spectrum tables, the verify sweeps
-and the numeric radial states all read them.
+entries of :data:`RADIAL_FAMILIES` (quantization, eigenvalue-form operator,
+closed spectral value, default wall); the spectrum tables, the verify
+sweeps and the numeric radial states all read them.
 
 Every closed form is cross-checked against the finite-difference solver,
 which plays the independent-oracle role.  The cos^2-profile system supplies
@@ -49,6 +52,11 @@ from .separation import (
 )
 from .serialize import to_csv
 from .specfun import BesselOrder, bessel_j
+
+# default grid sizes: the radial Dirichlet grid of the verify sweeps and the
+# numeric radial states, and the scan ring (n_points % 4 == 2, see scan_level)
+RADIAL_N_POINTS = 4000
+SCAN_N_POINTS = 2050
 
 ZERO_ZETA_NOTE = (
     "zero-potential angular line validated on a 2pi-periodic coordinate; "
@@ -124,10 +132,7 @@ def coulomb_lambda(b: float, n_rho: int) -> float:
 
 def coulomb_energy(a: AmbiguitySet, b: float, qn: QuantumNumbers) -> float:
     """E = (1/2)[m^2 - (b - n_rho - 1/2)^2 + 1] - bracket, for b > n_rho + 1/2."""
-    if not b > qn.n_rho + 0.5:
-        raise DomainError(f"need b > n_rho + 1/2, got b = {b}, n_rho = {qn.n_rho}")
-    t = b - qn.n_rho - 0.5
-    return 0.5 * (qn.m * qn.m - t * t + 1.0) - bracket(a)
+    return flat_energy(a, qn.m, coulomb_lambda(b, qn.n_rho))
 
 
 def oscillator_lambda(a_param: float, d: float, n_rho: int) -> float:
@@ -144,14 +149,8 @@ def oscillator_lambda(a_param: float, d: float, n_rho: int) -> float:
 
 
 def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumbers) -> float:
-    """E = (1/2)[m^2 - (d/a - 2 n_rho - 1)^2 + 1] - bracket."""
-    if not a_param > 0:
-        raise DomainError(f"need a > 0, got {a_param}")
-    ratio = d / a_param
-    if not ratio > 2 * qn.n_rho + 1:
-        raise DomainError(f"need d/a > 2 n_rho + 1, got d/a = {ratio}, n_rho = {qn.n_rho}")
-    t = ratio - 2.0 * qn.n_rho - 1.0
-    return 0.5 * (qn.m * qn.m - t * t + 1.0) - bracket(a)
+    """E = (1/2)[m^2 - (d/a - 2 n_rho - 1)^2 + 1] - bracket, for d/a > 2 n_rho + 1."""
+    return flat_energy(a, qn.m, oscillator_lambda(a_param, d, qn.n_rho))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,8 @@ class RadialFamily:
     them (b for Coulomb-like, a and d for oscillator-like); every callable
     takes them unpacked, in that order, ahead of its own arguments:
 
-    * ``lam(*params, n_rho)`` is the quantization lambda(n_rho);
-    * ``energy(ordering, *params, qn)`` is the closed energy;
+    * ``lam(*params, n_rho)`` is the quantization lambda(n_rho), which fixes
+      the closed energy through :func:`flat_energy`;
     * ``operator(*params, ell_sq)`` is the potential of the eigenvalue form
       -U'' + V U = eps U at squared radial order ell_sq = lambda + 1;
     * ``closed(*params, n_rho, ell)`` is the closed spectral value eps;
@@ -177,7 +176,6 @@ class RadialFamily:
     kind: str
     names: tuple
     lam: Callable
-    energy: Callable
     operator: Callable
     closed: Callable
     default_wall: Callable
@@ -185,6 +183,16 @@ class RadialFamily:
 
     def params(self, v) -> tuple:
         return tuple(getattr(v, name) for name in self.names)
+
+    def levels(self, params, n_rho_max: int) -> list:
+        """lambda(n_rho) for n_rho = 0..n_rho_max.
+
+        A negative n_rho_max, which would give no level, raises DomainError,
+        as does a level outside the quantization's domain.
+        """
+        if n_rho_max < 0:
+            raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
+        return [self.lam(*params, n_rho) for n_rho in range(n_rho_max + 1)]
 
     def header(self, params) -> dict:
         return {"model_kind": self.kind, **dict(zip(self.names, params))}
@@ -217,7 +225,6 @@ COULOMB = RadialFamily(
     kind=CoulombLike.kind,
     names=("b",),
     lam=coulomb_lambda,
-    energy=coulomb_energy,
     operator=_coulomb_operator,
     closed=lambda b, n_rho, ell: -1.0 / (b * b),
     default_wall=coulomb_rho_max,
@@ -228,7 +235,6 @@ OSCILLATOR = RadialFamily(
     kind=OscillatorLike.kind,
     names=("a", "d"),
     lam=oscillator_lambda,
-    energy=oscillator_energy,
     operator=_oscillator_operator,
     closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
     default_wall=lambda a_param, d: 12.0 / math.sqrt(a_param),
@@ -258,7 +264,7 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
     return refine_eigenvalue(factory, grid, n_rho)
 
 
-def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = 4000,
+def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
                           rho_max: float | None = None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of -U'' + [(ell^2 - 1/4)/rho^2 - 2/rho] U = eps U.
 
@@ -269,7 +275,7 @@ def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = 4000,
 
 
 def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
-                             n_points: int = 4000,
+                             n_points: int = RADIAL_N_POINTS,
                              rho_max: float | None = None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of -U'' + [(l^2-1/4)/rho^2 + a^2 rho^2/4] U = d U.
 
@@ -282,7 +288,7 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 
 
 def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
-                  n_points: int = 4000,
+                  n_points: int = RADIAL_N_POINTS,
                   rho_max: float | None = None) -> list[SpectrumRecord]:
     """Closed-form-versus-numeric sweep over n_rho = 0..n_rho_max.
 
@@ -295,9 +301,7 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     solve, as does a level outside the quantization's domain or at an index
     of n_points/4 or more, which the solver does not resolve.
     """
-    if n_rho_max < 0:
-        raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
-    lams = [family.lam(*params, n_rho) for n_rho in range(n_rho_max + 1)]
+    lams = family.levels(params, n_rho_max)
     if n_rho_max >= n_points // 4:
         raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
                           f"got n_rho_max = {n_rho_max}")
@@ -319,7 +323,8 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     return records
 
 
-def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000,
+def verify_coulomb(b: float, n_rho_max: int, tol: float, *,
+                   n_points: int = RADIAL_N_POINTS,
                    rho_max: float | None = None) -> list[SpectrumRecord]:
     """Sweep of the Coulomb-like levels; closed value -omega^2 = -1/b^2.
 
@@ -332,7 +337,7 @@ def verify_coulomb(b: float, n_rho_max: int, tol: float, *, n_points: int = 4000
 
 
 def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
-                      n_points: int = 4000,
+                      n_points: int = RADIAL_N_POINTS,
                       rho_max: float | None = None) -> list[SpectrumRecord]:
     """Sweep of the oscillator-like levels; closed value d = a (2 n_rho + ell + 1).
 
@@ -434,7 +439,7 @@ def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int)
 
 
 def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
-               n_points: int = 2050) -> float:
+               n_points: int = SCAN_N_POINTS) -> float:
     """Eigenvalue of given index of the periodic angular problem at lambda.
 
     The ring (0, 2pi) keeps the zero-potential limit exact: at the point
@@ -449,7 +454,8 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
 
 
 def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int, *,
-               state_index: int = 1, n_points: int = 2050) -> list[tuple[float, float]]:
+               state_index: int = 1,
+               n_points: int = SCAN_N_POINTS) -> list[tuple[float, float]]:
     """Sample the eigenvalue-versus-lambda curve over the range."""
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     lams = np.linspace(lo, hi, samples)
@@ -459,7 +465,7 @@ def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int,
 
 def heun_regime_scan(a: AmbiguitySet, energy_target: float,
                      lambda_range: tuple[float, float], *, state_index: int = 1,
-                     n_points: int = 2050, lambda_tol: float = 1e-6,
+                     n_points: int = SCAN_N_POINTS, lambda_tol: float = 1e-6,
                      curve_samples: int = 9) -> tuple[float, float]:
     """Find lambda* with E_index(lambda*) = energy_target by bisection.
 

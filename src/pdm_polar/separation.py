@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -394,6 +395,7 @@ def angular_wavefunction_recompose(f, chi, phi):
 # model description files
 
 _PROFILE_TOKENS = {"flat": FlatProfile, "cos2": CosSquaredProfile}
+_POTENTIAL_KINDS = {cls.kind: cls for cls in (PowerWell, CoulombLike, OscillatorLike)}
 
 
 def model_from_dict(data: dict) -> SeparableModel:
@@ -402,7 +404,10 @@ def model_from_dict(data: dict) -> SeparableModel:
     Keys: ``f`` ("flat" | "cos2" | {"tabulated": {...}}), ``potential``
     (optional; {"power_well": ...} | {"coulomb_like": ...} |
     {"oscillator_like": ...}), ``ordering`` (token).  Unknown keys are
-    rejected.
+    rejected.  A potential takes exactly the fields of its dataclass, each a
+    finite JSON number (anything else, booleans, strings, NaN and Infinity
+    included, raises ConfigError); the potential itself then checks its
+    domain, so a power well's ``k`` must be an integer >= 1 (DomainError).
     """
     if not isinstance(data, dict):
         raise ConfigError("model description must be a JSON object")
@@ -433,31 +438,28 @@ def model_from_dict(data: dict) -> SeparableModel:
         kind, params = next(iter(pspec.items()))
         if not isinstance(params, dict):
             raise ConfigError(f"potential parameters for {kind!r} must be an object")
-        try:
-            if kind == "power_well":
-                _require_keys(params, {"v0", "k"}, kind)
-                potential = PowerWell(float(params["v0"]), int(params["k"]))
-            elif kind == "coulomb_like":
-                _require_keys(params, {"omega"}, kind)
-                potential = CoulombLike(float(params["omega"]))
-            elif kind == "oscillator_like":
-                _require_keys(params, {"a", "d"}, kind)
-                potential = OscillatorLike(float(params["a"]), float(params["d"]))
-            else:
-                raise ConfigError(f"unknown potential kind {kind!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad parameters for potential {kind!r}: {exc}") from exc
+        if kind not in _POTENTIAL_KINDS:
+            raise ConfigError(f"unknown potential kind {kind!r}")
+        cls = _POTENTIAL_KINDS[kind]
+        types = {fld.name: fld.type for fld in fields(cls)}
+        if set(params) != set(types):
+            raise ConfigError(f"potential {kind!r} needs exactly the keys {sorted(types)}")
+        for name, value in params.items():
+            # NaN, the infinities and integers past the float range fail the bound
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"potential {kind!r} parameter {name!r} must be a finite "
+                                  f"number, got {value!r}")
+        # an integer field (k) keeps the value as written, so the potential's
+        # own check refuses a fraction instead of truncating it
+        potential = cls(**{name: float(value) if types[name] == "float" else value
+                           for name, value in params.items()})
 
     ordering_spec = data["ordering"]
     if not isinstance(ordering_spec, str):
         raise ConfigError("ordering must be a token string")
     ordering = parse_ordering_token(ordering_spec)
     return SeparableModel(profile, potential, ordering, ordering_spec)
-
-
-def _require_keys(params: dict, keys: set, kind: str):
-    if set(params) != keys:
-        raise ConfigError(f"potential {kind!r} needs exactly the keys {sorted(keys)}")
 
 
 def load_model(path) -> SeparableModel:
@@ -467,6 +469,7 @@ def load_model(path) -> SeparableModel:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and an integer too long to convert
+    except ValueError as exc:
         raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(data)

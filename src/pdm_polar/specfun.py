@@ -110,51 +110,39 @@ def _bessel_series(nu: float, x: float, max_terms: int = 60) -> float:
     return total
 
 
-def _miller_integer(n: int, x: float) -> float:
-    """J_n(x) by downward recurrence, normalized with J_0 + 2 sum J_2k = 1."""
+def _miller(n: int, x: float, spherical: bool) -> float:
+    """J_n(x), or the spherical j_n(x), by downward recurrence with sum normalization.
+
+    J_n is normalized with J_0 + 2 sum_k J_2k = 1, and j_n with the
+    Legendre-at-zero sum sum_k (4k+1) |P_2k(0)| j_2k = 1, where
+    P_2k(0) = (-1)^k (2k-1)!! / (2k)!!.
+    """
     m_hi = int(max(n, x) + 16 + 3.0 * math.sqrt(max(n, x) + 1.0))
+    # weight[h] multiplies the even-index term 2h of the normalization sum
+    if spherical:
+        # |P_2h(0)| = prod_{i=1..h} (2i-1)/(2i), one running product
+        p2h0 = 1.0
+        weight = [1.0]
+        for i in range(1, m_hi // 2 + 1):
+            p2h0 *= (2 * i - 1) / (2 * i)
+            weight.append((4 * i + 1) * p2h0)
+    else:
+        weight = [1.0] + [2.0] * (m_hi // 2)
+    # the recurrence factor's numerator, 2k for J_n and 2k + 1 for j_n, exact
+    # in floating point for every k the sweep reaches
+    numerator = 2.0 * m_hi + (1.0 if spherical else 0.0)
     jp = 0.0
     jc = 1e-30
-    total = 2.0 * jc if (m_hi % 2 == 0 and m_hi > 0) else 0.0
+    total = weight[m_hi // 2] * jc if m_hi % 2 == 0 else 0.0
     result = jc if m_hi == n else 0.0
     for k in range(m_hi, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            result = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            total += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            total *= 1e-250
-            result *= 1e-250
-    total += jc  # k = 0 term
-    return result / total
-
-
-# P_{2k}(0) = (-1)^k (2k-1)!! / (2k)!!; used to normalize the spherical chain
-# through the identity sum_k (4k+1) |P_{2k}(0)| j_2k(x) = 1.
-def _miller_spherical(n: int, x: float) -> float:
-    """Spherical j_n(x) by downward recurrence with the Legendre-at-zero sum."""
-    m_hi = int(max(n, x) + 16 + 3.0 * math.sqrt(max(n, x) + 1.0))
-    jp = 0.0
-    jc = 1e-30
-    result = jc if m_hi == n else 0.0
-    # p2k0[k] = |P_{2k}(0)| = prod_{i=1..k} (2i-1)/(2i), one running product
-    p2k0 = [1.0]
-    for i in range(1, m_hi // 2 + 1):
-        p2k0.append(p2k0[-1] * ((2 * i - 1) / (2 * i)))
-
-    total = (2 * m_hi + 1) * p2k0[m_hi // 2] * jc if m_hi % 2 == 0 else 0.0
-    for k in range(m_hi, 0, -1):
-        jm = ((2.0 * k + 1.0) / x) * jc - jp
+        jm = (numerator / x) * jc - jp
+        numerator -= 2.0
         jp, jc = jc, jm
         if k - 1 == n:
             result = jc
         if (k - 1) % 2 == 0:
-            half = (k - 1) // 2
-            total += (4 * half + 1) * p2k0[half] * jc
+            total += weight[(k - 1) // 2] * jc
         if abs(jc) > 1e250:
             jc *= 1e-250
             jp *= 1e-250
@@ -181,9 +169,9 @@ def bessel_j(nu, x: float) -> float:
     if x <= _SERIES_CUTOFF:
         return _bessel_series(v, x)
     if order.is_integer:
-        return _miller_integer(int(v), x)
+        return _miller(int(v), x, spherical=False)
     n_sph = (order.twice_order - 1) // 2
-    return _miller_spherical(n_sph, x) * math.sqrt(2.0 * x / math.pi)
+    return _miller(n_sph, x, spherical=True) * math.sqrt(2.0 * x / math.pi)
 
 
 def laguerre_assoc(n: int, alpha: float, x: float) -> float:

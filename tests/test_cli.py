@@ -536,14 +536,20 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
     ["verify", "--model", "WIDE", "--n-points", "64", "--n-rho-max", "20"],
     ["wavefunction", "--model", "WIDE", "--state", "radial:n_rho=40", "--range", "0.5,2",
      "--n-points", "64"],
+    # k = 1.5 is outside the power well's domain, not the k = 1 Bessel well
+    ["wavefunction", "--model", "HALF_K", "--state", "toy:n=1/2", "--range", "0.5,2"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
-        "wavefunction-index-past-grid"])
+        "wavefunction-index-past-grid", "toy-fractional-k"])
 def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
                                                         tmp_path, argv):
     wide = write_model(tmp_path, "wide.json",
                        {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 100.0}},
                         "ordering": "bendaniel-duke"})
-    files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "WIDE": wide}
+    half_k = write_model(tmp_path, "half_k.json",
+                         {"f": "cos2", "potential": {"power_well": {"v0": 1.0, "k": 1.5}},
+                          "ordering": "mustafa-mazharimousavi"})
+    files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "WIDE": wide,
+             "HALF_K": half_k}
     result = run_cli([str(files.get(token, token)) for token in argv])
     assert one_json_error(result, 3)["code"] == "domain"
 

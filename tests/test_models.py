@@ -1,5 +1,6 @@
 """Closed-form spectra, the numeric oracle sweeps, scans, and degeneracies."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from pdm_polar import (
     oscillator_energy,
     oscillator_lambda,
     oscillator_numeric_level,
+    parse_ordering_token,
     scan_curve,
     swap_alpha_gamma,
     toy_radial_solution,
@@ -27,6 +29,7 @@ from pdm_polar import (
     verify_coulomb,
     verify_oscillator,
 )
+from pdm_polar import cli
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
     angular_confined_levels,
@@ -37,7 +40,7 @@ from pdm_polar.models import (
 )
 from pdm_polar.specfun import bessel_j
 
-from conftest import random_ordering
+from conftest import random_ordering, write_model
 
 MM = Ordering.MUSTAFA_MAZHARIMOUSAVI.ambiguity()
 BDD = Ordering.BENDANIEL_DUKE.ambiguity()
@@ -117,6 +120,42 @@ def test_pipeline_identity_oscillator(rng):
         lhs = flat_energy(a, m, oscillator_lambda(a_param, d, n_rho))
         rhs = oscillator_energy(a, a_param, d, QuantumNumbers(n_rho, m))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_every_closed_energy_is_flat_energy(rng, tmp_path, capsys):
+    """The radial families only fix lambda: each closed energy, direct or in a
+    spectrum table, is flat_energy at the family's lambda, bit for bit."""
+    named = [o.token for o in Ordering]
+    for trial in range(40):
+        a = random_ordering(rng)
+        token = (f"custom:{a.alpha!r},{a.beta!r},{a.gamma!r}" if trial % 2
+                 else named[trial // 2 % len(named)])
+        ordering = parse_ordering_token(token)
+        n_rho = int(rng.integers(0, 4))
+        m = int(rng.integers(-10, 11))
+        b = float(rng.uniform(n_rho + 0.5 + 1e-6, 20.0))
+        a_param = float(rng.uniform(0.1, 4.0))
+        d = a_param * float(rng.uniform(2 * n_rho + 1.0 + 1e-6, 25.0))
+        qn = QuantumNumbers(n_rho, m)
+        assert coulomb_energy(ordering, b, qn) == flat_energy(ordering, m,
+                                                              coulomb_lambda(b, n_rho))
+        assert oscillator_energy(ordering, a_param, d, qn) == flat_energy(
+            ordering, m, oscillator_lambda(a_param, d, n_rho))
+
+        potential = ({"coulomb_like": {"omega": 1.0 / b}} if trial % 3 == 0
+                     else {"oscillator_like": {"a": a_param, "d": d}} if trial % 3 == 1
+                     else None)
+        model = {"f": "flat", "ordering": token}
+        if potential is not None:
+            model["potential"] = potential
+        path = write_model(tmp_path, f"model{trial}.json", model)
+        argv = ["spectrum", "--model", str(path), f"--n-rho-max={n_rho}", "--m-max=4",
+                f"--lambda={float(rng.uniform(-3.0, 6.0))!r}"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["records"]
+        assert len(rows) == 9 * (1 if potential is None else n_rho + 1)
+        for row in rows:
+            assert row["energy_closed"] == flat_energy(ordering, row["m"], row["lambda"])
 
 
 def test_energy_invariances_exact(rng):

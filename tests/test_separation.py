@@ -18,6 +18,7 @@ from pdm_polar import (
     angular_wavefunction_recompose,
     bracket,
     bessel_j,
+    load_model,
     model_from_dict,
     pct_map,
     radial_problem,
@@ -443,6 +444,34 @@ def test_model_from_dict_rejects_bad_values():
     with pytest.raises(DomainError):
         model_from_dict({"f": "flat", "potential": {"coulomb_like": {"omega": -1.0}},
                          "ordering": "bendaniel-duke"})
+
+
+@pytest.mark.parametrize("potential, error", [
+    ({"power_well": {"v0": 1.0, "k": 1.5}}, DomainError),
+    ({"power_well": {"v0": 1.0, "k": True}}, ConfigError),
+    ({"coulomb_like": {"omega": "0.5"}}, ConfigError),
+    ({"oscillator_like": {"a": 1.0, "d": math.nan}}, ConfigError),
+    ({"power_well": {"v0": math.inf, "k": 1}}, ConfigError),
+    ({"power_well": {"v0": 1.0, "k": 10**400}}, ConfigError),
+], ids=["fractional-k", "bool-k", "string-omega", "nan-d", "infinite-v0", "huge-int-k"])
+def test_model_from_dict_rejects_non_numeric_parameters(potential, error):
+    with pytest.raises(error):
+        model_from_dict({"f": "flat", "potential": potential, "ordering": "bendaniel-duke"})
+
+
+def test_model_from_dict_float_fields_are_floats():
+    model = model_from_dict({"f": "flat", "potential": {"oscillator_like": {"a": 1, "d": 4}},
+                             "ordering": "bendaniel-duke"})
+    assert model.v == OscillatorLike(1.0, 4.0)
+    assert isinstance(model.v.a, float) and isinstance(model.v.d, float)
+
+
+def test_load_model_refuses_an_integer_too_long_to_read(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"f": "flat", "ordering": "bendaniel-duke", "potential": '
+                    '{"coulomb_like": {"omega": ' + "1" * 5000 + "}}}", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_model(path)
 
 
 def test_potential_parameter_validation():
