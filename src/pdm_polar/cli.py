@@ -23,7 +23,6 @@ import numpy as np
 from . import models as md
 from . import separation as sp
 from .ambiguity import check_constraint27
-from .eigensolve import DIRICHLET, Grid, discretize, eigen_lowest
 from .errors import ConfigError, ConstraintViolation, DomainError, NoRoot, PdmPolarError
 from .separation import radial_problem, radial_to_R
 from .serialize import dump_json, to_csv
@@ -208,27 +207,14 @@ def _toy_rows(model, order_fraction, coords) -> list:
         raise DomainError(f"no Bessel closed form for order {order_fraction}: {exc}") from exc
 
 
-def _numeric_radial_rows(model, n_rho, coords, n_points, rho_max) -> list:
+def _radial_rows(model, n_rho, coords) -> list:
     family = md.RADIAL_FAMILIES.get(type(model.v))
     if family is None:
-        raise DomainError("numeric radial states need a coulomb-like or oscillator-like model")
+        raise DomainError("radial states need a coulomb-like or oscillator-like model")
     params = family.params(model.v)
-    potential = family.operator(*params, family.lam(*params, n_rho) + 1.0)
-    # the state is solved once, at spacing h/2 (2 n_points + 1 nodes): the grid
-    # a Richardson step reads its eigenvectors from
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET).refined()
-    if n_rho >= grid.n_points // 4:
-        raise DomainError(f"{grid.n_points} grid points resolve n_rho < {grid.n_points // 4}, "
-                          f"got {n_rho}")
-    result = eigen_lowest(discretize(potential, grid, prefactor=1.0), n_rho + 1)
-    u = result.eigenvectors[:, n_rho]
-    rho = grid.points
-    # fix the overall sign so the first antinode is positive
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
-    r_values = radial_to_R(rho, u)
-    sampled = np.interp(coords, rho, r_values)
-    return [{"coordinate": float(c_), "value": float(v)} for c_, v in zip(coords, sampled)]
+    ell = math.sqrt(family.lam(*params, n_rho) + 1.0)
+    values = radial_to_R(coords, family.state(*params, n_rho, ell, coords))
+    return [{"coordinate": float(c), "value": float(v)} for c, v in zip(coords, values)]
 
 
 def _angular_rows(model, m, coords) -> list:
@@ -280,7 +266,7 @@ def cmd_wavefunction(args):
         if kind == "toy":
             rows = _toy_rows(model, value, coords)
         else:
-            rows = _numeric_radial_rows(model, value, coords, args.n_points, args.rho_max)
+            rows = _radial_rows(model, value, coords)
         header = ("coordinate", "value")
     payload = {"command": "wavefunction", "state": args.state, "samples": rows}
     return EXIT_OK, payload, header, [list(r.values()) for r in rows]
@@ -371,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="toy:n=NU | radial:n_rho=K | angular:m=M")
     p.add_argument("--range", type=_SAMPLE_RANGE, required=True, help="LO,HI")
     p.add_argument("--samples", type=_at_least(1), default=101)
-    p.add_argument("--n-points", type=_N_POINTS, default=md.RADIAL_N_POINTS, dest="n_points")
-    p.add_argument("--rho-max", type=_RHO_MAX, default=None, dest="rho_max")
 
     # JSON only: a CSV curve would drop the root
     p = add_command("scan", cmd_scan, "eigenvalue-versus-lambda scan", csv=False)

@@ -98,10 +98,8 @@ class DiscretizedOperator:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    boundary: str
     corner_coupling: float | None
     grid: Grid
-    prefactor: float
 
     @property
     def n(self) -> int:
@@ -111,7 +109,7 @@ class DiscretizedOperator:
         out = self.diagonal * v
         out[:-1] += self.off_diagonal * v[1:]
         out[1:] += self.off_diagonal * v[:-1]
-        if self.boundary == PERIODIC:
+        if self.grid.boundary == PERIODIC:
             out[0] += self.corner_coupling * v[-1]
             out[-1] += self.corner_coupling * v[0]
         return out
@@ -120,7 +118,7 @@ class DiscretizedOperator:
         row = np.abs(self.diagonal).copy()
         row[:-1] += np.abs(self.off_diagonal)
         row[1:] += np.abs(self.off_diagonal)
-        if self.boundary == PERIODIC:
+        if self.grid.boundary == PERIODIC:
             row[0] += abs(self.corner_coupling)
             row[-1] += abs(self.corner_coupling)
         return float(np.max(row))
@@ -170,7 +168,7 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
     diag = 2.0 * kin + v
     off = np.full(grid.n_points - 1, -kin)
     corner = -kin if grid.boundary == PERIODIC else None
-    return DiscretizedOperator(diag, off, grid.boundary, corner, grid, prefactor)
+    return DiscretizedOperator(diag, off, corner, grid)
 
 
 def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) -> int:
@@ -259,9 +257,9 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     ring has no eigenpairs here: ask :func:`eigenvalue` or
     :func:`count_below` for its levels.
     """
-    if op.boundary != DIRICHLET:
-        raise ValueError(f"eigen_lowest solves Dirichlet operators only, got {op.boundary!r}; "
-                         "use eigenvalue or count_below")
+    if op.grid.boundary != DIRICHLET:
+        raise ValueError("eigen_lowest solves Dirichlet operators only, "
+                         f"got {op.grid.boundary!r}; use eigenvalue or count_below")
     if not 1 <= k <= op.n // 4:
         raise ValueError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
     w, v = _solve_sector(op.diagonal, op.off_diagonal, 0, k - 1, vectors=True)
@@ -277,7 +275,7 @@ def eigenvalue(op: DiscretizedOperator, index: int) -> float:
     """
     if not 0 <= index < op.n // 4:
         raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
-    if op.boundary == PERIODIC:
+    if op.grid.boundary == PERIODIC:
         lowest = [_solve_sector(*sector, 0, index, vectors=False) for sector in _parity_sectors(op)]
         return float(np.sort(np.concatenate(lowest))[index])
     return float(_solve_sector(op.diagonal, op.off_diagonal, index, index, vectors=False)[0])
@@ -290,7 +288,7 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     eigenvalue of a given index lies above x exactly when the count is at
     most that index.
     """
-    if op.boundary == PERIODIC:
+    if op.grid.boundary == PERIODIC:
         return sum(_count_sector(*sector, x) for sector in _parity_sectors(op))
     return _count_sector(op.diagonal, op.off_diagonal, x)
 

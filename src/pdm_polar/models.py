@@ -14,11 +14,14 @@ one closed energy is the flat-profile one, E = (m^2 - lambda)/2 - bracket
 
 The two radial families are declared once each, as :class:`RadialFamily`
 entries of :data:`RADIAL_FAMILIES` (quantization, eigenvalue-form operator,
-closed spectral value, default wall); the spectrum tables, the verify
-sweeps and the numeric radial states all read them.
+closed spectral value, closed state, default wall); the spectrum tables,
+the verify sweeps and the radial wavefunction all read them.  The closed
+states are the 3D hydrogen and isotropic-oscillator states at
+l = ell - 1/2, Laguerre polynomials normalized in closed form.
 
-Every closed form is cross-checked against the finite-difference solver,
-which plays the independent-oracle role.  The cos^2-profile system supplies
+Every closed spectral value is cross-checked against the finite-difference
+solver, which plays the independent-oracle role; the test suite checks the
+closed states against its eigenvectors.  The cos^2-profile system supplies
 the Bessel radial solution and the zero-potential angular line E = m^2/2;
 away from that line the (E, lambda) pairing is explored numerically by
 :func:`heun_regime_scan` instead of through closed special functions.
@@ -51,10 +54,10 @@ from .separation import (
     angular_problem,
 )
 from .serialize import to_csv
-from .specfun import BesselOrder, bessel_j
+from .specfun import BesselOrder, bessel_j, laguerre_assoc
 
-# default grid sizes: the radial Dirichlet grid of the verify sweeps and the
-# numeric radial states, and the scan ring (n_points % 4 == 2, see scan_level)
+# default grid sizes: the radial Dirichlet grid of the verify sweeps, and the
+# scan ring (n_points % 4 == 2, see scan_level)
 RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
 
@@ -159,7 +162,7 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 
 @dataclass(frozen=True)
 class RadialFamily:
-    """One exactly solvable radial family: operator, quantization, closed value.
+    """One exactly solvable radial family: operator, quantization, closed value and state.
 
     ``names`` lists the family's own parameters as the potential carries
     them (b for Coulomb-like, a and d for oscillator-like); every callable
@@ -170,6 +173,10 @@ class RadialFamily:
     * ``operator(*params, ell_sq)`` is the potential of the eigenvalue form
       -U'' + V U = eps U at squared radial order ell_sq = lambda + 1;
     * ``closed(*params, n_rho, ell)`` is the closed spectral value eps;
+    * ``state(*params, n_rho, ell, rho)`` samples the closed eigenfunction U
+      of that value at the points rho > 0: unit norm (integral of U^2 over
+      rho > 0 is 1), sign (-1)^n_rho, so that the outermost and largest lobe
+      is positive;
     * ``default_wall(*params)`` is the default outer Dirichlet wall.
     """
 
@@ -178,6 +185,7 @@ class RadialFamily:
     lam: Callable
     operator: Callable
     closed: Callable
+    state: Callable
     default_wall: Callable
     note: str
 
@@ -221,12 +229,46 @@ def _oscillator_operator(a_param: float, d: float, ell_sq: float):
     return lambda r: c / r**2 + 0.25 * a_param**2 * r**2
 
 
+def _laguerre_state(n_rho: int, alpha: float, ell: float, x_of, log_norm_sq: float, rho):
+    """(-1)^n_rho rho^(ell+1/2) exp(-x/2) L_n_rho^(alpha)(x) / sqrt(norm) at x = x_of(rho).
+
+    ``log_norm_sq`` is the log of the integral of the unsigned state squared.
+    The weight is taken in logs, so a large ell does not overflow; where x
+    overflows far out, the weight underflows and the sample is 0.0.
+    """
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x = x_of(rho)
+        weight = np.exp((ell + 0.5) * np.log(rho) - 0.5 * x - 0.5 * log_norm_sq)
+        u = (-1.0) ** n_rho * weight * laguerre_assoc(n_rho, alpha, x)
+    return np.where(weight > 0.0, u, 0.0)
+
+
+def _coulomb_state(b: float, n_rho: int, ell: float, rho):
+    """rho^(ell+1/2) exp(-rho/b) L_n^(2 ell)(2 rho/b), the 3D hydrogen state at
+    l = ell - 1/2; its square integrates to
+    (b/2)^(2 ell+2) Gamma(n+2 ell+1) (2n+2 ell+1)/n!."""
+    log_norm_sq = ((2.0 * ell + 2.0) * math.log(0.5 * b) + math.lgamma(n_rho + 2.0 * ell + 1.0)
+                   + math.log(2.0 * n_rho + 2.0 * ell + 1.0) - math.lgamma(n_rho + 1.0))
+    return _laguerre_state(n_rho, 2.0 * ell, ell, lambda r: 2.0 * r / b, log_norm_sq, rho)
+
+
+def _oscillator_state(a_param: float, d: float, n_rho: int, ell: float, rho):
+    """rho^(ell+1/2) exp(-a rho^2/4) L_n^(ell)(a rho^2/2), the 3D oscillator
+    state at l = ell - 1/2; its square integrates to
+    (2/a)^(ell+1) Gamma(n+ell+1)/(2 n!) (Abramowitz & Stegun 22.2.12)."""
+    log_norm_sq = ((ell + 1.0) * math.log(2.0 / a_param) + math.lgamma(n_rho + ell + 1.0)
+                   - math.log(2.0) - math.lgamma(n_rho + 1.0))
+    return _laguerre_state(n_rho, ell, ell, lambda r: 0.5 * a_param * r**2, log_norm_sq, rho)
+
+
 COULOMB = RadialFamily(
     kind=CoulombLike.kind,
     names=("b",),
     lam=coulomb_lambda,
     operator=_coulomb_operator,
     closed=lambda b, n_rho, ell: -1.0 / (b * b),
+    state=_coulomb_state,
     default_wall=coulomb_rho_max,
     note="radial spectral value eps = -omega^2; independent of m",
 )
@@ -237,6 +279,7 @@ OSCILLATOR = RadialFamily(
     lam=oscillator_lambda,
     operator=_oscillator_operator,
     closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
+    state=_oscillator_state,
     default_wall=lambda a_param, d: 12.0 / math.sqrt(a_param),
     note="radial spectral value d; independent of m",
 )

@@ -4,11 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_model
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -194,10 +198,7 @@ def test_verify_determinism(oscillator_model_file):
 
 
 @pytest.mark.parametrize("rho_max", ["0", "-5", "nan"])
-@pytest.mark.parametrize("command", [
-    ["verify", "--n-rho-max", "1"],
-    ["wavefunction", "--state", "radial:n_rho=0", "--range", "0.5,5"],
-], ids=["verify", "wavefunction"])
+@pytest.mark.parametrize("command", [["verify", "--n-rho-max", "1"]], ids=["verify"])
 def test_rho_max_must_be_finite_and_positive(oscillator_model_file, command, rho_max):
     result = run_cli([*command, "--model", str(oscillator_model_file), f"--rho-max={rho_max}"])
     assert result.returncode == 2
@@ -308,7 +309,7 @@ def test_wavefunction_cos2_angular_masks_negative_mass(cos2_model_file):
 def test_wavefunction_numeric_coulomb_ground_state_nodeless(coulomb_model_file):
     result = run_cli(
         ["wavefunction", "--model", str(coulomb_model_file), "--state", "radial:n_rho=0",
-         "--range", "1,30", "--samples", "60", "--n-points", "2000"]
+         "--range", "1,30", "--samples", "60"]
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
@@ -316,49 +317,53 @@ def test_wavefunction_numeric_coulomb_ground_state_nodeless(coulomb_model_file):
     assert np.all(values > 0.0)
 
 
-def test_wavefunction_underflowing_wall_leaves_one_json_error(coulomb_model_file):
-    # the first node's r**2 underflows to 0, so the potential there is inf
-    result = run_cli(
-        ["wavefunction", "--model", str(coulomb_model_file), "--state", "radial:n_rho=0",
-         "--range", "1,2", "--n-points", "64", "--rho-max", "1e-300"]
-    )
-    assert result.returncode == 3
-    assert stderr_error(result)["code"] == "domain"
-
-
-def test_radial_wavefunction_solves_once_on_the_fine_grid(oscillator_model_file, monkeypatch,
-                                                          capsys):
+def test_radial_wavefunction_prints_the_closed_state(oscillator_model_file, capsys):
     from pdm_polar import cli
     from pdm_polar import models as md
     from pdm_polar import separation as sp
-    from pdm_polar.eigensolve import DIRICHLET, Grid, discretize, refine
 
-    solved = []
-    eigen_lowest = cli.eigen_lowest
-
-    def counting_eigen_lowest(op, k):
-        solved.append(op.n)
-        return eigen_lowest(op, k)
-
-    monkeypatch.setattr(cli, "eigen_lowest", counting_eigen_lowest)
     code = cli.main(["wavefunction", "--model", str(oscillator_model_file),
-                     "--state", "radial:n_rho=1", "--range", "0.5,6", "--samples", "7",
-                     "--n-points", "500", "--rho-max", "12"])
+                     "--state", "radial:n_rho=1", "--range", "0.5,6", "--samples", "7"])
     assert code == 0
-    assert solved == [1001]
     samples = json.loads(capsys.readouterr().out)["samples"]
-    # the state the fine solve of a Richardson step returns, bit for bit
+    # the family's closed state at the requested points, bit for bit
     model = sp.load_model(oscillator_model_file)
     family = md.RADIAL_FAMILIES[type(model.v)]
     params = family.params(model.v)
-    potential = family.operator(*params, family.lam(*params, 1) + 1.0)
-    result = refine(lambda g: discretize(potential, g), Grid(0.0, 12.0, 500, DIRICHLET), 2)
-    u = result.eigenvectors[:, 1]
-    u = -u if u[np.argmax(np.abs(u))] < 0 else u
-    rho = result.grid.points
+    ell = math.sqrt(family.lam(*params, 1) + 1.0)
     coords = np.linspace(0.5, 6.0, 7)
-    expected = np.interp(coords, rho, sp.radial_to_R(rho, u))
+    expected = sp.radial_to_R(coords, family.state(*params, 1, ell, coords))
     assert [row["value"] for row in samples] == expected.tolist()
+
+
+@pytest.mark.parametrize("n_rho", [0, 1])
+@pytest.mark.parametrize("name", ["coulomb", "oscillator_raw_token"])
+def test_radial_wavefunction_far_range_prints_a_zero_tail(name, n_rho, capsys):
+    from pdm_polar import cli
+
+    model = GOLDEN / f"{name}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["wavefunction", "--model", str(model), "--state", f"radial:n_rho={n_rho}",
+                         "--range=0.5,1e300", "--samples", "5"])
+    assert code == 0
+    values = [row["value"] for row in json.loads(capsys.readouterr().out)["samples"]]
+    assert all(math.isfinite(v) for v in values)
+    assert values[0] != 0.0
+    assert values[1:] == [0.0] * 4
+
+
+def test_radial_wavefunction_has_no_grid_bound_on_n_rho(tmp_path):
+    # d/a = 100 quantizes n_rho up to 49, and the closed state has no grid to resolve it on
+    wide = write_model(tmp_path, "wide.json",
+                       {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 100.0}},
+                        "ordering": "bendaniel-duke"})
+    result = run_cli(["wavefunction", "--model", str(wide), "--state", "radial:n_rho=40",
+                      "--range", "0.5,20", "--samples", "40"])
+    assert result.returncode == 0, result.stderr
+    values = np.array([row["value"] for row in json.loads(result.stdout)["samples"]])
+    assert np.all(np.isfinite(values))
+    assert np.max(np.abs(values)) > 0.0
 
 
 def test_wavefunction_invalid_selector(coulomb_model_file):
@@ -506,7 +511,13 @@ def one_json_error(result, code):
     [],
     ["spectrum", "--model", "COULOMB", "--out", "MISSING_DIR"],
     ["scan", "--model", "COS2", "--energy", "0.5", "--lambda-range=-1,0", "--format", "csv"],
-], ids=["bad-int", "no-model", "no-subcommand", "out-in-missing-dir", "scan-csv"])
+    # the radial state is closed-form: wavefunction takes no grid options
+    ["wavefunction", "--model", "OSCILLATOR", "--state", "radial:n_rho=0", "--range", "0.5,5",
+     "--n-points", "64"],
+    ["wavefunction", "--model", "OSCILLATOR", "--state", "radial:n_rho=0", "--range", "0.5,5",
+     "--rho-max", "5"],
+], ids=["bad-int", "no-model", "no-subcommand", "out-in-missing-dir", "scan-csv",
+        "wavefunction-n-points", "wavefunction-rho-max"])
 def test_bad_command_line_exits_2_with_one_json_error(oscillator_model_file, coulomb_model_file,
                                                       cos2_model_file, tmp_path, argv):
     files = {"OSCILLATOR": oscillator_model_file, "COULOMB": coulomb_model_file,
@@ -534,12 +545,10 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
     ["verify", "--model", "COULOMB", "--n-points", "64", "--rho-max", "1e300"],
     # d/a = 100 quantizes n_rho up to 49, past what 64 grid points resolve
     ["verify", "--model", "WIDE", "--n-points", "64", "--n-rho-max", "20"],
-    ["wavefunction", "--model", "WIDE", "--state", "radial:n_rho=40", "--range", "0.5,2",
-     "--n-points", "64"],
     # k = 1.5 is outside the power well's domain, not the k = 1 Bessel well
     ["wavefunction", "--model", "HALF_K", "--state", "toy:n=1/2", "--range", "0.5,2"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
-        "wavefunction-index-past-grid", "toy-fractional-k"])
+        "toy-fractional-k"])
 def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
                                                         tmp_path, argv):
     wide = write_model(tmp_path, "wide.json",
@@ -589,6 +598,8 @@ def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_m
          "--range", "0.5,12", "--samples", "5"],
         ["wavefunction", "--model", str(flat_model_file), "--state", "angular:m=1",
          "--range", "0,6.28", "--samples", "5"],
+        ["wavefunction", "--model", str(oscillator_model_file), "--state", "radial:n_rho=1",
+         "--range", "0.5,6", "--samples", "5"],
     ]
     solving = ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0",
                "--n-points", "1024"]

@@ -59,7 +59,7 @@ GRAMMAR = {
                      "angular:m=1", "angular:m=-2"],
                     ["toy:n=1/3", "toy:n=-1/2", "toy:n=1000", "radial:n_rho=-1",
                      "radial:n_rho=99", "bogus:q=1"]),
-        "--range": RANGES, "--samples": SAMPLES, "--n-points": N_POINTS, "--rho-max": RHO_MAX,
+        "--range": RANGES, "--samples": SAMPLES,
     },
     # scan prints JSON only, so any --format is invalid
     "scan": {"--model": models("cos2"), "--format": ([], ["csv", "json"]), "--energy": FLOATS,

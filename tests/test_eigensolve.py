@@ -56,7 +56,7 @@ def reference_lowest(op, k):
     ``eigvalsh`` of its full matrix, corner entries included, so the parity
     split of the production path is checked and not repeated.
     """
-    if op.boundary == DIRICHLET:
+    if op.grid.boundary == DIRICHLET:
         return eigen_lowest(op, k).eigenvalues
     dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
     dense[0, -1] = dense[-1, 0] = op.corner_coupling

@@ -30,8 +30,11 @@ from pdm_polar import (
     verify_oscillator,
 )
 from pdm_polar import cli
+from pdm_polar.eigensolve import DIRICHLET, Grid, discretize, eigen_lowest
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
+    COULOMB,
+    OSCILLATOR,
     angular_confined_levels,
     record_to_row,
     records_to_csv,
@@ -252,6 +255,80 @@ def test_verify_coulomb_domain_guard():
         verify_coulomb(1.5, 1, 1e-4)
     with pytest.raises(DomainError):
         verify_coulomb(3.0, -1, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# closed radial states
+
+
+def family_params(family, n_rho, ell, a_param=0.7):
+    """The family's parameters whose level n_rho has radial order ell, and that ell."""
+    if family is COULOMB:
+        params = (n_rho + ell + 0.5,)
+    else:
+        params = (a_param, a_param * (2 * n_rho + ell + 1))
+    return params, math.sqrt(family.lam(*params, n_rho) + 1.0)
+
+
+@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+def test_closed_state_matches_an_mpmath_laguerre_state(family):
+    mpmath = pytest.importorskip("mpmath")
+    for n_rho in range(4):
+        for nominal_ell in (0.2, 0.6, 1.17, 2.5, 8.0):
+            params, ell = family_params(family, n_rho, nominal_ell)
+            if family is COULOMB:
+                (b,) = params
+
+                def u(r):
+                    return (r ** (ell + 0.5) * mpmath.exp(-r / b)
+                            * mpmath.laguerre(n_rho, 2 * ell, 2 * r / b))
+            else:
+                a_param = params[0]
+
+                def u(r):
+                    return (r ** (ell + 0.5) * mpmath.exp(-a_param * r * r / 4)
+                            * mpmath.laguerre(n_rho, ell, a_param * r * r / 2))
+
+            wall = family.default_wall(*params)
+            rho = np.linspace(wall / 400, wall, 30)
+            with mpmath.workdps(20):
+                norm = mpmath.sqrt(mpmath.quad(lambda r: u(r) ** 2,
+                                               [0, wall / 4, wall, mpmath.inf]))
+                ref = np.array([float(u(mpmath.mpf(r)) / norm) for r in rho])
+            # an independent sign: the largest sample is positive
+            ref *= np.sign(ref[np.argmax(np.abs(ref))])
+            got = family.state(*params, n_rho, ell, rho)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (n_rho, nominal_ell)
+
+
+@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(family):
+    for n_rho in range(3):
+        for nominal_ell in (1.0, 1.17, 2.5, 8.0):
+            params, ell = family_params(family, n_rho, nominal_ell, a_param=1.0)
+            potential = family.operator(*params, ell * ell)
+            grid = Grid(0.0, family.default_wall(*params), 500, DIRICHLET)
+            errors = []
+            for _ in range(3):
+                v = eigen_lowest(discretize(potential, grid), n_rho + 1).eigenvectors[:, n_rho]
+                u = family.state(*params, n_rho, ell, grid.points)
+                v = v if np.dot(u, v) > 0 else -v
+                errors.append(math.sqrt(grid.h * np.sum((v - u) ** 2)))
+                grid = grid.refined()
+            for coarse, fine in zip(errors, errors[1:]):
+                assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.3), (n_rho, nominal_ell)
+
+
+@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+def test_closed_state_largest_lobe_is_positive(family):
+    for n_rho in range(12):
+        for nominal_ell in (0.02, 0.1, 0.2, 0.5, 0.6, 1.0, 1.17, 2.5, 8.0, 20.0, 40.0):
+            params, ell = family_params(family, n_rho, nominal_ell)
+            reach = (family.default_wall(*params) if family is COULOMB
+                     else 4.0 * math.sqrt(params[1]) / params[0] + 10.0)
+            u = family.state(*params, n_rho, ell, np.linspace(reach / 20000, reach, 20000))
+            assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
 
 
 # ---------------------------------------------------------------------------
