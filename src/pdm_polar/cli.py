@@ -128,6 +128,8 @@ def cmd_verify(args):
     rho_max = family.wall(params, args.rho_max)
     records = md.verify_family(family, params, args.n_rho_max,
                                n_points=args.n_points, rho_max=rho_max)
+    state_errors = md.state_errors(family, params, args.n_rho_max,
+                                   n_points=args.n_points, rho_max=rho_max)
 
     ok = md.all_within(records, args.tol)
     payload = {
@@ -137,7 +139,7 @@ def cmd_verify(args):
         "tol": args.tol,
         "n_points": args.n_points,
         "rho_max": rho_max,
-        "records": [md.record_to_row(r) for r in records],
+        "records": [{**md.record_to_row(r), "state_error": e} for r, e in zip(records, state_errors)],
         "all_within_tol": ok,
     }
     return _table_output(EXIT_OK if ok else EXIT_TOLERANCE, payload)

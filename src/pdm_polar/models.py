@@ -20,11 +20,12 @@ states are the 3D hydrogen and isotropic-oscillator states at
 l = ell - 1/2, Laguerre polynomials normalized in closed form.
 
 Every closed spectral value is cross-checked against the finite-difference
-solver, which plays the independent-oracle role; the test suite checks the
-closed states against its eigenvectors.  The cos^2-profile system supplies
-the Bessel radial solution and the zero-potential angular line E = m^2/2;
-away from that line the (E, lambda) pairing is explored numerically by
-:func:`heun_regime_scan` instead of through closed special functions.
+solver, which plays the independent-oracle role, and so is every closed
+state, against its eigenvectors (:func:`state_errors`).  The
+cos^2-profile system supplies the Bessel radial solution and the
+zero-potential angular line E = m^2/2; away from that line the
+(E, lambda) pairing is explored numerically by :func:`heun_regime_scan`
+instead of through closed special functions.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .eigensolve import (
     Grid,
     count_below,
     discretize,
+    eigen_lowest,
     eigenvalue,
     refine_eigenvalue,
 )
@@ -364,6 +366,31 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
             note=family.note,
         ))
     return records
+
+
+def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
+                 n_points: int = RADIAL_N_POINTS,
+                 rho_max: float | None = None) -> list[float]:
+    """Closed-state-versus-eigenvector check over n_rho = 0..n_rho_max.
+
+    For each n_rho, the index-n_rho eigenvector of the family's operator at
+    ell = sqrt(1 + lambda), on the unrefined grid of :func:`verify_family`
+    and signed to agree with ``family.state``, is set against that closed
+    state at the grid's nodes.  Each entry is the h-weighted L2 distance of
+    the two unit-norm states: near 0 when they agree, near 1 or above when
+    the grid or the wall does not hold the state.  Call it after
+    :func:`verify_family`, whose guards it shares.
+    """
+    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    errors = []
+    for n_rho, lam in enumerate(family.levels(params, n_rho_max)):
+        ell = math.sqrt(lam + 1.0)
+        op = discretize(family.operator(*params, ell * ell), grid)
+        numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
+        closed = family.state(*params, n_rho, ell, grid.points)
+        numeric = math.copysign(1.0, numeric @ closed) * numeric
+        errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
+    return errors
 
 
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *,

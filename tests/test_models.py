@@ -1,5 +1,6 @@
 """Closed-form spectra, the numeric oracle sweeps, scans, and degeneracies."""
 
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,6 @@ from pdm_polar import (
     verify_oscillator,
 )
 from pdm_polar import cli
-from pdm_polar.eigensolve import DIRICHLET, Grid, discretize, eigen_lowest
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
     COULOMB,
@@ -39,6 +39,7 @@ from pdm_polar.models import (
     record_to_row,
     records_to_csv,
     scan_level,
+    state_errors,
     zero_zeta_levels,
 )
 from pdm_polar.specfun import bessel_j
@@ -304,18 +305,11 @@ def test_closed_state_matches_an_mpmath_laguerre_state(family):
 
 @pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
 def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(family):
+    # 500, 1001 and 2003 points: each grid halves the spacing of the one before
     for n_rho in range(3):
         for nominal_ell in (1.0, 1.17, 2.5, 8.0):
-            params, ell = family_params(family, n_rho, nominal_ell, a_param=1.0)
-            potential = family.operator(*params, ell * ell)
-            grid = Grid(0.0, family.default_wall(*params), 500, DIRICHLET)
-            errors = []
-            for _ in range(3):
-                v = eigen_lowest(discretize(potential, grid), n_rho + 1).eigenvectors[:, n_rho]
-                u = family.state(*params, n_rho, ell, grid.points)
-                v = v if np.dot(u, v) > 0 else -v
-                errors.append(math.sqrt(grid.h * np.sum((v - u) ** 2)))
-                grid = grid.refined()
+            params, _ = family_params(family, n_rho, nominal_ell, a_param=1.0)
+            errors = [state_errors(family, params, n_rho, n_points=n)[n_rho] for n in (500, 1001, 2003)]
             for coarse, fine in zip(errors, errors[1:]):
                 assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.3), (n_rho, nominal_ell)
 
@@ -329,6 +323,19 @@ def test_closed_state_largest_lobe_is_positive(family):
                      else 4.0 * math.sqrt(params[1]) / params[0] + 10.0)
             u = family.state(*params, n_rho, ell, np.linspace(reach / 20000, reach, 20000))
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
+
+
+@pytest.mark.parametrize("family, params", [(COULOMB, (3.0,)), (OSCILLATOR, (1.0, 6.0))],
+                         ids=["coulomb", "oscillator"])
+def test_state_errors_flag_a_wrong_state(family, params):
+    assert max(state_errors(family, params, 2)) < 1e-4
+    # each eigenvector is far from the closed state of the next level
+    shifted = dataclasses.replace(
+        family, state=lambda *args: family.state(*args[:-3], args[-3] + 1, *args[-2:]))
+    assert min(state_errors(shifted, params, 2, n_points=1000)) > 0.5
+    # the eigenvector's sign is arbitrary, so the check aligns it
+    flipped = dataclasses.replace(family, state=lambda *args: -family.state(*args))
+    assert state_errors(flipped, params, 2, n_points=1000) == state_errors(family, params, 2, n_points=1000)
 
 
 # ---------------------------------------------------------------------------
