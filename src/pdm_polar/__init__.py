@@ -62,6 +62,6 @@ from .separation import (
     w_tilde,
     zeta_coefficients,
 )
-from .specfun import BesselOrder, bessel_j, gamma_fn, laguerre_assoc
+from .specfun import BesselOrder, bessel_j, laguerre_assoc
 
 __version__ = "0.1.0"

@@ -220,38 +220,33 @@ def _radial_rows(model, n_rho, coords) -> list:
 
 
 def _angular_rows(model, m, coords) -> list:
-    if isinstance(model.f, sp.FlatProfile):
-        rows = []
-        for phi in coords:
-            value = complex(math.cos(m * phi), math.sin(m * phi))
-            rows.append({"coordinate": float(phi), "re": value.real, "im": value.imag})
-        return rows
-    if isinstance(model.f, sp.CosSquaredProfile):
-        if not check_constraint27(model.ordering):
-            raise DomainError(
-                "the closed angular form of the cos^2 model exists only for "
-                "orderings satisfying the zero-potential gate"
-            )
-        rows = []
-        # sqrt(cos phi) leaves the real domain for cos phi < 0; those samples
-        # are emitted as nulls rather than guessing a branch
-        floor = math.sqrt(sp.MASS_EPS)
-        for phi in coords:
-            c = math.cos(phi)
+    """Samples of f^(1/4) exp(i m q), q the arclength coordinate of phi."""
+    flat = isinstance(model.f, sp.FlatProfile)
+    if not (flat or isinstance(model.f, sp.CosSquaredProfile)):
+        raise DomainError("angular wavefunction dumps support flat and cos^2 profiles")
+    if not (flat or check_constraint27(model.ordering)):
+        raise DomainError(
+            "the closed angular form of the cos^2 model exists only for "
+            "orderings satisfying the zero-potential gate"
+        )
+    rows = []
+    floor = math.sqrt(sp.MASS_EPS)
+    try:
+        # plain floats, so that an infinite m q raises rather than warns
+        for phi in map(float, coords):
+            # f = cos^2 phi: f^(1/4) = sqrt(cos phi) leaves the real domain for
+            # cos phi < 0; those samples are emitted as nulls rather than
+            # guessing a branch
+            c = 1.0 if flat else math.cos(phi)
             if c <= floor:
-                rows.append({"coordinate": float(phi), "re": None, "im": None})
+                rows.append({"coordinate": phi, "re": None, "im": None})
                 continue
-            q = math.sin(phi)
-            amp = math.sqrt(c)
-            rows.append(
-                {
-                    "coordinate": float(phi),
-                    "re": amp * math.cos(m * q),
-                    "im": amp * math.sin(m * q),
-                }
-            )
-        return rows
-    raise DomainError("angular wavefunction dumps support flat and cos^2 profiles")
+            amp, q = math.sqrt(c), phi if flat else math.sin(phi)
+            rows.append({"coordinate": phi,
+                         "re": amp * math.cos(m * q), "im": amp * math.sin(m * q)})
+    except (OverflowError, ValueError) as exc:  # m q past the float range, or infinite
+        raise DomainError(f"no closed angular state for this m on this range: {exc}") from exc
+    return rows
 
 
 def cmd_wavefunction(args):

@@ -21,10 +21,6 @@ class UnsupportedProfile(PdmPolarError):
     """A tabulated mass profile cannot be used for the requested construction."""
 
 
-class PoleError(PdmPolarError):
-    """Gamma function evaluated at a non-positive integer."""
-
-
 class PotentialSingular(PdmPolarError):
     """A grid point hit a potential value too large to discretize meaningfully."""
 

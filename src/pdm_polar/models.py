@@ -54,9 +54,9 @@ from .separation import (
     OscillatorLike,
     SeparableModel,
     angular_problem,
+    zeta_coefficients,
 )
-from .serialize import to_csv
-from .specfun import BesselOrder, bessel_j, laguerre_assoc
+from .specfun import bessel_j, laguerre_assoc
 
 # default grid sizes: the radial Dirichlet grid of the verify sweeps, and the
 # scan ring (n_points % 4 == 2, see scan_level)
@@ -431,8 +431,7 @@ def toy_radial_solution(n, rho: float) -> float:
     rho = float(rho)
     if rho <= 0.0:
         raise DomainError(f"need rho > 0, got {rho}")
-    order = n if isinstance(n, BesselOrder) else BesselOrder.from_value(n)
-    return bessel_j(order, rho) / rho
+    return bessel_j(n, rho) / rho
 
 
 def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
@@ -482,8 +481,6 @@ def toy_zero_zeta_spectrum(m_max: int, *, n_points: int = 2048) -> list[Spectrum
 
 def _scan_potential(a: AmbiguitySet, lam: float):
     """cos^2-profile effective potential sampled along the periodic angle."""
-    from .separation import zeta_coefficients
-
     z1, z2 = zeta_coefficients(a, lam)
 
     def potential(x):
@@ -697,8 +694,3 @@ def record_to_row(record: SpectrumRecord) -> dict:
 
 
 CSV_COLUMNS = ("n_rho", "m", "lambda", "energy_closed", "energy_numeric", "delta", "provenance")
-
-
-def records_to_csv(records) -> str:
-    """CSV table with the documented column set."""
-    return to_csv(CSV_COLUMNS, [[record_to_row(r).get(c) for c in CSV_COLUMNS] for r in records])

@@ -1,15 +1,16 @@
-"""Minimal special-function kernel: gamma, Bessel J, associated Laguerre.
+"""Minimal special-function kernel: Bessel J and associated Laguerre.
 
 Self-contained on purpose, so closed-form wavefunctions and spectra are
 validated through code that shares nothing with the finite-difference
 solver.  Methods are the classical ones:
 
-* gamma: Lanczos approximation (g = 7, 9 terms) with reflection for x < 1/2,
-  cf. Numerical Recipes ch. 6 / Abramowitz & Stegun 6.1.
 * Bessel J: ascending power series for small argument, Miller's downward
   recurrence with sum normalization for the rest (A&S 9.12); half-integer
   orders run Miller's recurrence on the spherical j_n, normalized through
-  the Legendre-at-zero sum, and are scaled by sqrt(2x/pi).
+  the Legendre-at-zero sum, and are scaled by sqrt(2x/pi).  The series'
+  leading term (x/2)^nu / gamma(nu + 1) is a product of factors at most 1,
+  so no gamma function is evaluated, and every order nu <= 1e4 gives a
+  finite value at every x, 0.0 where J_nu underflows.
 * associated Laguerre: stable three-term recurrence in the degree.
 
 Only integer and half-integer Bessel orders are supported; that is all the
@@ -21,21 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import PoleError
-
-# Lanczos coefficients for g = 7.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # beyond this the alternating series loses enough digits to cancellation to
 # matter; Miller's recurrence is uniformly machine-accurate there
@@ -71,36 +57,27 @@ class BesselOrder:
         return self.twice_order % 2 == 0
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, poles excluded.
-
-    Raises PoleError at non-positive integers.  Good to better than ten
-    significant digits on (0, 50].
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma has a pole at {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def _as_order(nu) -> BesselOrder:
     if isinstance(nu, BesselOrder):
         return nu
     return BesselOrder.from_value(nu)
 
 
-def _bessel_series(nu: float, x: float, max_terms: int = 60) -> float:
-    """Ascending series sum_k (-1)^k (x/2)^(2k+nu) / (k! gamma(k+nu+1))."""
+def _bessel_series(order: BesselOrder, x: float, max_terms: int = 60) -> float:
+    """Ascending series sum_k (-1)^k (x/2)^(2k+nu) / (k! gamma(k+nu+1)).
+
+    With nu = n + s, s = 0 or 1/2, the leading term is
+    c prod_{j=1..n} (x/2) / (j + s), where c = 1 for an integer order and
+    sqrt(x/2) / gamma(3/2) for a half-integer one.  For x <= 2 every factor
+    is at most 1, so a large order underflows to 0.0 and never overflows.
+    """
     half = 0.5 * x
-    term = half**nu / gamma_fn(nu + 1.0)
+    n, odd = divmod(order.twice_order, 2)
+    s = 0.5 * odd
+    term = math.sqrt(half) * (2.0 / math.sqrt(math.pi)) if odd else 1.0
+    for j in range(1, n + 1):
+        term *= half / (j + s)
+    nu = order.value
     total = term
     for k in range(1, max_terms):
         term *= -(half * half) / (k * (k + nu))
@@ -155,8 +132,10 @@ def bessel_j(nu, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for x >= 0.
 
     nu may be a BesselOrder or any number equal to an integer or
-    half-integer.  Absolute accuracy is 1e-10 or better for x <= 50.
-    Raises ValueError for x outside [0, 1e4], nan included, or nu > 1e4.
+    half-integer.  Absolute accuracy is 1e-10 or better for x <= 50.  Every
+    nu <= 1e4 gives a finite value at every x in [0, 1e4], and 0.0 where the
+    value underflows.  Raises ValueError for x outside [0, 1e4], nan
+    included, or nu > 1e4.
     """
     order = _as_order(nu)
     x = float(x)
@@ -167,7 +146,7 @@ def bessel_j(nu, x: float) -> float:
     if x == 0.0:
         return 1.0 if order.twice_order == 0 else 0.0
     if x <= _SERIES_CUTOFF:
-        return _bessel_series(v, x)
+        return _bessel_series(order, x)
     if order.is_integer:
         return _miller(int(v), x, spherical=False)
     n_sph = (order.twice_order - 1) // 2

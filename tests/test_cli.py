@@ -276,6 +276,18 @@ def test_wavefunction_toy_bessel(cos2_model_file):
         assert row["value"] == pytest.approx(bessel_j(0.5, rho) / rho, abs=1e-12)
 
 
+def test_wavefunction_toy_past_order_170_prints_finite_samples(cos2_model_file):
+    # gamma(202) alone overflows a float; J_201 itself underflows to 0.0
+    result = run_cli(
+        ["wavefunction", "--model", str(cos2_model_file), "--state", "toy:n=201",
+         "--range", "0.5,1.5", "--samples", "5"]
+    )
+    assert result.returncode == 0, result.stderr
+    values = [row["value"] for row in json.loads(result.stdout)["samples"]]
+    assert len(values) == 5
+    assert all(math.isfinite(v) for v in values)
+
+
 def test_wavefunction_flat_unit_modulus(flat_model_file):
     result = run_cli(
         ["wavefunction", "--model", str(flat_model_file), "--state", "angular:m=1",
@@ -547,18 +559,26 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
     ["verify", "--model", "WIDE", "--n-points", "64", "--n-rho-max", "20"],
     # k = 1.5 is outside the power well's domain, not the k = 1 Bessel well
     ["wavefunction", "--model", "HALF_K", "--state", "toy:n=1/2", "--range", "0.5,2"],
+    # m phi cannot be converted to a float, or is infinite
+    ["wavefunction", "--model", "FLAT", "--state", f"angular:m=1{'0' * 400}",
+     "--range", "0,6.28", "--samples", "3"],
+    ["wavefunction", "--model", "COS2", "--state", f"angular:m=1{'0' * 400}",
+     "--range", "0,6.28", "--samples", "3"],
+    ["wavefunction", "--model", "FLAT", "--state", "angular:m=3",
+     "--range", "0,8e307", "--samples", "3"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
-        "toy-fractional-k"])
+        "toy-fractional-k", "angular-flat-huge-m", "angular-cos2-huge-m",
+        "angular-flat-infinite-phase"])
 def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
-                                                        tmp_path, argv):
+                                                        flat_model_file, tmp_path, argv):
     wide = write_model(tmp_path, "wide.json",
                        {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 100.0}},
                         "ordering": "bendaniel-duke"})
     half_k = write_model(tmp_path, "half_k.json",
                          {"f": "cos2", "potential": {"power_well": {"v0": 1.0, "k": 1.5}},
                           "ordering": "mustafa-mazharimousavi"})
-    files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "WIDE": wide,
-             "HALF_K": half_k}
+    files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "FLAT": flat_model_file,
+             "WIDE": wide, "HALF_K": half_k}
     result = run_cli([str(files.get(token, token)) for token in argv])
     assert one_json_error(result, 3)["code"] == "domain"
 

@@ -58,7 +58,7 @@ GRAMMAR = {
         "--state": (["toy:n=1/2", "toy:n=2", "radial:n_rho=0", "radial:n_rho=1",
                      "angular:m=1", "angular:m=-2"],
                     ["toy:n=1/3", "toy:n=-1/2", "toy:n=1000", "radial:n_rho=-1",
-                     "radial:n_rho=99", "bogus:q=1"]),
+                     "radial:n_rho=99", "bogus:q=1", f"angular:m=1{'0' * 400}"]),
         "--range": RANGES, "--samples": SAMPLES,
     },
     # scan prints JSON only, so any --format is invalid

@@ -36,8 +36,6 @@ from pdm_polar.models import (
     COULOMB,
     OSCILLATOR,
     angular_confined_levels,
-    record_to_row,
-    records_to_csv,
     scan_level,
     state_errors,
     zero_zeta_levels,
@@ -592,20 +590,3 @@ def test_degeneracy_report_zero_zeta_pairs():
 def test_degeneracy_report_rejects_empty():
     with pytest.raises(DomainError):
         degeneracy_report([])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_record_row_and_csv():
-    records = verify_oscillator(1.0, 4.0, 0, 1e-4, n_points=1000)
-    row = record_to_row(records[0])
-    assert list(row)[:7] == [
-        "n_rho", "m", "lambda", "energy_closed", "energy_numeric", "delta", "provenance",
-    ]
-    text = records_to_csv(records)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n_rho,m,lambda,energy_closed,energy_numeric,delta,provenance"
-    assert len(lines) == 2
-    assert lines[1].split(",")[0] == "0"

@@ -1,4 +1,4 @@
-"""Gamma, Bessel J, and associated Laguerre against independent oracles."""
+"""Bessel J and associated Laguerre against independent oracles."""
 
 import math
 from fractions import Fraction
@@ -6,49 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pdm_polar import BesselOrder, bessel_j, gamma_fn, laguerre_assoc
-from pdm_polar.errors import PoleError
-
-
-# ---------------------------------------------------------------------------
-# gamma
-
-
-def test_gamma_factorial():
-    assert abs(gamma_fn(5) - 24.0) < 24.0 * 1e-12
-
-
-def test_gamma_half():
-    assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-12
-
-
-def test_gamma_three_halves():
-    assert abs(gamma_fn(1.5) - 0.5 * math.sqrt(math.pi)) < 1e-12
-
-
-def test_gamma_functional_equation():
-    for x in np.linspace(0.5, 20.0, 79):
-        lhs = gamma_fn(x + 1.0)
-        rhs = x * gamma_fn(x)
-        assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-
-
-def test_gamma_ten_digits_on_domain():
-    fact = 1.0
-    for n in range(2, 26):
-        fact *= n - 1
-        assert abs(gamma_fn(n) - fact) <= 1e-10 * fact
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -2.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma_fn(x)
-
-
-def test_gamma_reflection_region():
-    # gamma(-0.5) = -2 sqrt(pi)
-    assert abs(gamma_fn(-0.5) + 2.0 * math.sqrt(math.pi)) < 1e-11
+from pdm_polar import BesselOrder, bessel_j, laguerre_assoc
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +90,30 @@ def test_half_integer_closed_forms_at_large_argument(x):
     assert abs(bessel_j(1.5, x) - scale * (math.sin(x) / x - math.cos(x))) <= 1e-12
 
 
+@pytest.mark.parametrize("nu", [170.5, 171, 200, 1000, 1e4])
+@pytest.mark.parametrize("x", [1e-300, 0.5, 2.0])
+def test_bessel_large_order_is_finite_on_the_series_branch(nu, x):
+    # (x/2)^nu / gamma(nu + 1) underflows here, and gamma(nu + 1) alone
+    # overflows past nu = 170
+    mpmath = pytest.importorskip("mpmath")
+    value = bessel_j(nu, x)
+    assert math.isfinite(value)
+    assert abs(value - float(mpmath.besselj(nu, x))) <= 1e-300
+
+
+def test_bessel_series_is_accurate_to_a_few_ulp():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [1e-300, 1e-20, 1e-3, *np.linspace(0.05, 2.0, 40)]
+    with mpmath.workdps(30):
+        for twice_order in range(41):
+            for x in xs:
+                ref = mpmath.besselj(mpmath.mpf(twice_order) / 2, x)
+                if abs(ref) <= 1e-290:
+                    continue
+                rel = abs((bessel_j(twice_order / 2, x) - ref) / ref)
+                assert rel <= 2e-15, (twice_order / 2, x, float(rel))
+
+
 def test_j_half_at_pi_is_zero():
     assert abs(bessel_j(Fraction(1, 2), math.pi)) <= 1e-12
 
@@ -187,7 +169,7 @@ def test_laguerre_orthogonality_alpha_zero():
     # integral_0^inf e^-x L_n L_m dx = delta_nm, Gauss-Laguerre exact for polynomials
     nodes, weights = np.polynomial.laguerre.laggauss(30)
     for n in range(5):
-        norm = gamma_fn(n + 1.0) / math.factorial(n)
+        norm = math.gamma(n + 1.0) / math.factorial(n)
         for m in range(5):
             val = sum(
                 w * laguerre_assoc(n, 0.0, t) * laguerre_assoc(m, 0.0, t)
@@ -203,7 +185,7 @@ def test_laguerre_orthogonality_alpha_half():
     nodes, weights = np.polynomial.hermite.hermgauss(48)
     alpha = 0.5
     for n in range(5):
-        norm = gamma_fn(n + alpha + 1.0) / math.factorial(n)
+        norm = math.gamma(n + alpha + 1.0) / math.factorial(n)
         for m in range(5):
             val = sum(
                 w * t * t * laguerre_assoc(n, alpha, t * t) * laguerre_assoc(m, alpha, t * t)
