@@ -20,10 +20,17 @@ Eigenpairs exist on Dirichlet grids only: :func:`eigen_lowest` and
 :func:`refine` return the lowest k eigenpairs, vectors included, and refuse a
 ring.  Values by index exist on any grid: :func:`eigenvalue` and
 :func:`refine_eigenvalue` return one eigenvalue, selected by index, with no
-vectors; bisection costs one Sturm-sequence search per eigenvalue and inverse
-iteration is skipped.  On a Dirichlet grid LAPACK is asked for that index
-alone; a ring asks each parity sector for its lowest index + 1 values and
-merges them.
+vectors; inverse iteration is skipped.  :func:`eigenvalue` searches the whole
+Gershgorin interval for that index: on a Dirichlet grid LAPACK is asked for
+that index alone; a ring asks each parity sector for its lowest index + 1
+values and merges them.  :func:`refine_eigenvalue` pays for that search only
+once, on a seed grid about 8 times coarser.  It then bisects the level at h
+by value inside a window around the seed value, and the level at h/2 inside
+a window around the level at h.  A Sturm count at the window's lower end
+certifies the index, so the result is the same eigenvalue of the same
+operator as the search by index gives (Barth, Martin & Wilkinson, Numer.
+Math. 9, 386 (1967)); a window that does not hold the level is widened
+until it does.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: it returns the number of eigenvalues at or
@@ -45,12 +52,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PotentialSingular
+from .errors import ConvergenceFailure, PdmPolarError, PotentialSingular
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
 POTENTIAL_CAP = 1e12
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# refine_eigenvalue's seed grid has about 1/_SEED_COARSENING of the points;
+# its level at h is bisected within _COARSE_WINDOW * |seed| of the seed value;
+# a window that does not hold the level grows by _WIDEN, and none is narrower
+# than _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a
+# zero operator)
+_SEED_COARSENING = 8
+_COARSE_WINDOW = 2e-2
+_WIDEN = 16.0
+_WINDOW_FLOOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -203,6 +222,22 @@ def _solve_sector(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, *, vector
         raise ConvergenceFailure(str(exc)) from exc
 
 
+def _values_between(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
+                    tol: float = 0.0) -> np.ndarray:
+    """Ascending eigenvalues of one symmetric tridiagonal in (lo, hi], no vectors.
+
+    A by-value ``?stebz`` request; ``tol`` is its absolute tolerance, and 0
+    keeps LAPACK's default.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    try:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                select_range=(lo, hi), tol=tol)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - never seen by value
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def _count_sector(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of one symmetric tridiagonal at or below x.
 
@@ -210,15 +245,8 @@ def _count_sector(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     Gershgorin interval: ``?stebz`` takes the Sturm count at x and stops, so
     the length of what it returns is that count.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     width = 4.0 * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
-    try:
-        found = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                 select_range=(-np.inf, x), tol=width)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - never seen at this tolerance
-        raise ConvergenceFailure(str(exc)) from exc
-    return len(found)
+    return len(_values_between(diag, off, -np.inf, x, tol=width))
 
 
 def _symmetrized_ring_diagonal(diag: np.ndarray) -> np.ndarray:
@@ -266,6 +294,11 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
 
 
+def _check_index(op: DiscretizedOperator, index: int) -> None:
+    if not 0 <= index < op.n // 4:
+        raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
+
+
 def eigenvalue(op: DiscretizedOperator, index: int) -> float:
     """The eigenvalue of the given 0-based index, without eigenvectors.
 
@@ -273,8 +306,7 @@ def eigenvalue(op: DiscretizedOperator, index: int) -> float:
     up to the bisection tolerance (a few eps times the operator's norm); the
     guard is 0 <= index < n/4 on either boundary.
     """
-    if not 0 <= index < op.n // 4:
-        raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
+    _check_index(op, index)
     if op.grid.boundary == PERIODIC:
         lowest = [_solve_sector(*sector, 0, index, vectors=False) for sector in _parity_sectors(op)]
         return float(np.sort(np.concatenate(lowest))[index])
@@ -291,6 +323,82 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     if op.grid.boundary == PERIODIC:
         return sum(_count_sector(*sector, x) for sector in _parity_sectors(op))
     return _count_sector(op.diagonal, op.off_diagonal, x)
+
+
+def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: float) -> float:
+    """:func:`eigenvalue`, bisected by value in a window around a guess.
+
+    The window is (guess - w, guess + w], w = |width| floored at
+    ``_WINDOW_FLOOR * eps * ||T||inf``; a guess outside [-||T||inf, ||T||inf]
+    is moved to its nearer end.  It holds the level when at most ``index``
+    eigenvalues lie at or below guess - w (:func:`count_below`) and the
+    window holds the rest up to ``index``.  Otherwise w grows by ``_WIDEN``;
+    a window that reaches past both ends of [-||T||inf, ||T||inf] by more
+    than the floor and still does not hold the level raises
+    ConvergenceFailure.
+    """
+    _check_index(op, index)
+    if not (math.isfinite(guess) and math.isfinite(width)):
+        raise ValueError(f"need a finite guess and width, got {guess!r} and {width!r}")
+    norm = op.inf_norm()
+    guess = min(max(guess, -norm), norm)
+    floor = max(_WINDOW_FLOOR * _EPS * norm, _TINY)
+    w = max(abs(width), floor)
+    if op.grid.boundary == PERIODIC:
+        sectors = _parity_sectors(op)
+    else:
+        sectors = [(op.diagonal, op.off_diagonal)]
+    while True:
+        lo, hi = guess - w, guess + w
+        below = count_below(op, lo)
+        if below <= index:
+            inside = np.sort(np.concatenate([_values_between(*sector, lo, hi)
+                                             for sector in sectors]))
+            if index < below + len(inside):
+                return float(inside[index - below])
+        if lo < -norm - floor and hi > norm + floor:
+            raise ConvergenceFailure(
+                f"no window about {guess!r} holds level {index} of the "
+                f"{op.n}-row operator; its Sturm counts disagree with its bisection"
+            )
+        w *= _WIDEN
+
+
+def _seed_grid(grid: Grid, index: int) -> Grid | None:
+    """The grid of the seed solve: about n/8 points, None if not coarser than grid.
+
+    It keeps at least 4 (index + 1) points, so the index guard holds, and
+    an even count on a ring.
+    """
+    n = max(grid.n_points // _SEED_COARSENING, 4 * (index + 1), 16)
+    if grid.boundary == PERIODIC:
+        n += n % 2
+    if n >= grid.n_points:
+        return None
+    return Grid(grid.x_min, grid.x_max, n, grid.boundary)
+
+
+def _coarse_level(op_factory, grid: Grid, index: int) -> tuple[float, float]:
+    """The level on grid and the half-width of the window for the level at h/2.
+
+    The seed only places a window, so a seed grid that hits a singular
+    sample the coarse grid misses costs the windows, not the solve: the
+    level is then searched by index on grid.
+    """
+    op = op_factory(grid)
+    _check_index(op, index)
+    seed_grid = _seed_grid(grid, index)
+    try:
+        seed = eigenvalue(op_factory(seed_grid), index) if seed_grid is not None else None
+    except (PdmPolarError, ValueError):
+        seed = None
+    if seed is None:
+        coarse = eigenvalue(op, index)
+        return coarse, _COARSE_WINDOW * abs(coarse)
+    coarse = _eigenvalue_near(op, index, seed, _COARSE_WINDOW * abs(seed))
+    # e(h) ~ C h^2: the step h -> h/2 moves the level by 3/4 of
+    # (coarse - seed) / ((h_seed / h)^2 - 1); the window is 4 times that
+    return coarse, 3.0 * abs(coarse - seed) / ((seed_grid.h / grid.h) ** 2 - 1.0)
 
 
 def _richardson(coarse, fine):
@@ -318,10 +426,23 @@ def refine_eigenvalue(op_factory, grid: Grid, index: int) -> tuple[float, float]
     """:func:`refine` for the one eigenvalue of the given index, without vectors.
 
     Returns (extrapolated value, |extrapolated - fine|), the Richardson step
-    of :func:`refine` applied to :func:`eigenvalue` at h and h/2.
+    of :func:`refine` applied to :func:`eigenvalue` at h and h/2.  Only a
+    seed grid about 8 times coarser is searched by index.  The level at h is
+    bisected in a window of half-width 2e-2 |seed| around the seed value.
+    The level at h/2 is bisected in a window around the level at h, four
+    times the h^2 prediction of its shift.  Both windows are certified by a
+    Sturm count (see :func:`_eigenvalue_near`), so the values are those of
+    the two index searches, within the bisection tolerance.
+
+    That tolerance is a floor shared with the index search: each level is
+    resolved to about eps * ||T||inf = 4 eps / h^2 of its operator (unit
+    prefactor).  For the fine grid of an n = 1e5 verify sweep on a 12-wide
+    domain that is about 2.5e-7, so above n of about 2e4 the convergence
+    estimate measures roundoff, not discretization error.
     """
-    coarse = eigenvalue(op_factory(grid), index)
-    fine = eigenvalue(op_factory(grid.refined()), index)
+    # the operator on grid is freed before the one on the refined grid is built
+    coarse, fine_width = _coarse_level(op_factory, grid, index)
+    fine = _eigenvalue_near(op_factory(grid.refined()), index, coarse, fine_width)
     return _richardson(coarse, fine)
 
 

@@ -26,7 +26,13 @@ class PotentialSingular(PdmPolarError):
 
 
 class ConvergenceFailure(PdmPolarError):
-    """Inverse iteration did not converge; usually signals a tight degenerate cluster."""
+    """An eigensolve did not converge.
+
+    Either inverse iteration failed, which usually signals a tight
+    degenerate cluster, or no Sturm-certified window held the requested
+    level even after it covered the whole Gershgorin interval, which means
+    the Sturm counts and the bisection disagree.
+    """
 
 
 class DomainError(PdmPolarError):

@@ -633,3 +633,16 @@ def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_m
     for argv, outcome in zip(closed_form, runs, strict=True):
         assert outcome == [0, False], argv
     assert verify == [0, True]
+
+
+def test_verify_exits_3_when_no_window_certifies_a_level(oscillator_model_file, capsys,
+                                                         monkeypatch):
+    # a Sturm count that never certifies a window ends the sweep with a JSON
+    # error, exit 3, instead of a traceback or a hang
+    from pdm_polar import cli, eigensolve
+
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    code = cli.main(["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0"])
+    assert code == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "domain" and "no window" in error["message"]

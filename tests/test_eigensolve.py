@@ -1,15 +1,22 @@
 """Grid conventions, discretization, and the tridiagonal eigensolver."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdm_polar import eigensolve
 from pdm_polar.eigensolve import (
     DIRICHLET,
     PERIODIC,
+    DiscretizedOperator,
     Grid,
     _count_sector,
+    _eigenvalue_near,
     _parity_sectors,
     count_below,
     discretize,
@@ -21,7 +28,7 @@ from pdm_polar.eigensolve import (
     sign_changes,
     sturm_count_below,
 )
-from pdm_polar.errors import PotentialSingular
+from pdm_polar.errors import ConvergenceFailure, PotentialSingular
 
 
 def zero(x):
@@ -329,6 +336,149 @@ def test_refine_eigenvalue_matches_refine(case):
         value, estimate = refine_eigenvalue(factory, grid, j)
         assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve
         assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve
+
+
+# ---------------------------------------------------------------------------
+# the Sturm-certified window of refine_eigenvalue
+
+
+@functools.lru_cache(maxsize=None)
+def case_operator(case):
+    grid, potential, prefactor, _ = SOLVE_CASES[case]
+    return discretize(potential, grid, prefactor=prefactor)
+
+
+@st.composite
+def random_tridiagonals(draw):
+    """A Dirichlet-gridded symmetric tridiagonal with random entries.
+
+    Some off-diagonal entries are zero, so the matrix splits into blocks and
+    can have exactly repeated eigenvalues.
+    """
+    n = draw(st.integers(16, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    diag = scale * rng.standard_normal(n)
+    off = scale * rng.standard_normal(n - 1)
+    off[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    return DiscretizedOperator(diag, off, None, Grid(0.0, 1.0, n, DIRICHLET))
+
+
+GUESSES = ("zero", "level", "other level", "above", "below", "random")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op=st.sampled_from(sorted(SOLVE_CASES)).map(case_operator) | random_tridiagonals(),
+    data=st.data(),
+    guess_kind=st.sampled_from(GUESSES),
+)
+def test_window_matches_index_search(op, data, guess_kind):
+    index = data.draw(st.integers(0, op.n // 4 - 1), label="index")
+    norm = op.inf_norm()
+    width = data.draw(st.sampled_from([0.0, 1e300])
+                      | st.floats(-16.0, 0.5).map(lambda k: norm * 10.0**k), label="width")
+    level = eigenvalue(op, index)
+    guess = {
+        "zero": 0.0,
+        "level": level,
+        "other level": eigenvalue(op, data.draw(st.integers(0, op.n // 4 - 1), label="other")),
+        "above": 3.0 * norm,  # outside the Gershgorin interval
+        "below": -3.0 * norm,
+        "random": data.draw(st.floats(-2.0 * norm, 2.0 * norm), label="guess"),
+    }[guess_kind]
+    value = _eigenvalue_near(op, index, guess, width)
+    assert abs(value - level) <= 4.0 * EPS * norm
+
+
+def test_window_splits_the_free_ring_pairs():
+    # +/-m pairs are doubly degenerate: each index of a pair returns the pair's value
+    op = case_operator("free ring")
+    bound = 4.0 * EPS * op.inf_norm()
+    for index in range(7):
+        level = eigenvalue(op, index)
+        for guess in (0.0, level, eigenvalue(op, 6 - index)):
+            for width in (0.0, 1e-3):
+                assert abs(_eigenvalue_near(op, index, guess, width) - level) <= bound
+        assert abs(_eigenvalue_near(op, index, 0.0, 1e300) - level) <= bound
+
+
+@pytest.mark.parametrize("guess, width", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf)])
+def test_window_refuses_non_finite_input(guess, width):
+    with pytest.raises(ValueError, match="finite"):
+        _eigenvalue_near(case_operator("box"), 0, guess, width)
+
+
+def test_window_on_the_zero_operator():
+    # ||T||inf = 0 leaves no eps-scaled floor; the window must still open
+    op = DiscretizedOperator(np.zeros(16), np.zeros(15), None, Grid(0.0, 1.0, 16, DIRICHLET))
+    assert _eigenvalue_near(op, 3, 0.0, 0.0) == 0.0
+
+
+def test_window_that_never_certifies_raises(monkeypatch):
+    # a count that puts every level at or below any point never certifies a
+    # window; the widening ends at the Gershgorin interval instead of hanging
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    with pytest.raises(ConvergenceFailure, match="no window"):
+        _eigenvalue_near(case_operator("box"), 0, 1.0, 1e-3)
+    grid, potential, prefactor, _ = SOLVE_CASES["coulombish"]
+    with pytest.raises(ConvergenceFailure):
+        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, 0)
+
+
+@pytest.mark.parametrize("grid, potential, prefactor, rows", [
+    (Grid(0.0, 60.0, 20000, DIRICHLET), coulombish, 1.0, {20000, 40001}),
+    # the parity sectors of the 2048- and 4096-point rings
+    (Grid(0.0, 2.0 * math.pi, 2048, PERIODIC), zero, 0.5, {1025, 1023, 2049, 2047}),
+])
+def test_refine_eigenvalue_searches_by_index_on_the_seed_grid_only(
+        monkeypatch, grid, potential, prefactor, rows):
+    requests = []
+    lapack = scipy.linalg.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        requests.append((len(d), kwargs.get("select")))
+        return lapack(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    for index in range(3):
+        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, index)
+    by_index = {n for n, select in requests if select == "i"}
+    assert by_index and not by_index & rows
+    assert {n for n, select in requests if select == "v"} >= rows
+
+
+def test_refine_eigenvalue_survives_a_singular_seed_grid():
+    # the 20-point seed grid of a 160-point grid has a node at L/21, which
+    # neither the 160- nor the 321-point grid has; a potential that is
+    # infinite there makes the seed unsolvable, and the index search runs
+    # at h instead, giving the same numbers
+    length = 21.0
+    grid = Grid(0.0, length, 160, DIRICHLET)
+
+    def potential(x):
+        return np.where(np.abs(x - 1.0) < 1e-9, np.inf, 0.5 * (x - 10.0) ** 2)
+
+    def factory(g):
+        return discretize(potential, g, prefactor=0.5)
+
+    with pytest.raises(PotentialSingular):
+        factory(Grid(0.0, length, 20, DIRICHLET))
+    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
+    for index in range(4):
+        coarse, fine = eigenvalue(factory(grid), index), eigenvalue(factory(grid.refined()), index)
+        value, _ = refine_eigenvalue(factory, grid, index)
+        assert abs(value - (4.0 * fine - coarse) / 3.0) <= 5.0 / 3.0 * per_solve
+
+
+def test_refine_eigenvalue_raises_what_the_index_search_raises():
+    grid = Grid(0.0, 1.0, 64, DIRICHLET)
+    with pytest.raises(ValueError, match="n/4 = 16, got 16"):
+        refine_eigenvalue(lambda g: discretize(zero, g), grid, 16)
+    ring = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
+    with pytest.raises(ValueError, match="reflection-symmetric"):
+        refine_eigenvalue(lambda g: discretize(np.sin, g, prefactor=0.5), ring, 1)
 
 
 def test_observed_order_box():
