@@ -23,14 +23,16 @@ ring.  Values by index exist on any grid: :func:`eigenvalue` and
 vectors; inverse iteration is skipped.  :func:`eigenvalue` searches the whole
 Gershgorin interval for that index: on a Dirichlet grid LAPACK is asked for
 that index alone; a ring asks each parity sector for its lowest index + 1
-values and merges them.  :func:`refine_eigenvalue` pays for that search only
-once, on a seed grid about 8 times coarser.  It then bisects the level at h
-by value inside a window around the seed value, and the level at h/2 inside
-a window around the level at h.  A Sturm count at the window's lower end
-certifies the index, so the result is the same eigenvalue of the same
-operator as the search by index gives (Barth, Martin & Wilkinson, Numer.
-Math. 9, 386 (1967)); a window that does not hold the level is widened
-until it does.
+values and merges them.  :func:`refine_eigenvalue` makes no such search.
+It takes a guess of the level from the caller, typically its closed value,
+bisects the level at h by value inside a window around the guess, and the
+level at h/2 inside a window around the level at h.  A Sturm count at the
+window's lower end certifies the index, so the result is the same
+eigenvalue of the same operator as the search by index gives (Barth,
+Martin & Wilkinson, Numer. Math. 9, 386 (1967)); a window that does not
+hold the level is widened until it does.  A poor guess therefore costs
+time, O(n) for each level the widened window sweeps up, but never gives a
+wrong level.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: it returns the number of eigenvalues at or
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PdmPolarError, PotentialSingular
+from .errors import ConvergenceFailure, PotentialSingular
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -61,12 +63,10 @@ POTENTIAL_CAP = 1e12
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# refine_eigenvalue's seed grid has about 1/_SEED_COARSENING of the points;
-# its level at h is bisected within _COARSE_WINDOW * |seed| of the seed value;
-# a window that does not hold the level grows by _WIDEN, and none is narrower
-# than _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a
-# zero operator)
-_SEED_COARSENING = 8
+# refine_eigenvalue bisects its level at h within _COARSE_WINDOW * |guess| of
+# the caller's guess; a window that does not hold the level grows by _WIDEN,
+# and none is narrower than _WINDOW_FLOOR * eps * ||T||inf (or the smallest
+# normal float, for a zero operator)
 _COARSE_WINDOW = 2e-2
 _WIDEN = 16.0
 _WINDOW_FLOOR = 4.0
@@ -364,43 +364,6 @@ def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: f
         w *= _WIDEN
 
 
-def _seed_grid(grid: Grid, index: int) -> Grid | None:
-    """The grid of the seed solve: about n/8 points, None if not coarser than grid.
-
-    It keeps at least 4 (index + 1) points, so the index guard holds, and
-    an even count on a ring.
-    """
-    n = max(grid.n_points // _SEED_COARSENING, 4 * (index + 1), 16)
-    if grid.boundary == PERIODIC:
-        n += n % 2
-    if n >= grid.n_points:
-        return None
-    return Grid(grid.x_min, grid.x_max, n, grid.boundary)
-
-
-def _coarse_level(op_factory, grid: Grid, index: int) -> tuple[float, float]:
-    """The level on grid and the half-width of the window for the level at h/2.
-
-    The seed only places a window, so a seed grid that hits a singular
-    sample the coarse grid misses costs the windows, not the solve: the
-    level is then searched by index on grid.
-    """
-    op = op_factory(grid)
-    _check_index(op, index)
-    seed_grid = _seed_grid(grid, index)
-    try:
-        seed = eigenvalue(op_factory(seed_grid), index) if seed_grid is not None else None
-    except (PdmPolarError, ValueError):
-        seed = None
-    if seed is None:
-        coarse = eigenvalue(op, index)
-        return coarse, _COARSE_WINDOW * abs(coarse)
-    coarse = _eigenvalue_near(op, index, seed, _COARSE_WINDOW * abs(seed))
-    # e(h) ~ C h^2: the step h -> h/2 moves the level by 3/4 of
-    # (coarse - seed) / ((h_seed / h)^2 - 1); the window is 4 times that
-    return coarse, 3.0 * abs(coarse - seed) / ((seed_grid.h / grid.h) ** 2 - 1.0)
-
-
 def _richardson(coarse, fine):
     """h^2 extrapolation of values at h and h/2, and |extrapolated - fine|."""
     extrapolated = (4.0 * fine - coarse) / 3.0
@@ -422,26 +385,35 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     return EigenResult(extrapolated, fine.eigenvectors, fine_grid, estimate)
 
 
-def refine_eigenvalue(op_factory, grid: Grid, index: int) -> tuple[float, float]:
+def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple[float, float]:
     """:func:`refine` for the one eigenvalue of the given index, without vectors.
 
     Returns (extrapolated value, |extrapolated - fine|), the Richardson step
-    of :func:`refine` applied to :func:`eigenvalue` at h and h/2.  Only a
-    seed grid about 8 times coarser is searched by index.  The level at h is
-    bisected in a window of half-width 2e-2 |seed| around the seed value.
-    The level at h/2 is bisected in a window around the level at h, four
-    times the h^2 prediction of its shift.  Both windows are certified by a
-    Sturm count (see :func:`_eigenvalue_near`), so the values are those of
-    the two index searches, within the bisection tolerance.
+    of :func:`refine` applied to :func:`eigenvalue` at h and h/2, with no
+    search by index.  The level at h is bisected in a window of half-width
+    2e-2 |guess| around the caller's guess, typically the level's closed
+    value.  The level at h/2 is bisected in a window around the level at h
+    of half-width 3 |coarse - guess|, four times the h^2 prediction of its
+    shift when the guess is the h -> 0 limit, and at most 2e-2 |coarse|.
+    Both windows are certified by a Sturm count (see
+    :func:`_eigenvalue_near`), so the values are those of the two index
+    searches, within the bisection tolerance, whatever the guess.
 
-    That tolerance is a floor shared with the index search: each level is
-    resolved to about eps * ||T||inf = 4 eps / h^2 of its operator (unit
-    prefactor).  For the fine grid of an n = 1e5 verify sweep on a 12-wide
-    domain that is about 2.5e-7, so above n of about 2e4 the convergence
-    estimate measures roundoff, not discretization error.
+    The guess only sets the cost: a window bisects, at O(n) each, every
+    level it holds, and a window that misses the level grows 16-fold until
+    it holds it.  A guess within the level spacing costs about one level
+    per grid; a poor guess pays O(n) for each level the widened window
+    sweeps up.
+
+    The bisection tolerance is a floor shared with the index search: each
+    level is resolved to about eps * ||T||inf = 4 eps / h^2 of its operator
+    (unit prefactor).  For the fine grid of an n = 1e5 verify sweep on a
+    12-wide domain that is about 2.5e-7, so above n of about 2e4 the
+    convergence estimate measures roundoff, not discretization error.
     """
-    # the operator on grid is freed before the one on the refined grid is built
-    coarse, fine_width = _coarse_level(op_factory, grid, index)
+    # the operator on grid is a temporary, freed before the refined one is built
+    coarse = _eigenvalue_near(op_factory(grid), index, guess, _COARSE_WINDOW * abs(guess))
+    fine_width = min(3.0 * abs(coarse - guess), _COARSE_WINDOW * abs(coarse))
     fine = _eigenvalue_near(op_factory(grid.refined()), index, coarse, fine_width)
     return _richardson(coarse, fine)
 

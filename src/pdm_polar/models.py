@@ -298,15 +298,21 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
     """Index-n_rho eigenvalue of the family's operator at radial order ell.
 
     Dirichlet walls at rho = h and rho_max (default: the family's wall), one
-    Richardson refinement.  Returns (eigenvalue, convergence_estimate).
+    Richardson refinement, bisected around the family's closed value.
+    Returns (eigenvalue, convergence_estimate).  A negative n_rho or an ell
+    that is not positive, which no quantized level has, raises DomainError.
     """
+    if n_rho < 0:
+        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
+    if not ell > 0:
+        raise DomainError(f"need a radial order ell > 0, got {ell}")
     potential = family.operator(*params, ell * ell)
 
     def factory(grid):
         return discretize(potential, grid, prefactor=1.0)
 
     grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
-    return refine_eigenvalue(factory, grid, n_rho)
+    return refine_eigenvalue(factory, grid, n_rho, family.closed(*params, n_rho, ell))
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -440,14 +446,23 @@ def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
     Solves -(1/2) chi'' = E chi on a 2pi ring; the exact levels are m^2/2
     with the +/-m pairs doubly degenerate.  Returns (values, estimates):
     the Richardson-refined lowest 2 m_max + 1 levels and their
-    |extrapolated - fine| estimates.
+    |extrapolated - fine| estimates, each bisected around its exact value.
+    A negative m_max, or one whose levels reach index n_points/4, which the
+    solver does not resolve, raises DomainError.
     """
+    if m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {m_max}")
+    if 2 * m_max >= n_points // 4:
+        raise DomainError(f"{n_points} ring points resolve m_max < {(n_points // 4 + 1) // 2}, "
+                          f"got m_max = {m_max}")
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
 
     def factory(g):
         return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
 
-    refined = np.array([refine_eigenvalue(factory, grid, j) for j in range(2 * m_max + 1)])
+    # the levels ascend as m = 0, 1, 1, 2, 2, ...: index j has m = (j + 1) // 2
+    refined = np.array([refine_eigenvalue(factory, grid, j, 0.5 * ((j + 1) // 2) ** 2)
+                        for j in range(2 * m_max + 1)])
     return refined[:, 0], refined[:, 1]
 
 
@@ -456,8 +471,6 @@ def toy_zero_zeta_spectrum(m_max: int, *, n_points: int = 2048) -> list[Spectrum
 
     Each record is cross-validated against :func:`zero_zeta_levels`.
     """
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max}")
     values, estimates = zero_zeta_levels(m_max, n_points=n_points)
     records = []
     for m in range(-m_max, m_max + 1):
@@ -545,8 +558,14 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     ends either brackets the root or proves there is none; NoRoot then
     carries the sampled curve for diagnosis.  The one eigenvalue solve is
     the residual at the end.  Returns (lambda*, |E(lambda*) - energy_target|).
+    A target or a range end that is not finite raises DomainError before
+    any solve.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
+    if not math.isfinite(energy_target):
+        raise DomainError(f"the energy target must be finite, got {energy_target}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"the lambda range must be finite, got ({lo}, {hi})")
     if lo > hi:
         raise DomainError(f"lambda range is inverted: ({lo}, {hi})")
     if lo == hi:

@@ -566,9 +566,14 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
      "--range", "0,6.28", "--samples", "3"],
     ["wavefunction", "--model", "FLAT", "--state", "angular:m=3",
      "--range", "0,8e307", "--samples", "3"],
+    # a target or a range end that is not finite is refused before any solve
+    ["scan", "--model", "COS2", "--energy=-inf", "--lambda-range=-1,0"],
+    ["scan", "--model", "COS2", "--energy=nan", "--lambda-range=-1,0"],
+    ["scan", "--model", "COS2", "--energy", "0.5", "--lambda-range=nan,0"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
         "toy-fractional-k", "angular-flat-huge-m", "angular-cos2-huge-m",
-        "angular-flat-infinite-phase"])
+        "angular-flat-infinite-phase", "scan-infinite-energy", "scan-nan-energy",
+        "scan-nan-lambda-range"])
 def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
                                                         flat_model_file, tmp_path, argv):
     wide = write_model(tmp_path, "wide.json",

@@ -314,7 +314,25 @@ def test_refine_box_extrapolation():
     assert result.grid.n_points == 2001
 
 
-@pytest.mark.parametrize("case", ["coulombish", "free ring"])
+# the exact levels of two SOLVE_CASES, by index: the l = 1/2 hydrogen levels
+# -1/(j + 3/2)^2 (the 60-wide wall truncates the ones checked by far less
+# than their spacing) and the free ring's m^2/2 with m = (j + 1) // 2
+CLOSED_LEVELS = {
+    "coulombish": lambda j: -1.0 / (j + 1.5) ** 2,
+    "free ring": lambda j: 0.5 * ((j + 1) // 2) ** 2,
+}
+
+# the caller's guess for level j: its closed value, that value off by half,
+# the next level's closed value, and zero
+GUESS_RULES = {
+    "closed": lambda closed, j: closed(j),
+    "1.5x closed": lambda closed, j: 1.5 * closed(j),
+    "next level": lambda closed, j: closed(j + 1),
+    "zero": lambda closed, j: 0.0,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_LEVELS))
 def test_refine_eigenvalue_matches_refine(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
 
@@ -332,10 +350,11 @@ def test_refine_eigenvalue_matches_refine(case):
     # (4 fine - coarse) / 3 carries at most 5/3 of the per-solve difference,
     # and |extrapolated - fine| one per-solve difference more
     per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
-    for j in range(k):
-        value, estimate = refine_eigenvalue(factory, grid, j)
-        assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve
-        assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve
+    for rule, guess_of in GUESS_RULES.items():
+        for j in range(k):
+            value, estimate = refine_eigenvalue(factory, grid, j, guess_of(CLOSED_LEVELS[case], j))
+            assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve, (rule, j)
+            assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve, (rule, j)
 
 
 # ---------------------------------------------------------------------------
@@ -424,61 +443,37 @@ def test_window_that_never_certifies_raises(monkeypatch):
         _eigenvalue_near(case_operator("box"), 0, 1.0, 1e-3)
     grid, potential, prefactor, _ = SOLVE_CASES["coulombish"]
     with pytest.raises(ConvergenceFailure):
-        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, 0)
+        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, 0, -0.4)
 
 
-@pytest.mark.parametrize("grid, potential, prefactor, rows", [
-    (Grid(0.0, 60.0, 20000, DIRICHLET), coulombish, 1.0, {20000, 40001}),
-    # the parity sectors of the 2048- and 4096-point rings
-    (Grid(0.0, 2.0 * math.pi, 2048, PERIODIC), zero, 0.5, {1025, 1023, 2049, 2047}),
+@pytest.mark.parametrize("case, grid", [
+    ("coulombish", Grid(0.0, 60.0, 20000, DIRICHLET)),
+    ("free ring", Grid(0.0, 2.0 * math.pi, 2048, PERIODIC)),
 ])
-def test_refine_eigenvalue_searches_by_index_on_the_seed_grid_only(
-        monkeypatch, grid, potential, prefactor, rows):
+def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
+    _, potential, prefactor, _ = SOLVE_CASES[case]
     requests = []
     lapack = scipy.linalg.eigh_tridiagonal
 
     def spy(d, e, **kwargs):
-        requests.append((len(d), kwargs.get("select")))
+        requests.append(kwargs.get("select"))
         return lapack(d, e, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
     for index in range(3):
-        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, index)
-    by_index = {n for n, select in requests if select == "i"}
-    assert by_index and not by_index & rows
-    assert {n for n, select in requests if select == "v"} >= rows
-
-
-def test_refine_eigenvalue_survives_a_singular_seed_grid():
-    # the 20-point seed grid of a 160-point grid has a node at L/21, which
-    # neither the 160- nor the 321-point grid has; a potential that is
-    # infinite there makes the seed unsolvable, and the index search runs
-    # at h instead, giving the same numbers
-    length = 21.0
-    grid = Grid(0.0, length, 160, DIRICHLET)
-
-    def potential(x):
-        return np.where(np.abs(x - 1.0) < 1e-9, np.inf, 0.5 * (x - 10.0) ** 2)
-
-    def factory(g):
-        return discretize(potential, g, prefactor=0.5)
-
-    with pytest.raises(PotentialSingular):
-        factory(Grid(0.0, length, 20, DIRICHLET))
-    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
-    for index in range(4):
-        coarse, fine = eigenvalue(factory(grid), index), eigenvalue(factory(grid.refined()), index)
-        value, _ = refine_eigenvalue(factory, grid, index)
-        assert abs(value - (4.0 * fine - coarse) / 3.0) <= 5.0 / 3.0 * per_solve
+        for guess in (CLOSED_LEVELS[case](index), 0.0):
+            refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
+                              grid, index, guess)
+    assert requests and set(requests) == {"v"}
 
 
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
     grid = Grid(0.0, 1.0, 64, DIRICHLET)
     with pytest.raises(ValueError, match="n/4 = 16, got 16"):
-        refine_eigenvalue(lambda g: discretize(zero, g), grid, 16)
+        refine_eigenvalue(lambda g: discretize(zero, g), grid, 16, 1.0)
     ring = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
     with pytest.raises(ValueError, match="reflection-symmetric"):
-        refine_eigenvalue(lambda g: discretize(np.sin, g, prefactor=0.5), ring, 1)
+        refine_eigenvalue(lambda g: discretize(np.sin, g, prefactor=0.5), ring, 1, 0.5)
 
 
 def test_observed_order_box():

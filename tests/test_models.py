@@ -256,6 +256,27 @@ def test_verify_coulomb_domain_guard():
         verify_coulomb(3.0, -1, 1e-4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: coulomb_numeric_level(0.0, 0),
+    lambda: coulomb_numeric_level(-0.5, 0),
+    lambda: coulomb_numeric_level(math.nan, 0),
+    lambda: oscillator_numeric_level(1.0, 1.0, -1),
+    lambda: zero_zeta_levels(-1),
+    # index 2 m_max = 512 reaches n_points/4
+    lambda: zero_zeta_levels(256, n_points=2048),
+], ids=["coulomb-ell-zero", "coulomb-ell-negative", "coulomb-ell-nan", "oscillator-n-rho-negative",
+        "zero-zeta-m-max-negative", "zero-zeta-m-max-past-grid"])
+def test_numeric_level_guards_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_zero_zeta_levels_resolve_the_last_index_below_a_quarter_of_the_ring():
+    # 68 / 4 = 17: index 2 m_max = 16 is the last one resolved
+    values, _ = zero_zeta_levels(8, n_points=68)
+    assert values[-1] == pytest.approx(32.0, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # closed radial states
 
@@ -436,6 +457,23 @@ def test_scan_degenerate_range():
 def test_scan_inverted_range():
     with pytest.raises(DomainError):
         heun_regime_scan(MM, 0.5, (0.0, -1.0))
+
+
+@pytest.mark.parametrize("energy, lambda_range, named", [
+    (-math.inf, (-1.0, 0.0), "energy target"),
+    (math.nan, (-1.0, 0.0), "energy target"),
+    (0.5, (math.nan, 0.0), "lambda range"),
+    (0.5, (-1.0, math.inf), "lambda range"),
+])
+def test_scan_refuses_non_finite_input_before_any_solve(monkeypatch, energy, lambda_range, named):
+    import pdm_polar.models as md
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(md, "_scan_operator", no_solve)
+    with pytest.raises(DomainError, match=named):
+        heun_regime_scan(MM, energy, lambda_range)
 
 
 def test_scan_no_root_solves_each_range_end_once(monkeypatch):
