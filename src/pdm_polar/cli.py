@@ -282,9 +282,7 @@ def cmd_scan(args):
         )
     except NoRoot as exc:
         no_root = exc
-    # an unbracketed range has already sampled this very curve; a degenerate
-    # one carries only its single point
-    if no_root is not None and len(no_root.curve) == args.curve_samples:
+    if no_root is not None:
         curve = no_root.curve
     else:
         curve = md.scan_curve(model.ordering, (lo, hi), args.curve_samples,

@@ -4,47 +4,41 @@ Second-order central differences of -c d^2/dx^2 + V(x) on a uniform grid,
 with two boundary treatments:
 
 * dirichlet: endpoints excluded, x_i = x_min + (i+1) h, h = L / (n+1);
-* periodic:  x_i = x_min + i h, h = L / n, with a corner coupling closing
-  the ring.
+* periodic:  x_i = x_min + i h, h = L / n; the corner entries that close
+  the ring equal the uniform off-diagonal.
 
-Eigenpairs come from LAPACK's Sturm-sequence bisection plus inverse
-iteration (``?stebz``/``?stein`` via :func:`scipy.linalg.eigh_tridiagonal`).
-Periodic rings are not handed to LAPACK directly: they are split into even
-and odd reflection-parity sectors, each again a plain symmetric tridiagonal
-problem.  The split keeps the kernel purely tridiagonal and makes the double
-degeneracy of travelling-wave pairs explicit.  It requires the sampled
-potential to be reflection symmetric about x_min, which holds for every
-periodic problem this package builds.
+Four requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
+and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
+the eigenvalues in a window certified by a Sturm count (``_eigenvalue_near``,
+which :func:`refine_eigenvalue` bisects its two levels in) and the Sturm
+count at or below a value (:func:`count_below`).  All four go through one
+call site, ``_lapack``: Sturm-sequence bisection (``?stebz``), plus inverse
+iteration (``?stein``) for vectors, via :func:`scipy.linalg.eigh_tridiagonal`
+(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N. Parlett, The
+Symmetric Eigenvalue Problem (SIAM, 1998)).  scipy is imported there, on the
+first request, so code that never solves runs on numpy alone.
 
-Eigenpairs exist on Dirichlet grids only: :func:`eigen_lowest` and
-:func:`refine` return the lowest k eigenpairs, vectors included, and refuse a
-ring.  Values by index exist on any grid: :func:`eigenvalue` and
-:func:`refine_eigenvalue` return one eigenvalue, selected by index, with no
-vectors; inverse iteration is skipped.  :func:`eigenvalue` searches the whole
-Gershgorin interval for that index: on a Dirichlet grid LAPACK is asked for
-that index alone; a ring asks each parity sector for its lowest index + 1
-values and merges them.  :func:`refine_eigenvalue` makes no such search.
-It takes a guess of the level from the caller, typically its closed value,
-bisects the level at h by value inside a window around the guess, and the
-level at h/2 inside a window around the level at h.  A Sturm count at the
-window's lower end certifies the index, so the result is the same
-eigenvalue of the same operator as the search by index gives (Barth,
-Martin & Wilkinson, Numer. Math. 9, 386 (1967)); a window that does not
-hold the level is widened until it does.  A poor guess therefore costs
-time, O(n) for each level the widened window sweeps up, but never gives a
-wrong level.
+The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
+symmetric tridiagonal, and a ring splits into its even and odd
+reflection-parity sectors, each again a plain symmetric tridiagonal.  The
+split keeps the kernel purely tridiagonal and makes the double degeneracy
+of travelling-wave pairs explicit.  It requires the sampled potential to be
+reflection symmetric about x_min, which holds for every periodic problem
+this package builds.  The requests by value and by index run over the
+sectors and merge what they return; eigenpairs exist on Dirichlet grids
+only, so :func:`eigen_lowest` refuses a ring.
+
+:func:`eigenvalue` searches the whole spectrum for its index;
+:func:`refine_eigenvalue` instead bisects by value in windows around the
+caller's guess, each certified by a Sturm count, so a poor guess costs time,
+never a wrong level.
 
 A caller that only needs to know on which side of a value a level lies
-should use :func:`count_below`: it returns the number of eigenvalues at or
-below x from LAPACK's Sturm inertia count (a by-value ``?stebz`` request
-that stops after the count), O(n) per sector, with no bisection towards
-any eigenvalue.  The lambda scan bisects on it.
-
-scipy is imported on the first solve or count, inside the LAPACK call
-sites, so code that never solves runs on numpy alone.
-
-A small pure-Python Sturm counter, :func:`sturm_count_below`, stays as the
-test reference for those counts; it is too slow for production use.
+should use :func:`count_below`: a by-value ``?stebz`` request that stops
+after the Sturm count, O(n) per sector, with no bisection towards any
+eigenvalue.  The lambda scan bisects on it.  A small pure-Python Sturm
+counter, :func:`sturm_count_below`, stays as the test reference for those
+counts; it is too slow for production use.
 """
 
 from __future__ import annotations
@@ -113,11 +107,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Symmetric (tridiagonal + optional corner) matrix for -c u'' + V u."""
+    """Symmetric tridiagonal matrix for -c u'' + V u; on a ring the corner
+    entries that close it equal ``off_diagonal[0]``, as every off-diagonal does."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    corner_coupling: float | None
     grid: Grid
 
     @property
@@ -129,8 +123,8 @@ class DiscretizedOperator:
         out[:-1] += self.off_diagonal * v[1:]
         out[1:] += self.off_diagonal * v[:-1]
         if self.grid.boundary == PERIODIC:
-            out[0] += self.corner_coupling * v[-1]
-            out[-1] += self.corner_coupling * v[0]
+            out[0] += self.off_diagonal[0] * v[-1]
+            out[-1] += self.off_diagonal[0] * v[0]
         return out
 
     def inf_norm(self) -> float:
@@ -138,8 +132,8 @@ class DiscretizedOperator:
         row[:-1] += np.abs(self.off_diagonal)
         row[1:] += np.abs(self.off_diagonal)
         if self.grid.boundary == PERIODIC:
-            row[0] += abs(self.corner_coupling)
-            row[-1] += abs(self.corner_coupling)
+            row[0] += abs(self.off_diagonal[0])
+            row[-1] += abs(self.off_diagonal[0])
         return float(np.max(row))
 
 
@@ -186,8 +180,7 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
         ) from exc
     diag = 2.0 * kin + v
     off = np.full(grid.n_points - 1, -kin)
-    corner = -kin if grid.boundary == PERIODIC else None
-    return DiscretizedOperator(diag, off, corner, grid)
+    return DiscretizedOperator(diag, off, grid)
 
 
 def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) -> int:
@@ -210,35 +203,22 @@ def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) 
     return count
 
 
-def _solve_sector(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, *, vectors: bool):
-    """Eigenvalues of indices lo..hi of one symmetric tridiagonal, with vectors if asked."""
+def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
+            vectors: bool = False, tol: float = 0.0):
+    """The one LAPACK call site: ascending eigenvalues of one symmetric
+    tridiagonal, indices lo..hi (``select="i"``) or values in (lo, hi]
+    (``"v"``), and the vectors too if asked; ``tol`` 0 is LAPACK's default."""
     # imported here so that commands which never solve do not load scipy
     from scipy.linalg import eigh_tridiagonal
 
     try:
-        return eigh_tridiagonal(diag, off, eigvals_only=not vectors,
-                                select="i", select_range=(lo, hi))
+        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select=select,
+                                select_range=select_range, tol=tol)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate cluster
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _values_between(diag: np.ndarray, off: np.ndarray, lo: float, hi: float,
-                    tol: float = 0.0) -> np.ndarray:
-    """Ascending eigenvalues of one symmetric tridiagonal in (lo, hi], no vectors.
-
-    A by-value ``?stebz`` request; ``tol`` is its absolute tolerance, and 0
-    keeps LAPACK's default.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                select_range=(lo, hi), tol=tol)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - never seen by value
-        raise ConvergenceFailure(str(exc)) from exc
-
-
-def _count_sector(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of one symmetric tridiagonal at or below x.
 
     A by-value request for (-inf, x] with a tolerance wider than the whole
@@ -246,36 +226,43 @@ def _count_sector(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     the length of what it returns is that count.
     """
     width = 4.0 * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
-    return len(_values_between(diag, off, -np.inf, x, tol=width))
-
-
-def _symmetrized_ring_diagonal(diag: np.ndarray) -> np.ndarray:
-    tail = diag[1:]
-    mismatch = float(np.max(np.abs(tail - tail[::-1]))) if tail.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(diag))))
-    if mismatch > 1e-6 * scale:
-        raise ValueError(
-            "periodic solves need a reflection-symmetric potential about x_min "
-            f"(max asymmetry {mismatch:.3e})"
-        )
-    out = diag.copy()
-    out[1:] = 0.5 * (tail + tail[::-1])
-    return out
+    return len(_lapack(diag, off, "v", (-np.inf, x), tol=width))
 
 
 def _parity_sectors(op: DiscretizedOperator):
     """(diagonal, off-diagonal) of the even and the odd reflection-parity sector.
 
     The even sector holds nodes 0..m (m = n/2), the odd one nodes 1..m-1, so
-    both have more than n/4 rows and any index below n/4 exists in each.
+    both have more than n/4 rows and any index below n/4 exists in each.  The
+    diagonal is symmetrized about node 0 first; a potential that is not
+    reflection symmetric there raises ValueError.
     """
     m = op.n // 2
-    diag = _symmetrized_ring_diagonal(op.diagonal)
+    tail = op.diagonal[1:]
+    mismatch = float(np.max(np.abs(tail - tail[::-1])))
+    if mismatch > 1e-6 * max(1.0, float(np.max(np.abs(op.diagonal)))):
+        raise ValueError(
+            "periodic solves need a reflection-symmetric potential about x_min "
+            f"(max asymmetry {mismatch:.3e})"
+        )
+    diag = op.diagonal.copy()
+    diag[1:] = 0.5 * (tail + tail[::-1])
     coupling = float(op.off_diagonal[0])
     e_even = np.full(m, coupling)
     e_even[0] = math.sqrt(2.0) * coupling
     e_even[-1] = math.sqrt(2.0) * coupling
     return (diag[: m + 1], e_even), (diag[1:m], np.full(m - 2, coupling))
+
+
+def _sectors(op: DiscretizedOperator):
+    """The symmetric tridiagonals whose spectra together are the operator's.
+
+    The one place the boundary is decided: a Dirichlet operator is its own
+    single sector, a ring its two reflection-parity sectors.
+    """
+    if op.grid.boundary == PERIODIC:
+        return _parity_sectors(op)
+    return ((op.diagonal, op.off_diagonal),)
 
 
 def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
@@ -290,7 +277,7 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
                          f"got {op.grid.boundary!r}; use eigenvalue or count_below")
     if not 1 <= k <= op.n // 4:
         raise ValueError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
-    w, v = _solve_sector(op.diagonal, op.off_diagonal, 0, k - 1, vectors=True)
+    w, v = _lapack(op.diagonal, op.off_diagonal, "i", (0, k - 1), vectors=True)
     return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
 
 
@@ -307,10 +294,11 @@ def eigenvalue(op: DiscretizedOperator, index: int) -> float:
     guard is 0 <= index < n/4 on either boundary.
     """
     _check_index(op, index)
-    if op.grid.boundary == PERIODIC:
-        lowest = [_solve_sector(*sector, 0, index, vectors=False) for sector in _parity_sectors(op)]
-        return float(np.sort(np.concatenate(lowest))[index])
-    return float(_solve_sector(op.diagonal, op.off_diagonal, index, index, vectors=False)[0])
+    sectors = _sectors(op)
+    # a lone sector is asked for the index alone, several for their lowest index + 1
+    first = index if len(sectors) == 1 else 0
+    lowest = np.concatenate([_lapack(diag, off, "i", (first, index)) for diag, off in sectors])
+    return float(np.sort(lowest)[index - first])
 
 
 def count_below(op: DiscretizedOperator, x: float) -> int:
@@ -320,9 +308,7 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     eigenvalue of a given index lies above x exactly when the count is at
     most that index.
     """
-    if op.grid.boundary == PERIODIC:
-        return sum(_count_sector(*sector, x) for sector in _parity_sectors(op))
-    return _count_sector(op.diagonal, op.off_diagonal, x)
+    return sum(_count(diag, off, x) for diag, off in _sectors(op))
 
 
 def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: float) -> float:
@@ -344,16 +330,13 @@ def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: f
     guess = min(max(guess, -norm), norm)
     floor = max(_WINDOW_FLOOR * _EPS * norm, _TINY)
     w = max(abs(width), floor)
-    if op.grid.boundary == PERIODIC:
-        sectors = _parity_sectors(op)
-    else:
-        sectors = [(op.diagonal, op.off_diagonal)]
+    sectors = _sectors(op)
     while True:
         lo, hi = guess - w, guess + w
         below = count_below(op, lo)
         if below <= index:
-            inside = np.sort(np.concatenate([_values_between(*sector, lo, hi)
-                                             for sector in sectors]))
+            inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
+                                             for diag, off in sectors]))
             if index < below + len(inside):
                 return float(inside[index - below])
         if lo < -norm - floor and hi > norm + floor:
@@ -399,11 +382,9 @@ def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple
     :func:`_eigenvalue_near`), so the values are those of the two index
     searches, within the bisection tolerance, whatever the guess.
 
-    The guess only sets the cost: a window bisects, at O(n) each, every
-    level it holds, and a window that misses the level grows 16-fold until
-    it holds it.  A guess within the level spacing costs about one level
-    per grid; a poor guess pays O(n) for each level the widened window
-    sweeps up.
+    The guess only sets the cost: a window bisects every level it holds,
+    at O(n) each, and one that misses the level grows 16-fold until it
+    holds it, so a guess within the level spacing costs about one level.
 
     The bisection tolerance is a floor shared with the index search: each
     level is resolved to about eps * ||T||inf = 4 eps / h^2 of its operator

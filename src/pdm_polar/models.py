@@ -293,14 +293,33 @@ RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
 # numeric levels (the independent oracle)
 
 
+def _grid(x_min: float, x_max: float, n_points: int, boundary: str) -> Grid:
+    """The solver's Grid, with a grid it refuses raised as DomainError."""
+    try:
+        return Grid(x_min, x_max, n_points, boundary)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+
+
+def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
+                 rho_max: float | None) -> Grid:
+    """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; an
+    index of n_points/4 or more, which the solver does not resolve, raises
+    DomainError, as does a grid the solver refuses."""
+    if n_rho_max >= n_points // 4:
+        raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
+                          f"got n_rho_max = {n_rho_max}")
+    return _grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+
+
 def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
                    n_points: int, rho_max: float | None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of the family's operator at radial order ell.
 
     Dirichlet walls at rho = h and rho_max (default: the family's wall), one
     Richardson refinement, bisected around the family's closed value.
-    Returns (eigenvalue, convergence_estimate).  A negative n_rho or an ell
-    that is not positive, which no quantized level has, raises DomainError.
+    Returns (eigenvalue, convergence_estimate).  A negative n_rho, an ell
+    that is not positive and what :func:`_radial_grid` refuses raise DomainError.
     """
     if n_rho < 0:
         raise DomainError(f"n_rho must be >= 0, got {n_rho}")
@@ -311,7 +330,7 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
     def factory(grid):
         return discretize(potential, grid, prefactor=1.0)
 
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    grid = _radial_grid(family, params, n_rho, n_points, rho_max)
     return refine_eigenvalue(factory, grid, n_rho, family.closed(*params, n_rho, ell))
 
 
@@ -349,13 +368,12 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     family's).  Each record carries the absolute difference; use
     :func:`all_within` to gate on a tolerance.  A negative n_rho_max, which
     would sweep no level and pass vacuously, raises DomainError before any
-    solve, as does a level outside the quantization's domain or at an index
-    of n_points/4 or more, which the solver does not resolve.
+    solve, as does a level outside the quantization's domain or an index or
+    a grid that :func:`_radial_grid` refuses.
     """
     lams = family.levels(params, n_rho_max)
-    if n_rho_max >= n_points // 4:
-        raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
-                          f"got n_rho_max = {n_rho_max}")
+    # refuses, before the first solve, what any level of the sweep would
+    _radial_grid(family, params, n_rho_max, n_points, rho_max)
     records = []
     for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
@@ -384,12 +402,13 @@ def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
     and signed to agree with ``family.state``, is set against that closed
     state at the grid's nodes.  Each entry is the h-weighted L2 distance of
     the two unit-norm states: near 0 when they agree, near 1 or above when
-    the grid or the wall does not hold the state.  Call it after
-    :func:`verify_family`, whose guards it shares.
+    the grid or the wall does not hold the state.  It refuses, before any
+    solve, what :func:`verify_family` refuses.
     """
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    lams = family.levels(params, n_rho_max)
+    grid = _radial_grid(family, params, n_rho_max, n_points, rho_max)
     errors = []
-    for n_rho, lam in enumerate(family.levels(params, n_rho_max)):
+    for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
         op = discretize(family.operator(*params, ell * ell), grid)
         numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
@@ -447,15 +466,15 @@ def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
     with the +/-m pairs doubly degenerate.  Returns (values, estimates):
     the Richardson-refined lowest 2 m_max + 1 levels and their
     |extrapolated - fine| estimates, each bisected around its exact value.
-    A negative m_max, or one whose levels reach index n_points/4, which the
-    solver does not resolve, raises DomainError.
+    A negative m_max, one whose levels reach index n_points/4, which the
+    solver does not resolve, or a ring it refuses raises DomainError.
     """
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
     if 2 * m_max >= n_points // 4:
         raise DomainError(f"{n_points} ring points resolve m_max < {(n_points // 4 + 1) // 2}, "
                           f"got m_max = {m_max}")
-    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid = _grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
 
     def factory(g):
         return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
@@ -514,7 +533,7 @@ def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int)
         raise DomainError(
             f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
         )
-    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid = _grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
     return discretize(_scan_potential(a, lam), grid, prefactor=0.5)
 
 
@@ -527,8 +546,8 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     default point count keeps grid nodes half a spacing away from the mass
     zeros at pi/2 and 3pi/2; that holds exactly when n_points % 4 == 2 (a
     multiple of 4 puts a node on a zero, an odd count breaks the parity
-    split), so any other count raises DomainError, as does a state_index
-    outside 0 <= state_index < n_points/4.
+    split), so any other count raises DomainError, as do fewer than 16
+    points and a state_index outside 0 <= state_index < n_points/4.
     """
     return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index)
 
@@ -569,10 +588,9 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     if lo > hi:
         raise DomainError(f"lambda range is inverted: ({lo}, {hi})")
     if lo == hi:
-        raise NoRoot(
-            f"degenerate lambda range [{lo}, {hi}]",
-            curve=[(lo, scan_level(a, lo, state_index=state_index, n_points=n_points))],
-        )
+        # every point of the curve is this one, solved once
+        point = (lo, scan_level(a, lo, state_index=state_index, n_points=n_points))
+        raise NoRoot(f"degenerate lambda range [{lo}, {hi}]", curve=[point] * curve_samples)
 
     def level(lam: float) -> float:
         return scan_level(a, lam, state_index=state_index, n_points=n_points)

@@ -481,6 +481,26 @@ def test_unbracketed_scan_solves_each_curve_point_once(cos2_model_file, monkeypa
     assert len(solved) == 5
 
 
+def test_degenerate_scan_solves_its_one_level_once(cos2_model_file, monkeypatch, capsys):
+    from pdm_polar import cli
+    from pdm_polar import models as md
+
+    solved = []
+    scan_level = md.scan_level
+
+    def counting_scan_level(a, lam, **kwargs):
+        solved.append(lam)
+        return scan_level(a, lam, **kwargs)
+
+    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    code = cli.main(["scan", "--model", str(cos2_model_file), "--energy", "0.5",
+                     "--lambda-range=-0.75,-0.75", "--curve-samples", "5"])
+    assert code == 5
+    curve = json.loads(capsys.readouterr().out)["curve"]
+    assert len(curve) == 5 and len({(p["lambda"], p["energy"]) for p in curve}) == 1
+    assert solved == [-0.75]
+
+
 def test_scan_needs_cos2(flat_model_file):
     result = run_cli(
         ["scan", "--model", str(flat_model_file), "--energy", "0.5",

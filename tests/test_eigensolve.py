@@ -15,9 +15,9 @@ from pdm_polar.eigensolve import (
     PERIODIC,
     DiscretizedOperator,
     Grid,
-    _count_sector,
+    _count,
     _eigenvalue_near,
-    _parity_sectors,
+    _sectors,
     count_below,
     discretize,
     eigen_lowest,
@@ -66,7 +66,7 @@ def reference_lowest(op, k):
     if op.grid.boundary == DIRICHLET:
         return eigen_lowest(op, k).eigenvalues
     dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
-    dense[0, -1] = dense[-1, 0] = op.corner_coupling
+    dense[0, -1] = dense[-1, 0] = op.off_diagonal[0]
     return np.linalg.eigvalsh(dense)[:k]
 
 
@@ -119,13 +119,18 @@ def test_discretize_entries():
     kin = 1.0 / g.h**2
     np.testing.assert_allclose(op.diagonal, 2.0 * kin + 0.5 * g.points**2, rtol=1e-14)
     np.testing.assert_array_equal(op.off_diagonal, -kin)
-    assert op.corner_coupling is None
+    # no corner: the last node does not reach the first row
+    last = np.zeros(g.n_points)
+    last[-1] = 1.0
+    assert op.matvec(last)[0] == 0.0
 
 
 def test_discretize_periodic_corner():
     g = Grid(0.0, 2.0 * math.pi, 32, PERIODIC)
     op = discretize(zero, g, prefactor=0.5)
-    assert op.corner_coupling == pytest.approx(-0.5 / g.h**2, rel=1e-14)
+    last = np.zeros(g.n_points)
+    last[-1] = 1.0
+    assert op.matvec(last)[0] == pytest.approx(-0.5 / g.h**2, rel=1e-14)
 
 
 def test_discretize_rejects_singular_potential():
@@ -234,16 +239,13 @@ def test_count_below_matches_references(case):
         if above - below > 8.0 * bound
     ]
     assert len(targets) >= 3
-    if grid.boundary == PERIODIC:
-        sectors = _parity_sectors(op)
-    else:
-        sectors = [(op.diagonal, op.off_diagonal)]
+    sectors = _sectors(op)
     for x in targets:
         assert np.min(np.abs(lowest - x)) > bound
         expected = int(np.sum(lowest <= x))
         assert count_below(op, x) == expected
         for diag, off in sectors:
-            assert _count_sector(diag, off, x) == sturm_count_below(diag, off, x)
+            assert _count(diag, off, x) == sturm_count_below(diag, off, x)
     # a target above the Gershgorin interval counts every eigenvalue
     assert count_below(op, 2.0 * op.inf_norm()) == op.n
 
@@ -380,7 +382,7 @@ def random_tridiagonals(draw):
     diag = scale * rng.standard_normal(n)
     off = scale * rng.standard_normal(n - 1)
     off[rng.random(n - 1) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
-    return DiscretizedOperator(diag, off, None, Grid(0.0, 1.0, n, DIRICHLET))
+    return DiscretizedOperator(diag, off, Grid(0.0, 1.0, n, DIRICHLET))
 
 
 GUESSES = ("zero", "level", "other level", "above", "below", "random")
@@ -431,7 +433,7 @@ def test_window_refuses_non_finite_input(guess, width):
 
 def test_window_on_the_zero_operator():
     # ||T||inf = 0 leaves no eps-scaled floor; the window must still open
-    op = DiscretizedOperator(np.zeros(16), np.zeros(15), None, Grid(0.0, 1.0, 16, DIRICHLET))
+    op = DiscretizedOperator(np.zeros(16), np.zeros(15), Grid(0.0, 1.0, 16, DIRICHLET))
     assert _eigenvalue_near(op, 3, 0.0, 0.0) == 0.0
 
 

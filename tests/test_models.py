@@ -264,9 +264,21 @@ def test_verify_coulomb_domain_guard():
     lambda: zero_zeta_levels(-1),
     # index 2 m_max = 512 reaches n_points/4
     lambda: zero_zeta_levels(256, n_points=2048),
+    # index 1000 reaches n_points/4
+    lambda: coulomb_numeric_level(1.0, 1000, n_points=4000),
+    # grids the solver refuses: fewer than 16 points, an odd ring
+    lambda: oscillator_numeric_level(1.0, 1.0, 0, n_points=8),
+    lambda: zero_zeta_levels(1, n_points=63),
 ], ids=["coulomb-ell-zero", "coulomb-ell-negative", "coulomb-ell-nan", "oscillator-n-rho-negative",
-        "zero-zeta-m-max-negative", "zero-zeta-m-max-past-grid"])
-def test_numeric_level_guards_raise_domain_error(call):
+        "zero-zeta-m-max-negative", "zero-zeta-m-max-past-grid", "coulomb-n-rho-past-grid",
+        "oscillator-too-few-points", "zero-zeta-odd-ring"])
+def test_numeric_level_guards_raise_domain_error(monkeypatch, call):
+    import pdm_polar.models as md
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(md, "refine_eigenvalue", no_solve)
     with pytest.raises(DomainError):
         call()
 
@@ -344,6 +356,22 @@ def test_closed_state_largest_lobe_is_positive(family):
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
 
 
+def test_state_errors_guard_their_own_sweep(monkeypatch):
+    import pdm_polar.models as md
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(md, "eigen_lowest", no_solve)
+    # the guard verify_family applies, without verify_family having run
+    with pytest.raises(DomainError, match="4000 grid points resolve n_rho < 1000"):
+        state_errors(OSCILLATOR, (1.0, 4001.0), 1000, n_points=4000)
+    with pytest.raises(DomainError, match="n_rho_max must be >= 0"):
+        state_errors(OSCILLATOR, (1.0, 4.0), -1)
+    with pytest.raises(DomainError, match="at least 16 points"):
+        state_errors(COULOMB, (3.0,), 0, n_points=8)
+
+
 @pytest.mark.parametrize("family, params", [(COULOMB, (3.0,)), (OSCILLATOR, (1.0, 6.0))],
                          ids=["coulomb", "oscillator"])
 def test_state_errors_flag_a_wrong_state(family, params):
@@ -402,17 +430,21 @@ def test_zero_zeta_levels_degeneracy():
 def test_ring_callers_never_ask_for_vectors(monkeypatch):
     from pdm_polar import eigensolve
 
-    solve_sector = eigensolve._solve_sector
-    flags = []
+    lapack = eigensolve._lapack
+    flags = {}
 
-    def recording_solve_sector(*args, vectors):
-        flags.append(vectors)
-        return solve_sector(*args, vectors=vectors)
+    def recording_lapack(*args, vectors=False, **kwargs):
+        flags.setdefault(caller, []).append(vectors)
+        return lapack(*args, vectors=vectors, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "_solve_sector", recording_solve_sector)
+    monkeypatch.setattr(eigensolve, "_lapack", recording_lapack)
+    caller = "toy_zero_zeta_spectrum"
     toy_zero_zeta_spectrum(2, n_points=256)
+    caller = "angular_confined_levels"
     angular_confined_levels(BDD, 0.0, k=2, n_points=400)
-    assert flags and not any(flags)
+    # both callers reach the one LAPACK call site, and neither asks for vectors
+    assert set(flags) == {"toy_zero_zeta_spectrum", "angular_confined_levels"}
+    assert not any(any(f) for f in flags.values())
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +482,10 @@ def test_scan_no_root_carries_curve():
 
 
 def test_scan_degenerate_range():
-    with pytest.raises(NoRoot):
-        heun_regime_scan(MM, 0.5, (-0.75, -0.75))
+    with pytest.raises(NoRoot) as excinfo:
+        heun_regime_scan(MM, 0.5, (-0.75, -0.75), curve_samples=4)
+    # the one solved point fills every sample of the curve
+    assert excinfo.value.curve == [(-0.75, scan_level(MM, -0.75))] * 4
 
 
 def test_scan_inverted_range():
@@ -530,8 +564,9 @@ def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_points": 4000}, {"n_points": 2051}, {"state_index": -1}, {"state_index": 512},
-], ids=["n_points=4000", "n_points=2051", "state_index=-1", "state_index=512"])
+    {"n_points": 4000}, {"n_points": 2051}, {"n_points": 14}, {"state_index": -1},
+    {"state_index": 512},
+], ids=["n_points=4000", "n_points=2051", "n_points=14", "state_index=-1", "state_index=512"])
 def test_scan_guards_run_before_any_solve(kwargs):
     with pytest.raises(DomainError):
         heun_regime_scan(MM, 0.5, (-1.0, 0.0), **kwargs)
