@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, PotentialSingular
+from .errors import ConvergenceFailure, DomainError, PotentialSingular
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -77,13 +77,13 @@ class Grid:
 
     def __post_init__(self):
         if self.boundary not in (DIRICHLET, PERIODIC):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+            raise DomainError(f"unknown boundary {self.boundary!r}")
         if self.n_points < 16:
-            raise ValueError(f"need at least 16 points, got {self.n_points}")
+            raise DomainError(f"need at least 16 points, got {self.n_points}")
         if not self.x_max > self.x_min:
-            raise ValueError(f"empty interval ({self.x_min}, {self.x_max})")
+            raise DomainError(f"empty interval ({self.x_min}, {self.x_max})")
         if self.boundary == PERIODIC and self.n_points % 2 != 0:
-            raise ValueError("periodic grids need an even point count (parity split)")
+            raise DomainError("periodic grids need an even point count (parity split)")
 
     @property
     def h(self) -> float:
@@ -235,13 +235,13 @@ def _parity_sectors(op: DiscretizedOperator):
     The even sector holds nodes 0..m (m = n/2), the odd one nodes 1..m-1, so
     both have more than n/4 rows and any index below n/4 exists in each.  The
     diagonal is symmetrized about node 0 first; a potential that is not
-    reflection symmetric there raises ValueError.
+    reflection symmetric there raises DomainError.
     """
     m = op.n // 2
     tail = op.diagonal[1:]
     mismatch = float(np.max(np.abs(tail - tail[::-1])))
     if mismatch > 1e-6 * max(1.0, float(np.max(np.abs(op.diagonal)))):
-        raise ValueError(
+        raise DomainError(
             "periodic solves need a reflection-symmetric potential about x_min "
             f"(max asymmetry {mismatch:.3e})"
         )
@@ -273,17 +273,17 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     :func:`count_below` for its levels.
     """
     if op.grid.boundary != DIRICHLET:
-        raise ValueError("eigen_lowest solves Dirichlet operators only, "
-                         f"got {op.grid.boundary!r}; use eigenvalue or count_below")
+        raise DomainError("eigen_lowest solves Dirichlet operators only, "
+                          f"got {op.grid.boundary!r}; use eigenvalue or count_below")
     if not 1 <= k <= op.n // 4:
-        raise ValueError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
+        raise DomainError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
     w, v = _lapack(op.diagonal, op.off_diagonal, "i", (0, k - 1), vectors=True)
     return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
 
 
 def _check_index(op: DiscretizedOperator, index: int) -> None:
     if not 0 <= index < op.n // 4:
-        raise ValueError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
+        raise DomainError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
 
 
 def eigenvalue(op: DiscretizedOperator, index: int) -> float:
@@ -325,7 +325,7 @@ def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: f
     """
     _check_index(op, index)
     if not (math.isfinite(guess) and math.isfinite(width)):
-        raise ValueError(f"need a finite guess and width, got {guess!r} and {width!r}")
+        raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
     norm = op.inf_norm()
     guess = min(max(guess, -norm), norm)
     floor = max(_WINDOW_FLOOR * _EPS * norm, _TINY)
@@ -357,7 +357,7 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     """Solve at h and h/2 and Richardson-extrapolate the h^2 error away.
 
     ``op_factory`` maps a Dirichlet Grid to a DiscretizedOperator; a ring
-    raises ValueError through :func:`eigen_lowest`.  The returned
+    raises DomainError through :func:`eigen_lowest`.  The returned
     eigenvalues are the extrapolated ones; eigenvectors and grid are from the
     fine solve; ``convergence_estimate[j] = |extrapolated_j - fine_j|``.
     """

@@ -35,8 +35,9 @@ class ConvergenceFailure(PdmPolarError):
     """
 
 
-class DomainError(PdmPolarError):
-    """Physical parameters outside the range where a closed form is defined."""
+class DomainError(PdmPolarError, ValueError):
+    """Input outside a closed form's range, or refused by the solver or the Bessel
+    and Laguerre kernels (a grid, an index, an order); it is a ValueError too."""
 
 
 class NoRoot(PdmPolarError):

@@ -62,6 +62,8 @@ from .specfun import bessel_j, laguerre_assoc
 # scan ring (n_points % 4 == 2, see scan_level)
 RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
+# width of the lambda bracket at which heun_regime_scan stops bisecting
+_LAMBDA_TOL = 1e-6
 
 ZERO_ZETA_NOTE = (
     "zero-potential angular line validated on a 2pi-periodic coordinate; "
@@ -293,14 +295,6 @@ RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
 # numeric levels (the independent oracle)
 
 
-def _grid(x_min: float, x_max: float, n_points: int, boundary: str) -> Grid:
-    """The solver's Grid, with a grid it refuses raised as DomainError."""
-    try:
-        return Grid(x_min, x_max, n_points, boundary)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-
-
 def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
                  rho_max: float | None) -> Grid:
     """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; an
@@ -309,7 +303,7 @@ def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: 
     if n_rho_max >= n_points // 4:
         raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
                           f"got n_rho_max = {n_rho_max}")
-    return _grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    return Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
 
 
 def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
@@ -474,7 +468,7 @@ def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
     if 2 * m_max >= n_points // 4:
         raise DomainError(f"{n_points} ring points resolve m_max < {(n_points // 4 + 1) // 2}, "
                           f"got m_max = {m_max}")
-    grid = _grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
 
     def factory(g):
         return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
@@ -533,7 +527,7 @@ def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int)
         raise DomainError(
             f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
         )
-    grid = _grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
     return discretize(_scan_potential(a, lam), grid, prefactor=0.5)
 
 
@@ -564,8 +558,7 @@ def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int,
 
 def heun_regime_scan(a: AmbiguitySet, energy_target: float,
                      lambda_range: tuple[float, float], *, state_index: int = 1,
-                     n_points: int = SCAN_N_POINTS, lambda_tol: float = 1e-6,
-                     curve_samples: int = 9) -> tuple[float, float]:
+                     n_points: int = SCAN_N_POINTS, curve_samples: int = 9) -> tuple[float, float]:
     """Find lambda* with E_index(lambda*) = energy_target by bisection.
 
     The tracked eigenvalue decreases monotonically in lambda (the potential
@@ -612,7 +605,7 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
             curve=curve,
         )
     for _ in range(200):
-        if hi - lo <= lambda_tol:
+        if hi - lo <= _LAMBDA_TOL:
             break
         mid = 0.5 * (lo + hi)
         if above_target(mid):
@@ -630,8 +623,13 @@ def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,
     The divergence of the effective potential at q = +/-1 confines the state;
     hard Dirichlet walls are placed at +/-(1 - delta) and the returned
     sensitivity is the per-level shift when delta is doubled, quantifying the
-    wall placement error empirically.
+    wall placement error empirically.  Unless 1 <= k <= n_points/4 and
+    0 < delta < 1/2, it raises DomainError before any solve.
     """
+    if not 1 <= k <= n_points // 4:
+        raise DomainError(f"k must satisfy 1 <= k <= n_points/4 = {n_points // 4}, got {k}")
+    if not 0.0 < delta < 0.5:
+        raise DomainError(f"the wall offset delta must lie in (0, 1/2), got {delta}")
     problem = angular_problem(SeparableModel(CosSquaredProfile(), None, a), lam)
 
     def levels(dlt: float) -> np.ndarray:

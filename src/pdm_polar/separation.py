@@ -38,12 +38,9 @@ from .ambiguity import (
     parse_ordering_token,
     xi,
 )
-from .eigensolve import PERIODIC
 from .errors import ConfigError, DomainError, MassVanishes, UnsupportedProfile
 
 MASS_EPS = 1e-8
-
-CONFINED = "confined-by-divergence"
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,6 @@ class AngularProblem:
 
     effective_potential: Callable
     domain: tuple[float, float]
-    boundary: str
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +326,8 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
     """The transformed angular problem for the model at separation constant lam.
 
     Flat profile: constant potential on (0, 2pi), periodic.  cos^2 profile:
-    (z1 q^2 - z2)/(1-q^2)^2 on q in (-1, 1), confined by the divergence at
-    the mass zeros unless (z1, z2) = (0, 0), in which case the potential is
-    identically zero and the boundary is the periodic zero-potential line.
+    (z1 q^2 - z2)/(1-q^2)^2 on q in (-1, 1), which diverges at the mass
+    zeros unless (z1, z2) = (0, 0), where it is identically zero.
     Positive tabulated profiles map to a periodic ring of circumference
     integral sqrt(f); tabulated profiles that dip below the evaluation floor
     are rejected.
@@ -346,7 +341,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
             q = np.asarray(q, dtype=float)
             return np.full(q.shape, const) if q.shape else const
 
-        return AngularProblem(flat_potential, (0.0, 2.0 * math.pi), PERIODIC)
+        return AngularProblem(flat_potential, (0.0, 2.0 * math.pi))
 
     if isinstance(f, CosSquaredProfile):
         z1, z2 = zeta_coefficients(a, lam)
@@ -358,8 +353,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
                 raise MassVanishes("effective potential diverges at q = +/- 1")
             return (z1 * q**2 - z2) / fq**2
 
-        boundary = PERIODIC if z1 == 0.0 and z2 == 0.0 else CONFINED
-        return AngularProblem(cos2_potential, (-1.0, 1.0), boundary)
+        return AngularProblem(cos2_potential, (-1.0, 1.0))
 
     # tabulated: mass-positive ring, periodic in the arclength coordinate
     mesh = np.linspace(0.0, 2.0 * math.pi, 8193)
@@ -372,7 +366,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
     def tabulated_potential(q):
         return np.interp(q, q_mesh, w_mesh)
 
-    return AngularProblem(tabulated_potential, (0.0, float(q_mesh[-1])), PERIODIC)
+    return AngularProblem(tabulated_potential, (0.0, float(q_mesh[-1])))
 
 
 def angular_wavefunction_recompose(f, chi, phi):

@@ -23,12 +23,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
+
 # beyond this the alternating series loses enough digits to cancellation to
 # matter; Miller's recurrence is uniformly machine-accurate there
 _SERIES_CUTOFF = 2.0
 # Miller's recurrence starts above max(nu, x), so its cost grows with both;
 # far past this cap a call would not end in any useful time
 _ARG_MAX = 1e4
+# for x <= 2 the series terms shrink like 1/(k!)^2: 13 reach 1e-18 of the sum
+_SERIES_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,13 @@ class BesselOrder:
 
     def __post_init__(self):
         if self.twice_order < 0:
-            raise ValueError(f"order must be >= 0, got nu = {self.twice_order}/2")
+            raise DomainError(f"order must be >= 0, got nu = {self.twice_order}/2")
 
     @classmethod
     def from_value(cls, nu) -> "BesselOrder":
         two_nu = 2 * Fraction(nu) if isinstance(nu, Fraction) else round(2 * float(nu), 10)
         if float(two_nu) != int(two_nu):
-            raise ValueError(f"only integer and half-integer orders supported, got nu = {nu}")
+            raise DomainError(f"only integer and half-integer orders supported, got nu = {nu}")
         return cls(int(two_nu))
 
     @property
@@ -63,7 +67,7 @@ def _as_order(nu) -> BesselOrder:
     return BesselOrder.from_value(nu)
 
 
-def _bessel_series(order: BesselOrder, x: float, max_terms: int = 60) -> float:
+def _bessel_series(order: BesselOrder, x: float) -> float:
     """Ascending series sum_k (-1)^k (x/2)^(2k+nu) / (k! gamma(k+nu+1)).
 
     With nu = n + s, s = 0 or 1/2, the leading term is
@@ -79,7 +83,7 @@ def _bessel_series(order: BesselOrder, x: float, max_terms: int = 60) -> float:
         term *= half / (j + s)
     nu = order.value
     total = term
-    for k in range(1, max_terms):
+    for k in range(1, _SERIES_TERMS):
         term *= -(half * half) / (k * (k + nu))
         total += term
         if abs(term) <= 1e-18 * max(abs(total), 1e-300):
@@ -134,14 +138,14 @@ def bessel_j(nu, x: float) -> float:
     nu may be a BesselOrder or any number equal to an integer or
     half-integer.  Absolute accuracy is 1e-10 or better for x <= 50.  Every
     nu <= 1e4 gives a finite value at every x in [0, 1e4], and 0.0 where the
-    value underflows.  Raises ValueError for x outside [0, 1e4], nan
+    value underflows.  Raises DomainError for x outside [0, 1e4], nan
     included, or nu > 1e4.
     """
     order = _as_order(nu)
     x = float(x)
     if not (0.0 <= x <= _ARG_MAX and order.value <= _ARG_MAX):
-        raise ValueError(f"need 0 <= x <= {_ARG_MAX:g} and nu <= {_ARG_MAX:g}, "
-                         f"got nu = {order.value}, x = {x}")
+        raise DomainError(f"need 0 <= x <= {_ARG_MAX:g} and nu <= {_ARG_MAX:g}, "
+                          f"got nu = {order.value}, x = {x}")
     v = order.value
     if x == 0.0:
         return 1.0 if order.twice_order == 0 else 0.0
@@ -160,9 +164,9 @@ def laguerre_assoc(n: int, alpha: float, x: float) -> float:
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}.
     """
     if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a non-negative integer, got {n}")
+        raise DomainError(f"degree must be a non-negative integer, got {n}")
     if alpha <= -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+        raise DomainError(f"alpha must be > -1, got {alpha}")
     n = int(n)
     l_prev = 1.0
     if n == 0:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from pdm_polar.eigensolve import (
     sign_changes,
     sturm_count_below,
 )
-from pdm_polar.errors import ConvergenceFailure, PotentialSingular
+from pdm_polar.errors import ConvergenceFailure, DomainError, PotentialSingular
+from pdm_polar.specfun import BesselOrder, bessel_j, laguerre_assoc
 
 
 def zero(x):
@@ -107,6 +109,46 @@ def test_grid_validation():
         Grid(0.0, 1.0, 101, PERIODIC)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 100, "neumann")
+
+
+# one bad call per refusal of the solver and of the special functions, with
+# the message it has always carried
+REFUSALS = {
+    "grid-15-points": (lambda: Grid(0.0, 1.0, 15), "need at least 16 points, got 15"),
+    "grid-empty": (lambda: Grid(1.0, 1.0, 16), "empty interval (1.0, 1.0)"),
+    "grid-odd-ring": (lambda: Grid(0.0, 1.0, 17, PERIODIC),
+                      "periodic grids need an even point count (parity split)"),
+    "grid-boundary": (lambda: Grid(0.0, 1.0, 16, "neumann"), "unknown boundary 'neumann'"),
+    "eigen-lowest-ring": (lambda: eigen_lowest(case_operator("free ring"), 1),
+                          "eigen_lowest solves Dirichlet operators only, got 'periodic'; "
+                          "use eigenvalue or count_below"),
+    "eigen-lowest-k": (lambda: eigen_lowest(case_operator("box"), 501),
+                       "k must satisfy 1 <= k <= n/4 = 500, got 501"),
+    "index": (lambda: eigenvalue(case_operator("box"), 500),
+              "index must satisfy 0 <= index < n/4 = 500, got 500"),
+    "window-nan-guess": (lambda: _eigenvalue_near(case_operator("box"), 0, math.nan, 1.0),
+                         "need a finite guess and width, got nan and 1.0"),
+    "ring-asymmetric": (lambda: eigenvalue(discretize(np.sin, SOLVE_CASES["cos ring"][0]), 0),
+                        "periodic solves need a reflection-symmetric potential about x_min "
+                        "(max asymmetry 2.000e+00)"),
+    "bessel-negative-order": (lambda: BesselOrder(-1), "order must be >= 0, got nu = -1/2"),
+    "bessel-order-third": (lambda: bessel_j(Fraction(1, 3), 1.0),
+                           "only integer and half-integer orders supported, got nu = 1/3"),
+    "bessel-x-past-cap": (lambda: bessel_j(0, 2e4),
+                          "need 0 <= x <= 10000 and nu <= 10000, got nu = 0.0, x = 20000.0"),
+    "laguerre-degree": (lambda: laguerre_assoc(-1, 0.0, 1.0),
+                        "degree must be a non-negative integer, got -1"),
+    "laguerre-alpha": (lambda: laguerre_assoc(1, -1.0, 1.0), "alpha must be > -1, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_domain_error(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,70 @@ def test_energy_invariances_exact(rng):
 
 
 # ---------------------------------------------------------------------------
+# the unseparated 2D Hamiltonian (von Roos oracle)
+#
+# H psi = -(1/4) [M^a div(M^b grad(M^c psi)) + M^c div(M^b grad(M^a psi))]
+#         + (v/f) psi,   M = f(phi)/rho^2,  (a, b, c) = (alpha, beta, gamma),
+# in plane polar coordinates (O. von Roos, Phys. Rev. B 27, 7547 (1983)).  It
+# is applied with mpmath.diff to a product state, so no package code takes
+# part in it; the package supplies only the ordering triples and the energy.
+
+
+def von_roos_ratio(triple, f, v, psi, rho, phi):
+    """H psi / psi at (rho, phi), for the exact triple (alpha, beta, gamma)."""
+    import mpmath
+
+    a, b, c = (mpmath.mpf(t.numerator) / t.denominator for t in triple)
+
+    def mass(r, p):
+        return f(p) / r**2
+
+    def div_flux(g, r, p):
+        """div(M^b grad g) at (r, p): (1/r) d_r(r F_r) + (1/r) d_p F_p, F = M^b grad g."""
+
+        def r_times_radial_flux(s):
+            return s * mass(s, p) ** b * mpmath.diff(lambda u: g(u, p), s)
+
+        def angular_flux(t):
+            return mass(r, t) ** b * mpmath.diff(lambda u: g(r, u), t) / r
+
+        return (mpmath.diff(r_times_radial_flux, r) + mpmath.diff(angular_flux, p)) / r
+
+    def term(outer, inner):
+        return mass(rho, phi) ** outer * div_flux(lambda r, p: mass(r, p) ** inner * psi(r, p),
+                                                  rho, phi)
+
+    h_psi = -(term(a, c) + term(c, a)) / 4 + v(rho) / f(phi) * psi(rho, phi)
+    return h_psi / psi(rho, phi)
+
+
+@pytest.mark.parametrize("ordering", list(Ordering), ids=lambda o: o.token)
+@pytest.mark.parametrize("b, n_rho, m", [(3, 0, 0), (3, 1, 2), (4.5, 2, 1)])
+def test_coulomb_energy_is_an_eigenvalue_of_the_von_roos_hamiltonian(ordering, b, n_rho, m):
+    mpmath = pytest.importorskip("mpmath")
+    expected = coulomb_energy(ordering.ambiguity(), b, QuantumNumbers(n_rho, m))
+    with mpmath.workdps(40):
+        b_mp = mpmath.mpf(b)
+        ell = b_mp - n_rho - mpmath.mpf(1) / 2
+
+        def psi(r, p):
+            # rho^(-3/2) U e^(i m phi), U the hydrogen state at l = ell - 1/2
+            u = (r ** (ell + 0.5) * mpmath.exp(-r / b_mp)
+                 * mpmath.laguerre(n_rho, 2 * ell, 2 * r / b_mp))
+            return r ** mpmath.mpf(-1.5) * u * mpmath.expj(m * p)
+
+        def v(r):
+            # the coulomb-like potential at omega = 1/b
+            return r**2 / (2 * b_mp**2) - r
+
+        for rho, phi in (("1.3", "0.4"), ("3.7", "2.1")):
+            ratio = von_roos_ratio(ordering.triple, lambda p: mpmath.mpf(1), v, psi,
+                                   mpmath.mpf(rho), mpmath.mpf(phi))
+            assert abs(ratio.real - expected) <= 1e-12 * abs(expected), (rho, phi)
+            assert abs(ratio.imag) <= 1e-12, (rho, phi)
+
+
+# ---------------------------------------------------------------------------
 # numeric radial levels: true spectra of the assembled operators
 #
 # The assembled Coulomb-like operator -U'' + [(ell^2-1/4)/r^2 - 2/r] U is the
@@ -600,6 +664,22 @@ def test_angular_confined_zero_zeta_is_box():
     levels, _ = angular_confined_levels(MM, -0.75, k=1, n_points=3000, delta=1e-3)
     box = 0.5 * (math.pi / (2.0 * (1.0 - 1e-3))) ** 2
     assert levels[0] == pytest.approx(box, rel=1e-4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k": 200, "n_points": 400}, {"k": 0}, {"delta": 1.0}, {"delta": 0.6}, {"delta": 0.5},
+    {"delta": 0.0}, {"delta": -1e-3}, {"delta": math.nan},
+], ids=["k-past-grid", "k-zero", "delta-1", "delta-0.6", "delta-0.5", "delta-0", "delta-negative",
+        "delta-nan"])
+def test_angular_confined_levels_refuse_before_any_solve(monkeypatch, kwargs):
+    import pdm_polar.models as md
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(md, "eigenvalue", no_solve)
+    with pytest.raises(DomainError):
+        angular_confined_levels(BDD, 0.0, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from pdm_polar import (
     zeta_coefficients,
 )
 from pdm_polar.errors import ConfigError, DomainError, MassVanishes, UnsupportedProfile
-from pdm_polar.separation import CONFINED, PERIODIC
 
 from conftest import random_ordering
 
@@ -286,7 +285,6 @@ def test_angular_problem_flat():
     model = SeparableModel(FlatProfile(), None, BDD)
     problem = angular_problem(model, 1.0)
     assert problem.domain == (0.0, 2.0 * math.pi)
-    assert problem.boundary == PERIODIC
     q = np.linspace(0.0, 2.0 * math.pi, 11)
     np.testing.assert_array_equal(problem.effective_potential(q), -(0.0 + 0.5))
 
@@ -295,7 +293,6 @@ def test_angular_problem_cos2_zero_zeta():
     model = SeparableModel(CosSquaredProfile(), None, MM)
     problem = angular_problem(model, -0.75)
     assert problem.domain == (-1.0, 1.0)
-    assert problem.boundary == PERIODIC
     q = np.linspace(-0.9, 0.9, 19)
     np.testing.assert_array_equal(problem.effective_potential(q), 0.0)
 
@@ -303,7 +300,6 @@ def test_angular_problem_cos2_zero_zeta():
 def test_angular_problem_cos2_confined():
     model = SeparableModel(CosSquaredProfile(), None, BDD)
     problem = angular_problem(model, 0.0)
-    assert problem.boundary == CONFINED
     q = np.linspace(-0.8, 0.8, 17)
     expected = (0.375 * q**2 + 0.25) / (1.0 - q**2) ** 2
     np.testing.assert_allclose(problem.effective_potential(q), expected, rtol=1e-12)
@@ -314,7 +310,6 @@ def test_angular_problem_cos2_confined():
 def test_angular_problem_tabulated_positive_profile():
     model = SeparableModel(_smooth_tabulated(), None, BDD)
     problem = angular_problem(model, 0.5)
-    assert problem.boundary == PERIODIC
     assert problem.domain[0] == 0.0
     assert problem.domain[1] > 0.0
     # potential at q(phi) should approximate w_eff at phi
