@@ -150,8 +150,6 @@ def cmd_effpot(args):
     lo, hi = args.range
     coords = np.linspace(lo, hi, args.samples)
     if args.which == "radial":
-        if lo <= 0.0:
-            raise ConfigError("radial sampling needs a range with LO > 0")
         problem = radial_problem(model, args.lam, (lo, hi))
         coordinate_name = "rho"
     else:

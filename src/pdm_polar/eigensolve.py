@@ -54,6 +54,7 @@ DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
 POTENTIAL_CAP = 1e12
+_SIGN_THRESHOLD = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -103,6 +104,13 @@ class Grid:
         if self.boundary == DIRICHLET:
             return Grid(self.x_min, self.x_max, 2 * self.n_points + 1, self.boundary)
         return Grid(self.x_min, self.x_max, 2 * self.n_points, self.boundary)
+
+    def check_index(self, index: int, name: str = "index") -> None:
+        """The solver's resolution rule, checked by every request by index before
+        any solve: it resolves 0 <= index < n_points/4; DomainError otherwise."""
+        if not 0 <= index < self.n_points // 4:
+            raise DomainError(f"{self.n_points} grid points resolve 0 <= {name} < "
+                              f"{self.n_points // 4}, got {name} = {index}")
 
 
 @dataclass(frozen=True)
@@ -275,15 +283,9 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     if op.grid.boundary != DIRICHLET:
         raise DomainError("eigen_lowest solves Dirichlet operators only, "
                           f"got {op.grid.boundary!r}; use eigenvalue or count_below")
-    if not 1 <= k <= op.n // 4:
-        raise DomainError(f"k must satisfy 1 <= k <= n/4 = {op.n // 4}, got {k}")
+    op.grid.check_index(k - 1, "k - 1")
     w, v = _lapack(op.diagonal, op.off_diagonal, "i", (0, k - 1), vectors=True)
     return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
-
-
-def _check_index(op: DiscretizedOperator, index: int) -> None:
-    if not 0 <= index < op.n // 4:
-        raise DomainError(f"index must satisfy 0 <= index < n/4 = {op.n // 4}, got {index}")
 
 
 def eigenvalue(op: DiscretizedOperator, index: int) -> float:
@@ -291,9 +293,9 @@ def eigenvalue(op: DiscretizedOperator, index: int) -> float:
 
     On a Dirichlet grid it equals ``eigen_lowest(op, index + 1).eigenvalues[index]``
     up to the bisection tolerance (a few eps times the operator's norm); the
-    guard is 0 <= index < n/4 on either boundary.
+    guard is :meth:`Grid.check_index` on either boundary.
     """
-    _check_index(op, index)
+    op.grid.check_index(index)
     sectors = _sectors(op)
     # a lone sector is asked for the index alone, several for their lowest index + 1
     first = index if len(sectors) == 1 else 0
@@ -323,7 +325,7 @@ def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: f
     than the floor and still does not hold the level raises
     ConvergenceFailure.
     """
-    _check_index(op, index)
+    op.grid.check_index(index)
     if not (math.isfinite(guess) and math.isfinite(width)):
         raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
     norm = op.inf_norm()
@@ -404,8 +406,8 @@ def observed_order(e_h: float, e_h2: float, e_h4: float) -> float:
     return math.log2(abs(e_h - e_h2) / abs(e_h2 - e_h4))
 
 
-def sign_changes(v: np.ndarray, threshold_frac: float = 1e-8) -> int:
+def sign_changes(v: np.ndarray) -> int:
     """Count strict sign alternations of a vector, ignoring near-zero entries."""
-    cutoff = threshold_frac * float(np.max(np.abs(v)))
+    cutoff = _SIGN_THRESHOLD * float(np.max(np.abs(v)))
     signs = np.sign(v[np.abs(v) > cutoff])
     return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -13,8 +13,8 @@ one closed energy is the flat-profile one, E = (m^2 - lambda)/2 - bracket
   lambda = (d/a - 2 n_rho - 1)^2 - 1.
 
 The two radial families are declared once each, as :class:`RadialFamily`
-entries of :data:`RADIAL_FAMILIES` (quantization, eigenvalue-form operator,
-closed spectral value, closed state, default wall); the spectrum tables,
+entries of :data:`RADIAL_FAMILIES` (quantization, potential w(rho), closed
+spectral value, closed state, default wall); the spectrum tables,
 the verify sweeps and the radial wavefunction all read them.  The closed
 states are the 3D hydrogen and isotropic-oscillator states at
 l = ell - 1/2, Laguerre polynomials normalized in closed form.
@@ -64,6 +64,8 @@ RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
 # width of the lambda bracket at which heun_regime_scan stops bisecting
 _LAMBDA_TOL = 1e-6
+# relative energy gap within which degeneracy_report groups two records
+_DEGENERACY_RTOL = 1e-9
 
 ZERO_ZETA_NOTE = (
     "zero-potential angular line validated on a 2pi-periodic coordinate; "
@@ -166,7 +168,7 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 
 @dataclass(frozen=True)
 class RadialFamily:
-    """One exactly solvable radial family: operator, quantization, closed value and state.
+    """One exactly solvable radial family: potential, quantization, closed value and state.
 
     ``names`` lists the family's own parameters as the potential carries
     them (b for Coulomb-like, a and d for oscillator-like); every callable
@@ -174,8 +176,8 @@ class RadialFamily:
 
     * ``lam(*params, n_rho)`` is the quantization lambda(n_rho), which fixes
       the closed energy through :func:`flat_energy`;
-    * ``operator(*params, ell_sq)`` is the potential of the eigenvalue form
-      -U'' + V U = eps U at squared radial order ell_sq = lambda + 1;
+    * ``w(*params, rho)``, vectorized over rho, is the potential of the eigenvalue
+      form -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U, ell = sqrt(lambda + 1);
     * ``closed(*params, n_rho, ell)`` is the closed spectral value eps;
     * ``state(*params, n_rho, ell, rho)`` samples the closed eigenfunction U
       of that value at the points rho > 0: unit norm (integral of U^2 over
@@ -187,7 +189,7 @@ class RadialFamily:
     kind: str
     names: tuple
     lam: Callable
-    operator: Callable
+    w: Callable
     closed: Callable
     state: Callable
     default_wall: Callable
@@ -221,16 +223,6 @@ def coulomb_rho_max(nu: float) -> float:
     past the turning point leave a tail far below the solver's accuracy.
     """
     return 2.0 * nu * nu + 20.0 * nu
-
-
-def _coulomb_operator(b: float, ell_sq: float):
-    c = ell_sq - 0.25
-    return lambda r: c / r**2 - 2.0 / r
-
-
-def _oscillator_operator(a_param: float, d: float, ell_sq: float):
-    c = ell_sq - 0.25
-    return lambda r: c / r**2 + 0.25 * a_param**2 * r**2
 
 
 def _laguerre_state(n_rho: int, alpha: float, ell: float, x_of, log_norm_sq: float, rho):
@@ -270,7 +262,7 @@ COULOMB = RadialFamily(
     kind=CoulombLike.kind,
     names=("b",),
     lam=coulomb_lambda,
-    operator=_coulomb_operator,
+    w=lambda b, rho: -2.0 / rho,
     closed=lambda b, n_rho, ell: -1.0 / (b * b),
     state=_coulomb_state,
     default_wall=coulomb_rho_max,
@@ -281,7 +273,7 @@ OSCILLATOR = RadialFamily(
     kind=OscillatorLike.kind,
     names=("a", "d"),
     lam=oscillator_lambda,
-    operator=_oscillator_operator,
+    w=lambda a_param, d, rho: 0.25 * a_param**2 * rho**2,
     closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
     state=_oscillator_state,
     default_wall=lambda a_param, d: 12.0 / math.sqrt(a_param),
@@ -295,15 +287,19 @@ RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
 # numeric levels (the independent oracle)
 
 
+def _radial_operator(family: RadialFamily, params: tuple, ell: float):
+    """The potential (ell^2 - 1/4)/rho^2 + w(rho) of the family's eigenvalue form."""
+    c = ell * ell - 0.25
+    return lambda r: c / r**2 + family.w(*params, r)
+
+
 def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
                  rho_max: float | None) -> Grid:
-    """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; an
-    index of n_points/4 or more, which the solver does not resolve, raises
-    DomainError, as does a grid the solver refuses."""
-    if n_rho_max >= n_points // 4:
-        raise DomainError(f"{n_points} grid points resolve n_rho < {n_points // 4}, "
-                          f"got n_rho_max = {n_rho_max}")
-    return Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; a grid
+    the solver refuses, or an index :meth:`Grid.check_index` refuses, raises DomainError."""
+    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    grid.check_index(n_rho_max, "n_rho")
+    return grid
 
 
 def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
@@ -312,14 +308,12 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
 
     Dirichlet walls at rho = h and rho_max (default: the family's wall), one
     Richardson refinement, bisected around the family's closed value.
-    Returns (eigenvalue, convergence_estimate).  A negative n_rho, an ell
-    that is not positive and what :func:`_radial_grid` refuses raise DomainError.
+    Returns (eigenvalue, convergence_estimate).  An ell that is not positive
+    and what :func:`_radial_grid` refuses (a negative n_rho too) raise DomainError.
     """
-    if n_rho < 0:
-        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
     if not ell > 0:
         raise DomainError(f"need a radial order ell > 0, got {ell}")
-    potential = family.operator(*params, ell * ell)
+    potential = _radial_operator(family, params, ell)
 
     def factory(grid):
         return discretize(potential, grid, prefactor=1.0)
@@ -404,7 +398,7 @@ def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
     errors = []
     for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
-        op = discretize(family.operator(*params, ell * ell), grid)
+        op = discretize(_radial_operator(family, params, ell), grid)
         numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
         closed = family.state(*params, n_rho, ell, grid.points)
         numeric = math.copysign(1.0, numeric @ closed) * numeric
@@ -460,15 +454,11 @@ def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
     with the +/-m pairs doubly degenerate.  Returns (values, estimates):
     the Richardson-refined lowest 2 m_max + 1 levels and their
     |extrapolated - fine| estimates, each bisected around its exact value.
-    A negative m_max, one whose levels reach index n_points/4, which the
-    solver does not resolve, or a ring it refuses raises DomainError.
+    A ring the solver refuses, or a top index 2 m_max that
+    :meth:`Grid.check_index` refuses, raises DomainError before any solve.
     """
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max}")
-    if 2 * m_max >= n_points // 4:
-        raise DomainError(f"{n_points} ring points resolve m_max < {(n_points // 4 + 1) // 2}, "
-                          f"got m_max = {m_max}")
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid.check_index(2 * m_max, "2 m_max")
 
     def factory(g):
         return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
@@ -518,16 +508,12 @@ def _scan_potential(a: AmbiguitySet, lam: float):
 
 def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int):
     """The discretized ring of :func:`scan_level`, built after its guards."""
-    if not 0 <= state_index < n_points // 4:
-        raise DomainError(
-            f"state_index must satisfy 0 <= state_index < n_points/4 = {n_points // 4}, "
-            f"got {state_index}"
-        )
     if n_points % 4 != 2:
         raise DomainError(
             f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
         )
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+    grid.check_index(state_index, "state_index")
     return discretize(_scan_potential(a, lam), grid, prefactor=0.5)
 
 
@@ -541,7 +527,7 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     zeros at pi/2 and 3pi/2; that holds exactly when n_points % 4 == 2 (a
     multiple of 4 puts a node on a zero, an odd count breaks the parity
     split), so any other count raises DomainError, as do fewer than 16
-    points and a state_index outside 0 <= state_index < n_points/4.
+    points and a state_index that :meth:`Grid.check_index` refuses.
     """
     return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index)
 
@@ -623,13 +609,12 @@ def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,
     The divergence of the effective potential at q = +/-1 confines the state;
     hard Dirichlet walls are placed at +/-(1 - delta) and the returned
     sensitivity is the per-level shift when delta is doubled, quantifying the
-    wall placement error empirically.  Unless 1 <= k <= n_points/4 and
-    0 < delta < 1/2, it raises DomainError before any solve.
+    wall placement error empirically.  It raises DomainError before any
+    solve unless 0 < delta < 1/2 and :meth:`Grid.check_index` accepts k - 1.
     """
-    if not 1 <= k <= n_points // 4:
-        raise DomainError(f"k must satisfy 1 <= k <= n_points/4 = {n_points // 4}, got {k}")
     if not 0.0 < delta < 0.5:
         raise DomainError(f"the wall offset delta must lie in (0, 1/2), got {delta}")
+    Grid(-1.0 + delta, 1.0 - delta, n_points, DIRICHLET).check_index(k - 1, "k - 1")
     problem = angular_problem(SeparableModel(CosSquaredProfile(), None, a), lam)
 
     def levels(dlt: float) -> np.ndarray:
@@ -646,7 +631,7 @@ def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,
 # degeneracy analysis
 
 
-def degeneracy_report(records, *, tol: float = 1e-9) -> list[DegeneracyGroup]:
+def degeneracy_report(records) -> list[DegeneracyGroup]:
     """Group records by energy (relative 1e-9) and explain each degeneracy.
 
     Recognized explanations: magnetic pairs m = +/-|m|, orderings related by
@@ -662,7 +647,7 @@ def degeneracy_report(records, *, tol: float = 1e-9) -> list[DegeneracyGroup]:
     for idx in order[1:]:
         e_ref = records[current[0]].energy
         e_new = records[idx].energy
-        if abs(e_new - e_ref) <= tol * max(1.0, abs(e_new), abs(e_ref)):
+        if abs(e_new - e_ref) <= _DEGENERACY_RTOL * max(1.0, abs(e_new), abs(e_ref)):
             current.append(idx)
         else:
             groups.append(current)

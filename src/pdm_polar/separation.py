@@ -80,23 +80,24 @@ class CosSquaredProfile:
 class TabulatedProfile:
     """User-sampled f, f', f'' on a uniform phi grid covering (0, 2pi).
 
-    The supplied first and second derivatives must agree with centered
-    differences of the samples to relative tolerance 1e-3, so inconsistent
-    tables are rejected up front instead of polluting the effective
-    potential.  Evaluation between nodes is linear interpolation.
+    Samples must be finite, and the supplied first and second derivatives
+    must agree with centered differences of the samples to relative
+    tolerance 1e-3, so inconsistent tables are rejected up front instead of
+    polluting the effective potential.  The profile is periodic: unless the
+    table ends at phi[0] + 2pi, a node there repeats its first sample; a phi
+    outside the table is read one period in, and linearly between nodes.
     """
 
     kind = "tabulated"
 
     def __init__(self, phi, f, fp, fpp):
-        phi = np.asarray(phi, dtype=float)
-        f = np.asarray(f, dtype=float)
-        fp = np.asarray(fp, dtype=float)
-        fpp = np.asarray(fpp, dtype=float)
+        phi, f, fp, fpp = (np.asarray(a, dtype=float) for a in (phi, f, fp, fpp))
         if phi.ndim != 1 or phi.size < 16:
             raise UnsupportedProfile("need a 1-d grid with at least 16 samples")
         if not (f.shape == fp.shape == fpp.shape == phi.shape):
             raise UnsupportedProfile("phi, f, fp, fpp must have matching shapes")
+        if not all(np.all(np.isfinite(a)) for a in (phi, f, fp, fpp)):
+            raise UnsupportedProfile("phi, f, fp, fpp must hold finite numbers only")
         steps = np.diff(phi)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
             raise UnsupportedProfile("phi grid must be uniform and increasing")
@@ -113,19 +114,24 @@ class TabulatedProfile:
             raise UnsupportedProfile("supplied f' disagrees with centered differences")
         if np.max(np.abs(fpp[1:-1] - fd2)) > 1e-3 * scale2:
             raise UnsupportedProfile("supplied f'' disagrees with centered differences")
-        self.phi = phi
-        self.f = f
-        self.fp = fp
-        self.fpp = fpp
+        if phi[-1] < phi[0] + math.tau - 1e-9:
+            phi = np.append(phi, phi[0] + math.tau)
+            f, fp, fpp = (np.append(a, a[0]) for a in (f, fp, fpp))
+        self.phi, self.f, self.fp, self.fpp = phi, f, fp, fpp
+        self._span = (float(phi[0]), float(phi[-1]))
+
+    def _wrapped(self, phi: float) -> float:
+        phi, (lo, hi) = float(phi), self._span  # plain floats keep each read cheap
+        return phi if lo <= phi <= hi else lo + (phi - lo) % math.tau
 
     def value(self, phi: float) -> float:
-        return float(np.interp(phi, self.phi, self.f))
+        return float(np.interp(self._wrapped(phi), self.phi, self.f))
 
     def d1(self, phi: float) -> float:
-        return float(np.interp(phi, self.phi, self.fp))
+        return float(np.interp(self._wrapped(phi), self.phi, self.fp))
 
     def d2(self, phi: float) -> float:
-        return float(np.interp(phi, self.phi, self.fpp))
+        return float(np.interp(self._wrapped(phi), self.phi, self.fpp))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +335,8 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
     (z1 q^2 - z2)/(1-q^2)^2 on q in (-1, 1), which diverges at the mass
     zeros unless (z1, z2) = (0, 0), where it is identically zero.
     Positive tabulated profiles map to a periodic ring of circumference
-    integral sqrt(f); tabulated profiles that dip below the evaluation floor
-    are rejected.
+    Q = integral sqrt(f), whose potential is read at q mod Q; tabulated
+    profiles that dip below the evaluation floor are rejected.
     """
     a = model.ordering
     f = model.f
@@ -364,7 +370,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
     w_mesh = np.array([w_eff(f, a, lam, p) for p in mesh])
 
     def tabulated_potential(q):
-        return np.interp(q, q_mesh, w_mesh)
+        return np.interp(np.mod(q, q_mesh[-1]), q_mesh, w_mesh)
 
     return AngularProblem(tabulated_potential, (0.0, float(q_mesh[-1])))
 
@@ -392,6 +398,12 @@ _PROFILE_TOKENS = {"flat": FlatProfile, "cos2": CosSquaredProfile}
 _POTENTIAL_KINDS = {cls.kind: cls for cls in (PowerWell, CoulombLike, OscillatorLike)}
 
 
+def _finite_number(value) -> bool:
+    """A JSON number in the float range: not a bool, a string, null, NaN or an infinity."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
 def model_from_dict(data: dict) -> SeparableModel:
     """Build a SeparableModel from the JSON description schema.
 
@@ -402,6 +414,7 @@ def model_from_dict(data: dict) -> SeparableModel:
     finite JSON number (anything else, booleans, strings, NaN and Infinity
     included, raises ConfigError); the potential itself then checks its
     domain, so a power well's ``k`` must be an integer >= 1 (DomainError).
+    So must every entry of a tabulated profile's ``phi``, ``f``, ``fp`` and ``fpp`` lists.
     """
     if not isinstance(data, dict):
         raise ConfigError("model description must be a JSON object")
@@ -420,7 +433,10 @@ def model_from_dict(data: dict) -> SeparableModel:
         tab = fspec["tabulated"]
         if not isinstance(tab, dict) or set(tab) != {"phi", "f", "fp", "fpp"}:
             raise ConfigError("tabulated profile needs exactly the keys phi, f, fp, fpp")
-        profile = TabulatedProfile(tab["phi"], tab["f"], tab["fp"], tab["fpp"])
+        for key, samples in tab.items():
+            if not (isinstance(samples, list) and all(map(_finite_number, samples))):
+                raise ConfigError(f"tabulated {key!r} must be a list of finite numbers")
+        profile = TabulatedProfile(**tab)
     else:
         raise ConfigError(f"cannot parse profile description {fspec!r}")
 
@@ -439,9 +455,7 @@ def model_from_dict(data: dict) -> SeparableModel:
         if set(params) != set(types):
             raise ConfigError(f"potential {kind!r} needs exactly the keys {sorted(types)}")
         for name, value in params.items():
-            # NaN, the infinities and integers past the float range fail the bound
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
+            if not _finite_number(value):
                 raise ConfigError(f"potential {kind!r} parameter {name!r} must be a finite "
                                   f"number, got {value!r}")
         # an integer field (k) keeps the value as written, so the potential's

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdm_polar.cli import main
+
 from conftest import write_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -606,6 +608,50 @@ def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb
              "WIDE": wide, "HALF_K": half_k}
     result = run_cli([str(files.get(token, token)) for token in argv])
     assert one_json_error(result, 3)["code"] == "domain"
+
+
+@pytest.mark.parametrize("lo", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["effpot", "--model", "COULOMB", "--which", "radial"],
+    ["wavefunction", "--model", "COS2", "--state", "toy:n=1/2"],
+    ["wavefunction", "--model", "OSCILLATOR", "--state", "radial:n_rho=0"],
+], ids=["effpot-radial", "wavefunction-toy", "wavefunction-radial"])
+def test_radial_range_from_zero_or_below_exits_3(coulomb_model_file, cos2_model_file,
+                                                 oscillator_model_file, argv, lo):
+    # the radial problem lives on rho > 0; both commands refuse it the same way
+    files = {"COULOMB": coulomb_model_file, "COS2": cos2_model_file,
+             "OSCILLATOR": oscillator_model_file}
+    result = run_cli([str(files.get(token, token)) for token in argv] + [f"--range={lo},5"])
+    assert one_json_error(result, 3)["code"] == "domain"
+
+
+def _table(n=512):
+    phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return {"phi": phi.tolist(), "f": (1.0 + 0.4 * np.cos(phi)).tolist(),
+            "fp": (-0.4 * np.sin(phi)).tolist(), "fpp": (-0.4 * np.cos(phi)).tolist()}
+
+
+@pytest.mark.parametrize("bad", [
+    lambda xs: xs[:7] + ["1.0"] + xs[8:],
+    lambda xs: xs[:7] + [True] + xs[8:],
+    lambda xs: xs[:7] + [None] + xs[8:],
+    lambda xs: xs[:7] + [math.nan] + xs[8:],
+    lambda xs: xs[:7] + [math.inf] + xs[8:],
+    lambda xs: xs[:7] + [[xs[7]]] + xs[8:],
+    lambda xs: "abc",
+], ids=["string", "bool", "null", "nan", "infinity", "nested-list", "not-a-list"])
+@pytest.mark.parametrize("key", ["phi", "f", "fp", "fpp"])
+def test_table_entry_that_is_not_a_finite_number_exits_2(tmp_path, capsys, key, bad):
+    table = _table()
+    table[key] = bad(table[key])
+    # json writes NaN and Infinity as the bare tokens its reader accepts
+    model = write_model(tmp_path, "table.json",
+                        {"f": {"tabulated": table}, "ordering": "bendaniel-duke"})
+    code = main(["effpot", "--model", str(model), "--which", "angular", "--range=0.1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "config" and repr(key) in error["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_grid_validation():
 
 
 # one bad call per refusal of the solver and of the special functions, with
-# the message it has always carried
+# the message it carries
 REFUSALS = {
     "grid-15-points": (lambda: Grid(0.0, 1.0, 15), "need at least 16 points, got 15"),
     "grid-empty": (lambda: Grid(1.0, 1.0, 16), "empty interval (1.0, 1.0)"),
@@ -123,9 +123,9 @@ REFUSALS = {
                           "eigen_lowest solves Dirichlet operators only, got 'periodic'; "
                           "use eigenvalue or count_below"),
     "eigen-lowest-k": (lambda: eigen_lowest(case_operator("box"), 501),
-                       "k must satisfy 1 <= k <= n/4 = 500, got 501"),
+                       "2000 grid points resolve 0 <= k - 1 < 500, got k - 1 = 500"),
     "index": (lambda: eigenvalue(case_operator("box"), 500),
-              "index must satisfy 0 <= index < n/4 = 500, got 500"),
+              "2000 grid points resolve 0 <= index < 500, got index = 500"),
     "window-nan-guess": (lambda: _eigenvalue_near(case_operator("box"), 0, math.nan, 1.0),
                          "need a finite guess and width, got nan and 1.0"),
     "ring-asymmetric": (lambda: eigenvalue(discretize(np.sin, SOLVE_CASES["cos ring"][0]), 0),
@@ -513,7 +513,7 @@ def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
 
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
     grid = Grid(0.0, 1.0, 64, DIRICHLET)
-    with pytest.raises(ValueError, match="n/4 = 16, got 16"):
+    with pytest.raises(ValueError, match="resolve 0 <= index < 16, got index = 16"):
         refine_eigenvalue(lambda g: discretize(zero, g), grid, 16, 1.0)
     ring = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
     with pytest.raises(ValueError, match="reflection-symmetric"):

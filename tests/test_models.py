@@ -3,11 +3,15 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_polar import (
+    CosSquaredProfile,
     Ordering,
     QuantumNumbers,
     SpectrumRecord,
@@ -19,6 +23,7 @@ from pdm_polar import (
     degeneracy_report,
     flat_energy,
     heun_regime_scan,
+    make_ambiguity,
     oscillator_energy,
     oscillator_lambda,
     oscillator_numeric_level,
@@ -29,6 +34,7 @@ from pdm_polar import (
     toy_zero_zeta_spectrum,
     verify_coulomb,
     verify_oscillator,
+    w_eff,
 )
 from pdm_polar import cli
 from pdm_polar.errors import DomainError, NoRoot
@@ -238,6 +244,83 @@ def test_coulomb_energy_is_an_eigenvalue_of_the_von_roos_hamiltonian(ordering, b
             assert abs(ratio.imag) <= 1e-12, (rho, phi)
 
 
+def _closed_radial(family, params, n_rho):
+    """The oracle's own radial state U and potential v of a family, as mpmath
+    functions: the unnormalized 3D hydrogen or oscillator state at
+    l = ell - 1/2, with ell read from the family's parameters."""
+    import mpmath
+
+    if family is COULOMB:
+        b = mpmath.mpf(params[0])
+        ell = b - n_rho - mpmath.mpf(1) / 2
+        return (lambda r: r ** (ell + 0.5) * mpmath.exp(-r / b)
+                * mpmath.laguerre(n_rho, 2 * ell, 2 * r / b),
+                lambda r: r**2 / (2 * b**2) - r)
+    a, d = (mpmath.mpf(x) for x in params)
+    ell = d / a - 2 * n_rho - 1
+    return (lambda r: r ** (ell + 0.5) * mpmath.exp(-a * r**2 / 4)
+            * mpmath.laguerre(n_rho, ell, a * r**2 / 2),
+            lambda r: a**2 * r**4 / 8 - d * r**2 / 2)
+
+
+@st.composite
+def von_roos_cases(draw):
+    """An ordering triple on the sum rule, a radial family at a level with
+    ell >= 0.3, and a point (rho, phi) away from rho = 0 and the cos^2 mass zeros."""
+    alpha = draw(st.floats(-2.0, 2.0), label="alpha")
+    gamma = draw(st.floats(-2.0, 2.0), label="gamma")
+    family = draw(st.sampled_from([COULOMB, OSCILLATOR]), label="family")
+    n_rho = draw(st.integers(0, 2), label="n_rho")
+    ell = draw(st.floats(0.3, 3.0), label="nominal ell")
+    if family is COULOMB:
+        params = (n_rho + 0.5 + ell,)
+    else:
+        a_param = draw(st.floats(0.5, 2.0), label="a")
+        params = (a_param, a_param * (2 * n_rho + 1 + ell))
+    rho = draw(st.floats(0.5, 5.0), label="rho")
+    return alpha, gamma, family, params, n_rho, rho
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=von_roos_cases(), profile=st.sampled_from(["flat", "cos2"]), data=st.data())
+def test_printed_energy_and_w_eff_satisfy_the_von_roos_hamiltonian(case, profile, data):
+    # flat: H psi / psi is the printed energy; cos^2: H[R f^(1/4) chi(q)] / (R f^(1/4))
+    # is -(1/2) chi'' + W_eff chi, with the package's float w_eff
+    mpmath = pytest.importorskip("mpmath")
+    alpha, gamma, family, params, n_rho, rho = case
+    triple = (Fraction(alpha), -1 - Fraction(alpha) - Fraction(gamma), Fraction(gamma))
+    ordering = make_ambiguity(alpha, float(triple[1]), gamma)
+    lam = family.lam(*params, n_rho)
+    with mpmath.workdps(30):
+        u, v = _closed_radial(family, params, n_rho)
+        if profile == "flat":
+            m = data.draw(st.integers(-3, 3), label="m")
+            phi = data.draw(st.floats(0.0, 2.0 * math.pi), label="phi")
+            ratio = von_roos_ratio(triple, lambda p: mpmath.mpf(1),
+                                   v, lambda r, p: r ** mpmath.mpf(-1.5) * u(r) * mpmath.expj(m * p),
+                                   mpmath.mpf(rho), mpmath.mpf(phi))
+            expected = flat_energy(ordering, m, lam)
+            assert abs(ratio.real - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert abs(ratio.imag) <= 1e-12 * max(1.0, abs(expected))
+            return
+        phi = data.draw(st.floats(-1.2, 1.2), label="phi")
+
+        def chi(q):
+            return mpmath.cos(1.3 * q) + 0.2 * q**3
+
+        def psi(r, p):
+            return r ** mpmath.mpf(-1.5) * u(r) * mpmath.sqrt(mpmath.cos(p)) * chi(mpmath.sin(p))
+
+        q = mpmath.sin(mpmath.mpf(phi))
+        lhs = von_roos_ratio(triple, lambda p: mpmath.cos(p) ** 2, v, psi,
+                             mpmath.mpf(rho), mpmath.mpf(phi)) * chi(q)
+        kinetic = -(-(1.3**2) * mpmath.cos(1.3 * q) + 1.2 * q) / 2
+        potential = w_eff(CosSquaredProfile(), ordering, lam, phi) * chi(q)
+        scale = max(1.0, abs(kinetic), abs(potential))
+        assert abs(lhs.real - (kinetic + potential)) <= 1e-10 * scale
+        assert abs(lhs.imag) <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # numeric radial levels: true spectra of the assembled operators
 #
@@ -428,7 +511,8 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
 
     monkeypatch.setattr(md, "eigen_lowest", no_solve)
     # the guard verify_family applies, without verify_family having run
-    with pytest.raises(DomainError, match="4000 grid points resolve n_rho < 1000"):
+    with pytest.raises(DomainError,
+                       match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 1000"):
         state_errors(OSCILLATOR, (1.0, 4001.0), 1000, n_points=4000)
     with pytest.raises(DomainError, match="n_rho_max must be >= 0"):
         state_errors(OSCILLATOR, (1.0, 4.0), -1)

@@ -392,6 +392,56 @@ def test_tabulated_rejects_nonpositive_mass():
         TabulatedProfile(phi, f, -np.sin(phi), -np.cos(phi))
 
 
+@pytest.mark.parametrize("key", ["phi", "f", "fp", "fpp"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_samples(key, bad):
+    phi = np.linspace(0.0, 2.0 * math.pi, 256)
+    table = {"phi": phi, "f": 1.0 + 0.3 * np.cos(2.0 * phi),
+             "fp": -0.6 * np.sin(2.0 * phi), "fpp": -1.2 * np.cos(2.0 * phi)}
+    table[key] = table[key].copy()
+    table[key][100] = bad
+    with pytest.raises(UnsupportedProfile, match="finite"):
+        TabulatedProfile(**table)
+
+
+def _cosine_table(n=512, eps=0.44):
+    phi = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return TabulatedProfile(phi, 1.0 + eps * np.cos(phi), -eps * np.sin(phi),
+                            -eps * np.cos(phi))
+
+
+def test_tabulated_profile_is_periodic():
+    profile = _cosine_table()
+    nodes = profile.phi[::37]
+    for k in (-2, -1, 1, 3):
+        for read in (profile.value, profile.d1, profile.d2):
+            shifted = [read(p + 2.0 * math.pi * k) for p in nodes]
+            np.testing.assert_allclose(shifted, [read(p) for p in nodes], rtol=0, atol=1e-13)
+    # outside the table the exact profile is met to interpolation error
+    for phi in (-0.5, 7.0, -13.0):
+        assert profile.value(phi) == pytest.approx(1.0 + 0.44 * math.cos(phi), abs=1e-5)
+        assert profile.d1(phi) == pytest.approx(-0.44 * math.sin(phi), abs=1e-5)
+
+
+def test_tabulated_profile_closes_the_last_interval():
+    profile = _cosine_table()
+    first, last = profile.f[0], profile.f[-2]
+    h = profile.phi[1] - profile.phi[0]
+    sliver = profile.value(2.0 * math.pi - 0.5 * h)
+    assert last < sliver < first
+    assert profile.value(2.0 * math.pi) == first
+
+
+def test_tabulated_angular_potential_is_periodic_in_q():
+    problem = angular_problem(SeparableModel(_cosine_table(), None, BDD), 0.5)
+    period = problem.domain[1]
+    q = np.linspace(0.0, period, 41)
+    w = problem.effective_potential(q)
+    for k in (-1, 1, 2):
+        np.testing.assert_allclose(problem.effective_potential(q + k * period), w,
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_tabulated_rejects_small_grids():
     phi = np.linspace(0.0, 2.0 * math.pi, 8)
     with pytest.raises(UnsupportedProfile):
