@@ -256,8 +256,7 @@ def cmd_wavefunction(args):
         rows = _angular_rows(model, value, coords)
         header = ("coordinate", "re", "im")
     else:
-        if lo <= 0.0:
-            raise DomainError("radial samples need a range with LO > 0")
+        sp.radial_domain((lo, hi))
         if kind == "toy":
             rows = _toy_rows(model, value, coords)
         else:

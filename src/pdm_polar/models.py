@@ -30,6 +30,7 @@ instead of through closed special functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -297,9 +298,10 @@ def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: 
                  rho_max: float | None) -> Grid:
     """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; a grid
     the solver refuses, or an index :meth:`Grid.check_index` refuses, raises DomainError."""
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
-    grid.check_index(n_rho_max, "n_rho")
-    return grid
+    # the index rule reads only n_points, so it is checked on a unit interval
+    # before the wall, which a Coulomb b = n_rho + ell + 1/2 <= 0 would empty
+    Grid(0.0, 1.0, n_points, DIRICHLET).check_index(n_rho_max, "n_rho")
+    return Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
 
 
 def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
@@ -495,15 +497,29 @@ def toy_zero_zeta_spectrum(m_max: int, *, n_points: int = 2048) -> list[Spectrum
     return records
 
 
-def _scan_potential(a: AmbiguitySet, lam: float):
-    """cos^2-profile effective potential sampled along the periodic angle."""
+@functools.lru_cache(maxsize=1)
+def _ring_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2 x and cos^4 x at the ring's points, read-only.
+
+    lambda enters the scan potential only through its two zeta coefficients,
+    so a scan samples the trig once per ring, not once per lambda.
+    """
+    x = grid.points
+    s2, c4 = np.sin(x) ** 2, np.cos(x) ** 4
+    s2.flags.writeable = False
+    c4.flags.writeable = False
+    return s2, c4
+
+
+def _scan_potential(a: AmbiguitySet, lam: float, grid: Grid):
+    """cos^2-profile effective potential (z1 sin^2 x - z2)/cos^4 x on the ring.
+
+    :func:`discretize` calls it on ``grid.points``, where the factors were
+    sampled; the operations and their order are those of the closed expression.
+    """
     z1, z2 = zeta_coefficients(a, lam)
-
-    def potential(x):
-        x = np.asarray(x, dtype=float)
-        return (z1 * np.sin(x) ** 2 - z2) / np.cos(x) ** 4
-
-    return potential
+    s2, c4 = _ring_factors(grid)
+    return lambda x: (z1 * s2 - z2) / c4
 
 
 def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int):
@@ -514,7 +530,7 @@ def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int)
         )
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
     grid.check_index(state_index, "state_index")
-    return discretize(_scan_potential(a, lam), grid, prefactor=0.5)
+    return discretize(_scan_potential(a, lam, grid), grid, prefactor=0.5)
 
 
 def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
@@ -558,6 +574,13 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     the residual at the end.  Returns (lambda*, |E(lambda*) - energy_target|).
     A target or a range end that is not finite raises DomainError before
     any solve.
+
+    Both the counts and the solve see the level only to about
+    4 eps ||T||inf of the ring's operator, so the residual and lambda* are
+    determined only to that floor: about 1.9e-10 for the gate ordering at
+    n_points = 2050, but about 1e-4 for bendaniel-duke, whose ring has
+    ||T||inf = 1.13e11 there; a smaller residual (2.5e-6 for an energy
+    target 1.5 on (-2, 1)) is below what the ring resolves.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not math.isfinite(energy_target):

@@ -275,15 +275,22 @@ def w_eff(f, a: AmbiguitySet, lam: float, phi: float) -> float:
     )
 
 
-def radial_problem(model: SeparableModel, lam: float, domain: tuple[float, float]) -> RadialProblem:
-    """Package the reduced radial problem with its effective potential.
-
-    V_eff(rho) = (3/4 + lambda)/rho^2 + 2 v(rho)/rho^2, valid on
-    0 < rho_min < rho_max.
-    """
+def radial_domain(domain: tuple[float, float]) -> tuple[float, float]:
+    """(rho_min, rho_max) as floats; radial functions live on 0 < rho_min < rho_max,
+    any other range raises DomainError."""
     rho_min, rho_max = float(domain[0]), float(domain[1])
     if not 0.0 < rho_min < rho_max:
         raise DomainError(f"need 0 < rho_min < rho_max, got ({rho_min}, {rho_max})")
+    return rho_min, rho_max
+
+
+def radial_problem(model: SeparableModel, lam: float, domain: tuple[float, float]) -> RadialProblem:
+    """Package the reduced radial problem with its effective potential.
+
+    V_eff(rho) = (3/4 + lambda)/rho^2 + 2 v(rho)/rho^2, valid on the
+    :func:`radial_domain` 0 < rho_min < rho_max.
+    """
+    rho_min, rho_max = radial_domain(domain)
     if model.v is None:
         raise DomainError("model has no radial potential")
     v = model.v

@@ -618,11 +618,13 @@ def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb
 ], ids=["effpot-radial", "wavefunction-toy", "wavefunction-radial"])
 def test_radial_range_from_zero_or_below_exits_3(coulomb_model_file, cos2_model_file,
                                                  oscillator_model_file, argv, lo):
-    # the radial problem lives on rho > 0; both commands refuse it the same way
+    # the radial problem lives on rho > 0; both commands refuse it by one rule
     files = {"COULOMB": coulomb_model_file, "COS2": cos2_model_file,
              "OSCILLATOR": oscillator_model_file}
     result = run_cli([str(files.get(token, token)) for token in argv] + [f"--range={lo},5"])
-    assert one_json_error(result, 3)["code"] == "domain"
+    error = one_json_error(result, 3)
+    assert error["code"] == "domain"
+    assert error["message"] == f"need 0 < rho_min < rho_max, got ({float(lo)}, 5.0)"
 
 
 def _table(n=512):

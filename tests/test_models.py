@@ -430,6 +430,17 @@ def test_numeric_level_guards_raise_domain_error(monkeypatch, call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    # b = n_rho + ell + 1/2 = -0.2 would give the wall 2 b^2 + 20 b < 0
+    lambda: coulomb_numeric_level(0.3, -1),
+    lambda: oscillator_numeric_level(1.0, 1.5, -1),
+], ids=["coulomb", "oscillator"])
+def test_negative_n_rho_is_refused_by_the_index_rule(call):
+    with pytest.raises(DomainError, match=r"^4000 grid points resolve 0 <= n_rho < 1000, "
+                                          r"got n_rho = -1$"):
+        call()
+
+
 def test_zero_zeta_levels_resolve_the_last_index_below_a_quarter_of_the_ring():
     # 68 / 4 = 17: index 2 m_max = 16 is the last one resolved
     values, _ = zero_zeta_levels(8, n_points=68)
@@ -709,6 +720,58 @@ def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch
     assert solved == [lam_star]
     assert residual == abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
     assert lam_star == _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
+
+
+# back to the first ring last, so that a sample kept from the previous ring
+# shows; a non-gate ordering's rings finer than 2050 are refused as singular
+@pytest.mark.parametrize("a, rings", [
+    (MM, (2050, 4098, 2050)),
+    (BDD, (2050, 1026, 2050)),
+], ids=["gate", "bendaniel-duke"])
+def test_scan_operator_matches_the_closed_potential_across_rings(a, rings):
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import PERIODIC, Grid, discretize
+    from pdm_polar.separation import zeta_coefficients
+
+    for n_points in rings:
+        grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
+        for lam in (-1.9, -0.75, 0.3):
+            z1, z2 = zeta_coefficients(a, lam)
+
+            def closed(x):
+                return (z1 * np.sin(x) ** 2 - z2) / np.cos(x) ** 4
+
+            expected = discretize(closed, grid, prefactor=0.5).diagonal
+            assert np.array_equal(md._scan_operator(a, lam, 1, n_points).diagonal, expected)
+
+
+def test_ring_factors_refuse_writes():
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import PERIODIC, Grid
+
+    for factor in md._ring_factors(Grid(0.0, 2.0 * math.pi, 2050, PERIODIC)):
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+
+
+def test_scan_samples_the_ring_trig_once(monkeypatch):
+    import pdm_polar.models as md
+
+    calls = []
+    cos = np.cos
+
+    def counting_cos(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    md._ring_factors.cache_clear()
+    heun_regime_scan(MM, 0.5, (-1.0, 0.0), state_index=1, n_points=2050)
+    assert calls == [(2050,)]
+    calls.clear()
+    md._ring_factors.cache_clear()
+    assert len(scan_curve(MM, (-1.0, 0.0), 9, n_points=2050)) == 9
+    assert calls == [(2050,)]
 
 
 @pytest.mark.parametrize("kwargs", [
