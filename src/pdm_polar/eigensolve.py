@@ -9,14 +9,18 @@ with two boundary treatments:
 
 Four requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
 and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
-the eigenvalues in a window certified by a Sturm count (``_eigenvalue_near``,
-which :func:`refine_eigenvalue` bisects its two levels in) and the Sturm
-count at or below a value (:func:`count_below`).  All four go through one
-call site, ``_lapack``: Sturm-sequence bisection (``?stebz``), plus inverse
-iteration (``?stein``) for vectors, via :func:`scipy.linalg.eigh_tridiagonal`
-(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N. Parlett, The
-Symmetric Eigenvalue Problem (SIAM, 1998)).  scipy is imported there, on the
-first request, so code that never solves runs on numpy alone.
+the eigenvalues in a window certified by a Sturm count (``_window``, which
+:func:`refine_eigenvalue` widens until it holds its two levels, and which
+:func:`eigenvalue` tries once when given a guess) and the Sturm count at or
+below a value (:func:`count_below`).  All four go through one call site,
+``_lapack``, which calls LAPACK's Sturm-sequence bisection (``?stebz``), plus
+inverse iteration (``?stein``) for vectors, directly: the two routines are
+fetched once through :func:`scipy.linalg.get_lapack_funcs` and given the
+arguments :func:`scipy.linalg.eigh_tridiagonal` would pass, without its
+per-call checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967);
+B. N. Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  scipy is
+imported there, on the first request, so code that never solves runs on
+numpy alone.
 
 The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
 symmetric tridiagonal, and a ring splits into its even and odd
@@ -24,14 +28,22 @@ reflection-parity sectors, each again a plain symmetric tridiagonal.  The
 split keeps the kernel purely tridiagonal and makes the double degeneracy
 of travelling-wave pairs explicit.  It requires the sampled potential to be
 reflection symmetric about x_min, which holds for every periodic problem
-this package builds.  The requests by value and by index run over the
-sectors and merge what they return; eigenpairs exist on Dirichlet grids
-only, so :func:`eigen_lowest` refuses a ring.
+this package builds.  It is made once per operator and kept on it
+(``DiscretizedOperator.sectors``), so the counts, windows and index
+searches of one solve share it.  The requests by value and by index run
+over the sectors and merge what they return; eigenpairs exist on Dirichlet
+grids only, so :func:`eigen_lowest` refuses a ring.
 
-:func:`eigenvalue` searches the whole spectrum for its index;
-:func:`refine_eigenvalue` instead bisects by value in windows around the
-caller's guess, each certified by a Sturm count, so a poor guess costs time,
-never a wrong level.
+:func:`eigenvalue` searches the whole spectrum for its index, from the
+Gershgorin interval, in every sector.  Given a guess and a width (the
+lambda scan passes the straight line through a curve's previous two
+points, and one step), it first bisects by value in one window about the
+guess and searches by index only if that window does not hold the level.
+:func:`refine_eigenvalue` bisects by value in windows around the caller's
+guess that grow until one holds the level, and never searches by index.
+Every window is certified by a Sturm count, so a poor guess costs time,
+never a wrong level; the value differs from the index search's only within
+the bisection tolerance, about 4 eps ||T||inf.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: a by-value ``?stebz`` request that stops
@@ -43,6 +55,7 @@ counts; it is too slow for production use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,6 +157,12 @@ class DiscretizedOperator:
             row[-1] += abs(self.off_diagonal[0])
         return float(np.max(row))
 
+    @functools.cached_property
+    def sectors(self):
+        """The operator split by ``_sectors``, made on first use and kept, so
+        the requests on one operator share one split."""
+        return _sectors(self)
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -211,19 +230,43 @@ def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) 
     return count
 
 
+@functools.cache
+def _routines():
+    """LAPACK's double-precision ``?stebz`` and ``?stein``, fetched on the first
+    request; scipy is imported here so that commands which never solve do not
+    load it."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
 def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
             vectors: bool = False, tol: float = 0.0):
     """The one LAPACK call site: ascending eigenvalues of one symmetric
     tridiagonal, indices lo..hi (``select="i"``) or values in (lo, hi]
-    (``"v"``), and the vectors too if asked; ``tol`` 0 is LAPACK's default."""
-    # imported here so that commands which never solve do not load scipy
-    from scipy.linalg import eigh_tridiagonal
+    (``"v"``), and the vectors too if asked; ``tol`` 0 is LAPACK's default.
 
-    try:
-        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select=select,
-                                select_range=select_range, tol=tol)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate cluster
-        raise ConvergenceFailure(str(exc)) from exc
+    The arguments are those :func:`scipy.linalg.eigh_tridiagonal` passes for
+    the same request (1-based indices; vectors by inverse iteration on the
+    block-ordered values, then sorted), without its per-call validation.
+    """
+    stebz, stein = _routines()
+    lo, hi = select_range
+    if select == "i":
+        bounds = (2, 0.0, 1.0, lo + 1, hi + 1)
+    else:
+        bounds = (1, lo, hi, 1, 1)
+    m, w, block, split, info = stebz(diag, off, *bounds, tol, "B" if vectors else "E")
+    if info != 0:  # pragma: no cover - degenerate cluster
+        raise ConvergenceFailure(f"?stebz failed (LAPACK info = {info})")
+    w = w[:m]
+    if not vectors:
+        return w
+    v, info = stein(diag, off, w, block, split)
+    if info != 0:  # pragma: no cover - degenerate cluster
+        raise ConvergenceFailure(f"?stein: {info} eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -266,7 +309,8 @@ def _sectors(op: DiscretizedOperator):
     """The symmetric tridiagonals whose spectra together are the operator's.
 
     The one place the boundary is decided: a Dirichlet operator is its own
-    single sector, a ring its two reflection-parity sectors.
+    single sector, a ring its two reflection-parity sectors.  Solves read it
+    through :attr:`DiscretizedOperator.sectors`, which splits once per operator.
     """
     if op.grid.boundary == PERIODIC:
         return _parity_sectors(op)
@@ -288,15 +332,26 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
     return EigenResult(w, v / math.sqrt(op.grid.h), op.grid)
 
 
-def eigenvalue(op: DiscretizedOperator, index: int) -> float:
+def eigenvalue(op: DiscretizedOperator, index: int, *,
+               near: tuple[float, float] | None = None) -> float:
     """The eigenvalue of the given 0-based index, without eigenvectors.
 
     On a Dirichlet grid it equals ``eigen_lowest(op, index + 1).eigenvalues[index]``
     up to the bisection tolerance (a few eps times the operator's norm); the
     guard is :meth:`Grid.check_index` on either boundary.
+
+    ``near=(guess, width)`` first bisects by value in the one window of
+    ``_window`` around the guess, certified by a Sturm count, and searches
+    the spectrum by index only when that window does not hold the level;
+    the value is the index search's within the bisection tolerance either
+    way.  A non-finite guess or width raises DomainError.
     """
     op.grid.check_index(index)
-    sectors = _sectors(op)
+    if near is not None:
+        level = _window(op, index, *near, op.inf_norm())
+        if level is not None:
+            return level
+    sectors = op.sectors
     # a lone sector is asked for the index alone, several for their lowest index + 1
     first = index if len(sectors) == 1 else 0
     lowest = np.concatenate([_lapack(diag, off, "i", (first, index)) for diag, off in sectors])
@@ -310,43 +365,60 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     eigenvalue of a given index lies above x exactly when the count is at
     most that index.
     """
-    return sum(_count(diag, off, x) for diag, off in _sectors(op))
+    return sum(_count(diag, off, x) for diag, off in op.sectors)
+
+
+def _window_floor(norm: float) -> float:
+    """The narrowest window half-width: ``_WINDOW_FLOOR * eps * ||T||inf``, or
+    the smallest normal float for a zero operator."""
+    return max(_WINDOW_FLOOR * _EPS * norm, _TINY)
+
+
+def _window(op: DiscretizedOperator, index: int, guess: float, width: float, norm: float):
+    """The level of the given index if one Sturm-certified window holds it, else None.
+
+    The window is (guess - w, guess + w], w = |width| floored by
+    ``_window_floor``; a guess outside [-norm, norm] (norm = ||T||inf, passed
+    in so that a widening search takes it once) is moved to its nearer end.
+    It holds the level when at most ``index`` eigenvalues lie at or below
+    guess - w (:func:`count_below`) and the window holds the rest up to
+    ``index``; a window that the count already rules out is not bisected.
+    """
+    if not (math.isfinite(guess) and math.isfinite(width)):
+        raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
+    guess = min(max(guess, -norm), norm)
+    w = max(abs(width), _window_floor(norm))
+    lo, hi = guess - w, guess + w
+    below = count_below(op, lo)
+    if below > index:
+        return None
+    inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
+                                     for diag, off in op.sectors]))
+    return float(inside[index - below]) if index < below + len(inside) else None
 
 
 def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: float) -> float:
-    """:func:`eigenvalue`, bisected by value in a window around a guess.
+    """:func:`eigenvalue`, bisected by value in windows around a guess.
 
-    The window is (guess - w, guess + w], w = |width| floored at
-    ``_WINDOW_FLOOR * eps * ||T||inf``; a guess outside [-||T||inf, ||T||inf]
-    is moved to its nearer end.  It holds the level when at most ``index``
-    eigenvalues lie at or below guess - w (:func:`count_below`) and the
-    window holds the rest up to ``index``.  Otherwise w grows by ``_WIDEN``;
-    a window that reaches past both ends of [-||T||inf, ||T||inf] by more
-    than the floor and still does not hold the level raises
-    ConvergenceFailure.
+    Tries the window of ``_window`` at half-width |width|, and again at
+    ``_WIDEN`` times that until one holds the level; a window that reaches
+    past both ends of [-||T||inf, ||T||inf] by more than its floor and
+    still does not hold the level raises ConvergenceFailure.
     """
     op.grid.check_index(index)
-    if not (math.isfinite(guess) and math.isfinite(width)):
-        raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
     norm = op.inf_norm()
-    guess = min(max(guess, -norm), norm)
-    floor = max(_WINDOW_FLOOR * _EPS * norm, _TINY)
+    floor = _window_floor(norm)
     w = max(abs(width), floor)
-    sectors = _sectors(op)
-    while True:
-        lo, hi = guess - w, guess + w
-        below = count_below(op, lo)
-        if below <= index:
-            inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
-                                             for diag, off in sectors]))
-            if index < below + len(inside):
-                return float(inside[index - below])
-        if lo < -norm - floor and hi > norm + floor:
+    while (level := _window(op, index, guess, w, norm)) is None:
+        # _window has refused a guess that is not finite, and clamps it like this
+        centre = min(max(guess, -norm), norm)
+        if centre - w < -norm - floor and centre + w > norm + floor:
             raise ConvergenceFailure(
-                f"no window about {guess!r} holds level {index} of the "
+                f"no window about {centre!r} holds level {index} of the "
                 f"{op.n}-row operator; its Sturm counts disagree with its bisection"
             )
         w *= _WIDEN
+    return level
 
 
 def _richardson(coarse, fine):

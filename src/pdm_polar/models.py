@@ -534,7 +534,8 @@ def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int)
 
 
 def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
-               n_points: int = SCAN_N_POINTS) -> float:
+               n_points: int = SCAN_N_POINTS,
+               near: tuple[float, float] | None = None) -> float:
     """Eigenvalue of given index of the periodic angular problem at lambda.
 
     The ring (0, 2pi) keeps the zero-potential limit exact: at the point
@@ -544,18 +545,38 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     multiple of 4 puts a node on a zero, an odd count breaks the parity
     split), so any other count raises DomainError, as do fewer than 16
     points and a state_index that :meth:`Grid.check_index` refuses.
+
+    ``near=(guess, width)`` bisects the level by value in one window about
+    the guess, certified by a Sturm count, before any search by index (see
+    :func:`eigensolve.eigenvalue`).
     """
-    return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index)
+    return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index, near=near)
 
 
 def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int, *,
                state_index: int = 1,
                n_points: int = SCAN_N_POINTS) -> list[tuple[float, float]]:
-    """Sample the eigenvalue-versus-lambda curve over the range."""
+    """Sample the eigenvalue-versus-lambda curve over the range.
+
+    The first two points are searched by index.  Each later one is first
+    bisected by value in a window about the straight line through the two
+    before it, ``2 E[i-1] - E[i-2]``, of half-width one step
+    ``|E[i-1] - E[i-2]|``; a window that does not hold the level falls back
+    to the index search, so every point is the index search's level to
+    within the bisection tolerance, 4 eps ||T||inf of the ring.  A range
+    with equal ends solves its one level once.
+    """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    lams = np.linspace(lo, hi, samples)
-    return [(float(lam), float(scan_level(a, lam, state_index=state_index, n_points=n_points)))
-            for lam in lams]
+    lams = [float(lam) for lam in np.linspace(lo, hi, samples)]
+    if lo == hi and lams:
+        return [(lo, scan_level(a, lo, state_index=state_index, n_points=n_points))] * samples
+    energies = []
+    for lam in lams:
+        near = None
+        if len(energies) >= 2:
+            near = (2.0 * energies[-1] - energies[-2], energies[-1] - energies[-2])
+        energies.append(scan_level(a, lam, state_index=state_index, n_points=n_points, near=near))
+    return list(zip(lams, energies))
 
 
 def heun_regime_scan(a: AmbiguitySet, energy_target: float,
@@ -590,9 +611,9 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     if lo > hi:
         raise DomainError(f"lambda range is inverted: ({lo}, {hi})")
     if lo == hi:
-        # every point of the curve is this one, solved once
-        point = (lo, scan_level(a, lo, state_index=state_index, n_points=n_points))
-        raise NoRoot(f"degenerate lambda range [{lo}, {hi}]", curve=[point] * curve_samples)
+        raise NoRoot(f"degenerate lambda range [{lo}, {hi}]",
+                     curve=scan_curve(a, (lo, hi), curve_samples,
+                                      state_index=state_index, n_points=n_points))
 
     def level(lam: float) -> float:
         return scan_level(a, lam, state_index=state_index, n_points=n_points)

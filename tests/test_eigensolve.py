@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -292,6 +291,23 @@ def test_count_below_matches_references(case):
     assert count_below(op, 2.0 * op.inf_norm()) == op.n
 
 
+def test_ring_is_split_once_per_operator(monkeypatch):
+    splits = []
+    split = eigensolve._parity_sectors
+
+    def counting_split(op):
+        splits.append(op)
+        return split(op)
+
+    monkeypatch.setattr(eigensolve, "_parity_sectors", counting_split)
+    op = case_operator("cos ring")
+    level = eigenvalue(op, 2)
+    # a window far from the level misses: count, window and index search in turn
+    assert eigenvalue(op, 2, near=(-10.0 * op.inf_norm(), 0.0)) == level
+    assert count_below(op, 2.0 * op.inf_norm()) == op.n
+    assert len(splits) == 1 and splits[0] is op
+
+
 def test_eigenvector_normalization_and_residual():
     g = Grid(-8.0, 8.0, 1500, DIRICHLET)
     op = discretize(harmonic, g, prefactor=0.5)
@@ -452,6 +468,8 @@ def test_window_matches_index_search(op, data, guess_kind):
     }[guess_kind]
     value = _eigenvalue_near(op, index, guess, width)
     assert abs(value - level) <= 4.0 * EPS * norm
+    # one window, and the index search when it misses
+    assert abs(eigenvalue(op, index, near=(guess, width)) - level) <= 4.0 * EPS * norm
 
 
 def test_window_splits_the_free_ring_pairs():
@@ -471,6 +489,8 @@ def test_window_splits_the_free_ring_pairs():
 def test_window_refuses_non_finite_input(guess, width):
     with pytest.raises(ValueError, match="finite"):
         _eigenvalue_near(case_operator("box"), 0, guess, width)
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalue(case_operator("box"), 0, near=(guess, width))
 
 
 def test_window_on_the_zero_operator():
@@ -497,13 +517,13 @@ def test_window_that_never_certifies_raises(monkeypatch):
 def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
     _, potential, prefactor, _ = SOLVE_CASES[case]
     requests = []
-    lapack = scipy.linalg.eigh_tridiagonal
+    lapack = eigensolve._lapack
 
-    def spy(d, e, **kwargs):
-        requests.append(kwargs.get("select"))
-        return lapack(d, e, **kwargs)
+    def spy(d, e, select, *args, **kwargs):
+        requests.append(select)
+        return lapack(d, e, select, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(eigensolve, "_lapack", spy)
     for index in range(3):
         for guess in (CLOSED_LEVELS[case](index), 0.0):
             refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),

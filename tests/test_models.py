@@ -774,6 +774,86 @@ def test_scan_samples_the_ring_trig_once(monkeypatch):
     assert calls == [(2050,)]
 
 
+def _assert_curve_is_the_index_search(a, lambda_range, samples, state_index, n_points):
+    import pdm_polar.models as md
+
+    curve = scan_curve(a, lambda_range, samples, state_index=state_index, n_points=n_points)
+    assert [lam for lam, _ in curve] == [float(x) for x in np.linspace(*lambda_range, samples)]
+    eps = float(np.finfo(float).eps)
+    for lam, energy in curve:
+        bound = 4.0 * eps * md._scan_operator(a, lam, state_index, n_points).inf_norm()
+        level = scan_level(a, lam, state_index=state_index, n_points=n_points)
+        assert abs(energy - level) <= bound, (lam, energy, level)
+
+
+@pytest.mark.parametrize("state_index", range(4))
+@pytest.mark.parametrize("a", [GW, BDD, ZK, LK, MM],
+                         ids=["gora-williams", "bendaniel-duke", "zhu-kroemer", "li-kuhn", "gate"])
+def test_windowed_scan_curve_matches_the_index_search(a, state_index):
+    # (-2, 1) crosses lambda = -1/2, where the gate's levels plunge between samples
+    _assert_curve_is_the_index_search(a, (-2.0, 1.0), 9, state_index, 2050)
+
+
+@pytest.mark.parametrize("state_index", range(4))
+@pytest.mark.parametrize("n_points", [2050, 4098, 8194])
+def test_windowed_gate_curve_matches_the_index_search_on_every_ring(n_points, state_index):
+    for lambda_range in ((-0.75, 4.0), (-1.0, 0.0)):
+        _assert_curve_is_the_index_search(MM, lambda_range, 12, state_index, n_points)
+
+
+def test_windowed_scan_curve_makes_fewer_index_requests(monkeypatch):
+    from pdm_polar import eigensolve
+
+    requests = []
+    lapack = eigensolve._lapack
+
+    def spy(d, e, select, *args, **kwargs):
+        requests.append(select)
+        return lapack(d, e, select, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_lapack", spy)
+    scan_curve(MM, (-1.0, -0.5), 9, n_points=2050)
+    # a search by index asks each of the ring's two parity sectors: 18 for
+    # nine points; only the first two points and the missed windows search
+    assert 0 < requests.count("i") < 18
+
+
+def test_scan_curve_falls_back_when_no_window_certifies(monkeypatch):
+    from pdm_polar import eigensolve
+
+    windows = []
+    window = eigensolve._window
+
+    def counting_window(*args):
+        windows.append(args[2:4])
+        return window(*args)
+
+    # a count that puts every level at or below any point certifies no window
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    monkeypatch.setattr(eigensolve, "_window", counting_window)
+    lams = np.linspace(-1.0, 0.0, 9)
+    curve = scan_curve(MM, (-1.0, 0.0), 9, n_points=2050)
+    assert curve == [(float(lam), scan_level(MM, lam, n_points=2050)) for lam in lams]
+    # one window per point after the first two, never widened
+    assert len(windows) == 7
+
+
+def test_degenerate_scan_curve_solves_once(monkeypatch):
+    import pdm_polar.models as md
+
+    solved = []
+
+    def counting_scan_level(a, lam, **kwargs):
+        solved.append(lam)
+        return scan_level(a, lam, **kwargs)
+
+    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    curve = scan_curve(MM, (-0.75, -0.75), 5)
+    assert solved == [-0.75]
+    assert curve == [(-0.75, scan_level(MM, -0.75))] * 5
+    assert scan_curve(MM, (-0.75, -0.75), 0) == []
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_points": 4000}, {"n_points": 2051}, {"n_points": 14}, {"state_index": -1},
     {"state_index": 512},
