@@ -10,11 +10,11 @@ with two boundary treatments:
 Four requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
 and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
 the eigenvalues in a window certified by a Sturm count (``_window``, which
-:func:`refine_eigenvalue` widens until it holds its two levels, and which
-:func:`eigenvalue` tries once when given a guess) and the Sturm count at or
-below a value (:func:`count_below`).  All four go through one call site,
-``_lapack``, which calls LAPACK's Sturm-sequence bisection (``?stebz``), plus
-inverse iteration (``?stein``) for vectors, directly: the two routines are
+:func:`eigenvalue` tries once when given a guess, as the lambda scan and
+:func:`refine_eigenvalue` give it) and the Sturm count at or below a value
+(:func:`count_below`).  All four go through one call site, ``_lapack``,
+which calls LAPACK's Sturm-sequence bisection (``?stebz``), plus inverse
+iteration (``?stein``) for vectors, directly: the two routines are
 fetched once through :func:`scipy.linalg.get_lapack_funcs` and given the
 arguments :func:`scipy.linalg.eigh_tridiagonal` would pass, without its
 per-call checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967);
@@ -37,11 +37,10 @@ grids only, so :func:`eigen_lowest` refuses a ring.
 :func:`eigenvalue` searches the whole spectrum for its index, from the
 Gershgorin interval, in every sector.  Given a guess and a width (the
 lambda scan passes the straight line through a curve's previous two
-points, and one step), it first bisects by value in one window about the
-guess and searches by index only if that window does not hold the level.
-:func:`refine_eigenvalue` bisects by value in windows around the caller's
-guess that grow until one holds the level, and never searches by index.
-Every window is certified by a Sturm count, so a poor guess costs time,
+points, and one step; :func:`refine_eigenvalue` the caller's guess of the
+level), it first bisects by value in one window about the guess and
+searches by index only if that window does not hold the level.  The window
+is certified by a Sturm count, so a poor guess costs one index search,
 never a wrong level; the value differs from the index search's only within
 the bisection tolerance, about 4 eps ||T||inf.
 
@@ -72,11 +71,10 @@ _SIGN_THRESHOLD = 1e-8
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # refine_eigenvalue bisects its level at h within _COARSE_WINDOW * |guess| of
-# the caller's guess; a window that does not hold the level grows by _WIDEN,
-# and none is narrower than _WINDOW_FLOOR * eps * ||T||inf (or the smallest
-# normal float, for a zero operator)
+# the caller's guess, and no window is narrower than
+# _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a zero
+# operator)
 _COARSE_WINDOW = 2e-2
-_WIDEN = 16.0
 _WINDOW_FLOOR = 4.0
 
 
@@ -348,7 +346,7 @@ def eigenvalue(op: DiscretizedOperator, index: int, *,
     """
     op.grid.check_index(index)
     if near is not None:
-        level = _window(op, index, *near, op.inf_norm())
+        level = _window(op, index, *near)
         if level is not None:
             return level
     sectors = op.sectors
@@ -368,26 +366,21 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     return sum(_count(diag, off, x) for diag, off in op.sectors)
 
 
-def _window_floor(norm: float) -> float:
-    """The narrowest window half-width: ``_WINDOW_FLOOR * eps * ||T||inf``, or
-    the smallest normal float for a zero operator."""
-    return max(_WINDOW_FLOOR * _EPS * norm, _TINY)
-
-
-def _window(op: DiscretizedOperator, index: int, guess: float, width: float, norm: float):
+def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
     """The level of the given index if one Sturm-certified window holds it, else None.
 
     The window is (guess - w, guess + w], w = |width| floored by
-    ``_window_floor``; a guess outside [-norm, norm] (norm = ||T||inf, passed
-    in so that a widening search takes it once) is moved to its nearer end.
-    It holds the level when at most ``index`` eigenvalues lie at or below
-    guess - w (:func:`count_below`) and the window holds the rest up to
-    ``index``; a window that the count already rules out is not bisected.
+    ``_WINDOW_FLOOR * eps * ||T||inf`` (the smallest normal float for a zero
+    operator); a guess outside [-||T||inf, ||T||inf] is moved to its nearer
+    end.  It holds the level when at most ``index`` eigenvalues lie at or
+    below guess - w (:func:`count_below`) and the window holds the rest up
+    to ``index``; a window that the count already rules out is not bisected.
     """
     if not (math.isfinite(guess) and math.isfinite(width)):
         raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
+    norm = op.inf_norm()
     guess = min(max(guess, -norm), norm)
-    w = max(abs(width), _window_floor(norm))
+    w = max(abs(width), _WINDOW_FLOOR * _EPS * norm, _TINY)
     lo, hi = guess - w, guess + w
     below = count_below(op, lo)
     if below > index:
@@ -395,30 +388,6 @@ def _window(op: DiscretizedOperator, index: int, guess: float, width: float, nor
     inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
                                      for diag, off in op.sectors]))
     return float(inside[index - below]) if index < below + len(inside) else None
-
-
-def _eigenvalue_near(op: DiscretizedOperator, index: int, guess: float, width: float) -> float:
-    """:func:`eigenvalue`, bisected by value in windows around a guess.
-
-    Tries the window of ``_window`` at half-width |width|, and again at
-    ``_WIDEN`` times that until one holds the level; a window that reaches
-    past both ends of [-||T||inf, ||T||inf] by more than its floor and
-    still does not hold the level raises ConvergenceFailure.
-    """
-    op.grid.check_index(index)
-    norm = op.inf_norm()
-    floor = _window_floor(norm)
-    w = max(abs(width), floor)
-    while (level := _window(op, index, guess, w, norm)) is None:
-        # _window has refused a guess that is not finite, and clamps it like this
-        centre = min(max(guess, -norm), norm)
-        if centre - w < -norm - floor and centre + w > norm + floor:
-            raise ConvergenceFailure(
-                f"no window about {centre!r} holds level {index} of the "
-                f"{op.n}-row operator; its Sturm counts disagree with its bisection"
-            )
-        w *= _WIDEN
-    return level
 
 
 def _richardson(coarse, fine):
@@ -446,19 +415,18 @@ def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple
     """:func:`refine` for the one eigenvalue of the given index, without vectors.
 
     Returns (extrapolated value, |extrapolated - fine|), the Richardson step
-    of :func:`refine` applied to :func:`eigenvalue` at h and h/2, with no
-    search by index.  The level at h is bisected in a window of half-width
-    2e-2 |guess| around the caller's guess, typically the level's closed
-    value.  The level at h/2 is bisected in a window around the level at h
-    of half-width 3 |coarse - guess|, four times the h^2 prediction of its
-    shift when the guess is the h -> 0 limit, and at most 2e-2 |coarse|.
-    Both windows are certified by a Sturm count (see
-    :func:`_eigenvalue_near`), so the values are those of the two index
+    of :func:`refine` applied to ``eigenvalue(..., near=...)`` at h and h/2.
+    The level at h is bisected in a window of half-width 2e-2 |guess| around
+    the caller's guess, typically the level's closed value.  The level at
+    h/2 is bisected in a window around the level at h of half-width
+    3 |coarse - guess|, four times the h^2 prediction of its shift when the
+    guess is the h -> 0 limit, and at most 2e-2 |coarse|.  Both windows are
+    certified by a Sturm count, so the values are those of the two index
     searches, within the bisection tolerance, whatever the guess.
 
-    The guess only sets the cost: a window bisects every level it holds,
-    at O(n) each, and one that misses the level grows 16-fold until it
-    holds it, so a guess within the level spacing costs about one level.
+    The guess only sets the cost: a window bisects every level it holds, at
+    O(n) each, so a guess within the level spacing costs about one level,
+    and a poor guess costs one window plus one index search.
 
     The bisection tolerance is a floor shared with the index search: each
     level is resolved to about eps * ||T||inf = 4 eps / h^2 of its operator
@@ -467,9 +435,9 @@ def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple
     convergence estimate measures roundoff, not discretization error.
     """
     # the operator on grid is a temporary, freed before the refined one is built
-    coarse = _eigenvalue_near(op_factory(grid), index, guess, _COARSE_WINDOW * abs(guess))
+    coarse = eigenvalue(op_factory(grid), index, near=(guess, _COARSE_WINDOW * abs(guess)))
     fine_width = min(3.0 * abs(coarse - guess), _COARSE_WINDOW * abs(coarse))
-    fine = _eigenvalue_near(op_factory(grid.refined()), index, coarse, fine_width)
+    fine = eigenvalue(op_factory(grid.refined()), index, near=(coarse, fine_width))
     return _richardson(coarse, fine)
 
 

@@ -26,13 +26,8 @@ class PotentialSingular(PdmPolarError):
 
 
 class ConvergenceFailure(PdmPolarError):
-    """An eigensolve did not converge.
-
-    Either inverse iteration failed, which usually signals a tight
-    degenerate cluster, or no Sturm-certified window held the requested
-    level even after it covered the whole Gershgorin interval, which means
-    the Sturm counts and the bisection disagree.
-    """
+    """An eigensolve did not converge: LAPACK's bisection or inverse iteration
+    returned ``info != 0``, which usually signals a tight degenerate cluster."""
 
 
 class DomainError(PdmPolarError, ValueError):

@@ -6,6 +6,7 @@ digits, so identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ def dump_json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -560,6 +560,21 @@ def test_bad_command_line_exits_2_with_one_json_error(oscillator_model_file, cou
     assert one_json_error(result, 2)["code"] == "config"
 
 
+def test_control_character_in_an_echoed_state_prints_valid_json(oscillator_model_file):
+    # the selector survives its strip() with a trailing tab, and the report echoes it
+    state = "radial:n_rho=1\t"
+    result = run_cli(["wavefunction", "--model", str(oscillator_model_file), "--state", state,
+                      "--range", "0.5,6", "--samples", "3"])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["state"] == state
+
+
+def test_control_character_in_an_error_message_prints_valid_json():
+    path = "no\nsuch.json"
+    error = one_json_error(run_cli(["spectrum", "--model", path]), 2)
+    assert error["code"] == "config" and f"cannot read model file {path}:" in error["message"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--model", "FLAT", "--lambda", "nan"],
@@ -708,14 +723,32 @@ def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_m
     assert verify == [0, True]
 
 
-def test_verify_exits_3_when_no_window_certifies_a_level(oscillator_model_file, capsys,
-                                                         monkeypatch):
-    # a Sturm count that never certifies a window ends the sweep with a JSON
-    # error, exit 3, instead of a traceback or a hang
+def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_file, capsys,
+                                                           monkeypatch):
+    # a Sturm count that never certifies a window sends every level to the
+    # index search, which agrees with the windows within the bisection tolerance
     from pdm_polar import cli, eigensolve
 
+    argv = ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "1"]
+    assert cli.main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)["records"]
+    norms = {}
+    eigenvalue = eigensolve.eigenvalue
+
+    def spy(op, index, **kwargs):
+        # the operator at h/2 has the larger norm of the two a level is solved on
+        norms[index] = max(norms.get(index, 0.0), op.inf_norm())
+        return eigenvalue(op, index, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigenvalue", spy)
     monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
-    code = cli.main(["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0"])
-    assert code == 3
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["code"] == "domain" and "no window" in error["message"]
+    assert cli.main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["n_rho"] for r in records] == [r["n_rho"] for r in expected] == [0, 1]
+    moved = ("energy_numeric", "delta", "convergence_estimate")
+    for record, unpatched in zip(records, expected):
+        bound = 4.0 * np.finfo(float).eps * norms[record["n_rho"]]
+        for key in moved:
+            assert abs(record[key] - unpatched[key]) <= bound, (record["n_rho"], key)
+        assert ({k: v for k, v in record.items() if k not in moved}
+                == {k: v for k, v in unpatched.items() if k not in moved})

@@ -16,7 +16,6 @@ from pdm_polar.eigensolve import (
     DiscretizedOperator,
     Grid,
     _count,
-    _eigenvalue_near,
     _sectors,
     count_below,
     discretize,
@@ -28,7 +27,7 @@ from pdm_polar.eigensolve import (
     sign_changes,
     sturm_count_below,
 )
-from pdm_polar.errors import ConvergenceFailure, DomainError, PotentialSingular
+from pdm_polar.errors import DomainError, PotentialSingular
 from pdm_polar.specfun import BesselOrder, bessel_j, laguerre_assoc
 
 
@@ -125,7 +124,7 @@ REFUSALS = {
                        "2000 grid points resolve 0 <= k - 1 < 500, got k - 1 = 500"),
     "index": (lambda: eigenvalue(case_operator("box"), 500),
               "2000 grid points resolve 0 <= index < 500, got index = 500"),
-    "window-nan-guess": (lambda: _eigenvalue_near(case_operator("box"), 0, math.nan, 1.0),
+    "window-nan-guess": (lambda: eigenvalue(case_operator("box"), 0, near=(math.nan, 1.0)),
                          "need a finite guess and width, got nan and 1.0"),
     "ring-asymmetric": (lambda: eigenvalue(discretize(np.sin, SOLVE_CASES["cos ring"][0]), 0),
                         "periodic solves need a reflection-symmetric potential about x_min "
@@ -418,7 +417,7 @@ def test_refine_eigenvalue_matches_refine(case):
 
 
 # ---------------------------------------------------------------------------
-# the Sturm-certified window of refine_eigenvalue
+# the Sturm-certified window of eigenvalue(near=), which refine_eigenvalue uses
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,8 +465,6 @@ def test_window_matches_index_search(op, data, guess_kind):
         "below": -3.0 * norm,
         "random": data.draw(st.floats(-2.0 * norm, 2.0 * norm), label="guess"),
     }[guess_kind]
-    value = _eigenvalue_near(op, index, guess, width)
-    assert abs(value - level) <= 4.0 * EPS * norm
     # one window, and the index search when it misses
     assert abs(eigenvalue(op, index, near=(guess, width)) - level) <= 4.0 * EPS * norm
 
@@ -480,15 +477,13 @@ def test_window_splits_the_free_ring_pairs():
         level = eigenvalue(op, index)
         for guess in (0.0, level, eigenvalue(op, 6 - index)):
             for width in (0.0, 1e-3):
-                assert abs(_eigenvalue_near(op, index, guess, width) - level) <= bound
-        assert abs(_eigenvalue_near(op, index, 0.0, 1e300) - level) <= bound
+                assert abs(eigenvalue(op, index, near=(guess, width)) - level) <= bound
+        assert abs(eigenvalue(op, index, near=(0.0, 1e300)) - level) <= bound
 
 
 @pytest.mark.parametrize("guess, width", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
                                           (1.0, math.nan), (1.0, math.inf)])
 def test_window_refuses_non_finite_input(guess, width):
-    with pytest.raises(ValueError, match="finite"):
-        _eigenvalue_near(case_operator("box"), 0, guess, width)
     with pytest.raises(ValueError, match="finite"):
         eigenvalue(case_operator("box"), 0, near=(guess, width))
 
@@ -496,18 +491,38 @@ def test_window_refuses_non_finite_input(guess, width):
 def test_window_on_the_zero_operator():
     # ||T||inf = 0 leaves no eps-scaled floor; the window must still open
     op = DiscretizedOperator(np.zeros(16), np.zeros(15), Grid(0.0, 1.0, 16, DIRICHLET))
-    assert _eigenvalue_near(op, 3, 0.0, 0.0) == 0.0
+    assert eigenvalue(op, 3, near=(0.0, 0.0)) == 0.0
 
 
-def test_window_that_never_certifies_raises(monkeypatch):
+def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch):
     # a count that puts every level at or below any point never certifies a
-    # window; the widening ends at the Gershgorin interval instead of hanging
-    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
-    with pytest.raises(ConvergenceFailure, match="no window"):
-        _eigenvalue_near(case_operator("box"), 0, 1.0, 1e-3)
+    # window, so every level comes from the index search
     grid, potential, prefactor, _ = SOLVE_CASES["coulombish"]
-    with pytest.raises(ConvergenceFailure):
-        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor), grid, 0, -0.4)
+
+    def factory(g):
+        return discretize(potential, g, prefactor=prefactor)
+
+    op = case_operator("box")
+    level = eigenvalue(op, 0)
+    coarse, fine = eigenvalue(factory(grid), 0), eigenvalue(factory(grid.refined()), 0)
+    extrapolated = (4.0 * fine - coarse) / 3.0
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    assert eigenvalue(op, 0, near=(1.0, 1e-3)) == level
+    assert refine_eigenvalue(factory, grid, 0, -0.4) == (extrapolated, abs(extrapolated - fine))
+
+
+def spy_on_lapack(monkeypatch):
+    """Record (rows, select, tol, values returned) of every LAPACK request."""
+    requests = []
+    lapack = eigensolve._lapack
+
+    def spy(d, e, select, *args, **kwargs):
+        values = lapack(d, e, select, *args, **kwargs)
+        requests.append((len(d), select, kwargs.get("tol", 0.0), len(values)))
+        return values
+
+    monkeypatch.setattr(eigensolve, "_lapack", spy)
+    return requests
 
 
 @pytest.mark.parametrize("case, grid", [
@@ -516,19 +531,31 @@ def test_window_that_never_certifies_raises(monkeypatch):
 ])
 def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
     _, potential, prefactor, _ = SOLVE_CASES[case]
-    requests = []
-    lapack = eigensolve._lapack
-
-    def spy(d, e, select, *args, **kwargs):
-        requests.append(select)
-        return lapack(d, e, select, *args, **kwargs)
-
-    monkeypatch.setattr(eigensolve, "_lapack", spy)
+    requests = spy_on_lapack(monkeypatch)
     for index in range(3):
-        for guess in (CLOSED_LEVELS[case](index), 0.0):
-            refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
-                              grid, index, guess)
-    assert requests and set(requests) == {"v"}
+        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
+                          grid, index, CLOSED_LEVELS[case](index))
+    assert requests and {select for _, select, _, _ in requests} == {"v"}
+
+
+@pytest.mark.parametrize("rule", ["zero", "1.5x closed"])
+def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, rule):
+    # a guess far from the level costs at most one Sturm count, one window
+    # and one index search per grid, and bisects no level but the one asked for
+    _, potential, prefactor, _ = SOLVE_CASES["coulombish"]
+    grid = Grid(0.0, 60.0, 20000, DIRICHLET)
+    requests = spy_on_lapack(monkeypatch)
+    for index in range(3):
+        requests.clear()
+        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
+                          grid, index, GUESS_RULES[rule](CLOSED_LEVELS["coulombish"], index))
+        for rows in (grid.n_points, grid.refined().n_points):
+            mine = [(select, tol, m) for n, select, tol, m in requests if n == rows]
+            counts = [r for r in mine if r[0] == "v" and r[1] != 0.0]
+            bisections = [r for r in mine if r[0] == "v" and r[1] == 0.0]
+            assert len(counts) <= 1 and len(bisections) <= 1, (index, rows, mine)
+            assert sum(m for _, _, m in bisections) <= 1, (index, rows, mine)
+            assert len([r for r in mine if r[0] == "i"]) <= 1, (index, rows, mine)
 
 
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
