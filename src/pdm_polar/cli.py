@@ -61,11 +61,13 @@ def _pair(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _at_least(low: int):
-    return _checked(int, lambda n: n >= low, f">= {low}")
+def _count_in(low: int, high: int):
+    return _checked(int, lambda n: low <= n <= high, f"in [{low}, {high}]")
 
 
-_N_POINTS = _checked(int, lambda n: 64 <= n <= 10**6, "in [64, 1000000]")
+_N_POINTS = _count_in(64, 10**6)
+# a negative m_max is an empty table, refused by cmd_spectrum as a domain error
+_M_MAX = _checked(int, lambda m: m <= 10**4, "<= 10000")
 _TOL = _checked(float, lambda t: 1e-10 <= t <= 1e-1, "in [1e-10, 0.1]")
 _RHO_MAX = _checked(float, lambda r: 0.0 < r < math.inf, "finite and > 0")
 # a span that overflows would sample nothing but nan
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("spectrum", cmd_spectrum, "closed-form spectrum table")
     p.add_argument("--n-rho-max", type=int, default=0, dest="n_rho_max")
-    p.add_argument("--m-max", type=int, default=0, dest="m_max")
+    p.add_argument("--m-max", type=_M_MAX, default=0, dest="m_max")
     p.add_argument("--lambda", type=float, default=0.0, dest="lam",
                    help="separation constant for flat (potential-free) models")
 
@@ -341,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("effpot", cmd_effpot, "effective potential samples")
     p.add_argument("--which", choices=("radial", "angular"), required=True)
     p.add_argument("--range", type=_SAMPLE_RANGE, required=True, help="LO,HI")
-    p.add_argument("--samples", type=_at_least(2), default=101)
+    p.add_argument("--samples", type=_count_in(2, 10**6), default=101)
     p.add_argument("--lambda", type=float, default=-0.75, dest="lam")
 
     p = add_command("wavefunction", cmd_wavefunction, "wavefunction samples")
     p.add_argument("--state", required=True,
                    help="toy:n=NU | radial:n_rho=K | angular:m=M")
     p.add_argument("--range", type=_SAMPLE_RANGE, required=True, help="LO,HI")
-    p.add_argument("--samples", type=_at_least(1), default=101)
+    p.add_argument("--samples", type=_count_in(1, 10**6), default=101)
 
     # JSON only: a CSV curve would drop the root
     p = add_command("scan", cmd_scan, "eigenvalue-versus-lambda scan", csv=False)
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-index", type=int, default=1, dest="state_index",
                    help="eigenvalue index to track (1 = first level above the "
                         "constant mode at the zero-potential point)")
-    p.add_argument("--curve-samples", type=_at_least(1), default=17, dest="curve_samples")
+    p.add_argument("--curve-samples", type=_count_in(1, 10**4), default=17, dest="curve_samples")
     p.add_argument("--n-points", type=_N_POINTS, default=md.SCAN_N_POINTS, dest="n_points")
     return parser
 

@@ -5,7 +5,7 @@ with two boundary treatments:
 
 * dirichlet: endpoints excluded, x_i = x_min + (i+1) h, h = L / (n+1);
 * periodic:  x_i = x_min + i h, h = L / n; the corner entries that close
-  the ring equal the uniform off-diagonal.
+  the ring equal the first off-diagonal entry.
 
 Four requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
 and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
@@ -26,9 +26,9 @@ The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
 symmetric tridiagonal, and a ring splits into its even and odd
 reflection-parity sectors, each again a plain symmetric tridiagonal.  The
 split keeps the kernel purely tridiagonal and makes the double degeneracy
-of travelling-wave pairs explicit.  It requires the sampled potential to be
-reflection symmetric about x_min, which holds for every periodic problem
-this package builds.  It is made once per operator and kept on it
+of travelling-wave pairs explicit.  It requires the diagonal and the
+off-diagonal to be reflection symmetric about x_min, which holds for every
+ring this package builds.  It is made once per operator and kept on it
 (``DiscretizedOperator.sectors``), so the counts, windows and index
 searches of one solve share it.  The requests by value and by index run
 over the sectors and merge what they return; eigenpairs exist on Dirichlet
@@ -47,9 +47,9 @@ the bisection tolerance, about 4 eps ||T||inf.
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: a by-value ``?stebz`` request that stops
 after the Sturm count, O(n) per sector, with no bisection towards any
-eigenvalue.  The lambda scan bisects on it.  A small pure-Python Sturm
-counter, :func:`sturm_count_below`, stays as the test reference for those
-counts; it is too slow for production use.
+eigenvalue.  A small pure-Python Sturm counter, :func:`sturm_count_below`,
+stays as the test reference for those counts; it is too slow for
+production use.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ _SIGN_THRESHOLD = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 # refine_eigenvalue bisects its level at h within _COARSE_WINDOW * |guess| of
 # the caller's guess, and no window is narrower than
 # _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a zero
@@ -127,7 +128,8 @@ class Grid:
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """Symmetric tridiagonal matrix for -c u'' + V u; on a ring the corner
-    entries that close it equal ``off_diagonal[0]``, as every off-diagonal does."""
+    entries that close it equal ``off_diagonal[0]``, their mirror image under
+    the reflection about node 0 that the parity split requires."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -270,37 +272,37 @@ def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of one symmetric tridiagonal at or below x.
 
-    A by-value request for (-inf, x] with a tolerance wider than the whole
-    Gershgorin interval: ``?stebz`` takes the Sturm count at x and stops, so
-    the length of what it returns is that count.
+    A by-value request for (-inf, x] with the largest finite tolerance, wider
+    than any finite Gershgorin interval: ``?stebz`` takes the Sturm count at
+    x and stops, so the length of what it returns is that count.
     """
-    width = 4.0 * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
-    return len(_lapack(diag, off, "v", (-np.inf, x), tol=width))
+    return len(_lapack(diag, off, "v", (-np.inf, x), tol=_HUGE))
 
 
 def _parity_sectors(op: DiscretizedOperator):
     """(diagonal, off-diagonal) of the even and the odd reflection-parity sector.
 
     The even sector holds nodes 0..m (m = n/2), the odd one nodes 1..m-1, so
-    both have more than n/4 rows and any index below n/4 exists in each.  The
-    diagonal is symmetrized about node 0 first; a potential that is not
-    reflection symmetric there raises DomainError.
+    both have more than n/4 rows and any index below n/4 exists in each.
+    Both read the first half of the off-diagonal, the even one with its ends
+    scaled by sqrt(2).  The diagonal is symmetrized about node 0 first; a
+    diagonal or off-diagonal that is not reflection symmetric there (node i
+    mirrors node n - i) raises DomainError.
     """
     m = op.n // 2
-    tail = op.diagonal[1:]
-    mismatch = float(np.max(np.abs(tail - tail[::-1])))
+    tail, off = op.diagonal[1:], op.off_diagonal
+    mismatch = float(np.max(np.abs(np.concatenate([tail - tail[::-1], off[1:] - off[:0:-1]]))))
     if mismatch > 1e-6 * max(1.0, float(np.max(np.abs(op.diagonal)))):
         raise DomainError(
             "periodic solves need a reflection-symmetric potential about x_min "
             f"(max asymmetry {mismatch:.3e})"
         )
     diag = op.diagonal.copy()
-    diag[1:] = 0.5 * (tail + tail[::-1])
-    coupling = float(op.off_diagonal[0])
-    e_even = np.full(m, coupling)
-    e_even[0] = math.sqrt(2.0) * coupling
-    e_even[-1] = math.sqrt(2.0) * coupling
-    return (diag[: m + 1], e_even), (diag[1:m], np.full(m - 2, coupling))
+    # halved before the sum, so that entries near the float limit cannot overflow
+    diag[1:] = 0.5 * tail + 0.5 * tail[::-1]
+    e_even = off[:m].copy()
+    e_even[[0, -1]] *= math.sqrt(2.0)
+    return (diag[: m + 1], e_even), (diag[1:m], off[1 : m - 1])
 
 
 def _sectors(op: DiscretizedOperator):

@@ -41,8 +41,8 @@ from .ambiguity import AmbiguitySet, bracket
 from .eigensolve import (
     DIRICHLET,
     PERIODIC,
+    DiscretizedOperator,
     Grid,
-    count_below,
     discretize,
     eigen_lowest,
     eigenvalue,
@@ -63,8 +63,6 @@ from .specfun import bessel_j, laguerre_assoc
 # scan ring (n_points % 4 == 2, see scan_level)
 RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
-# width of the lambda bracket at which heun_regime_scan stops bisecting
-_LAMBDA_TOL = 1e-6
 # relative energy gap within which degeneracy_report groups two records
 _DEGENERACY_RTOL = 1e-9
 
@@ -498,17 +496,19 @@ def toy_zero_zeta_spectrum(m_max: int, *, n_points: int = 2048) -> list[Spectrum
 
 
 @functools.lru_cache(maxsize=1)
-def _ring_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2 x and cos^4 x at the ring's points, read-only.
+def _ring_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin^2 x, cos^4 x and cos x (:func:`heun_regime_scan`'s congruence) at
+    the ring's points, read-only.
 
     lambda enters the scan potential only through its two zeta coefficients,
     so a scan samples the trig once per ring, not once per lambda.
     """
     x = grid.points
-    s2, c4 = np.sin(x) ** 2, np.cos(x) ** 4
-    s2.flags.writeable = False
-    c4.flags.writeable = False
-    return s2, c4
+    c = np.cos(x)
+    factors = np.sin(x) ** 2, c**4, c
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
 
 
 def _scan_potential(a: AmbiguitySet, lam: float, grid: Grid):
@@ -518,7 +518,7 @@ def _scan_potential(a: AmbiguitySet, lam: float, grid: Grid):
     sampled; the operations and their order are those of the closed expression.
     """
     z1, z2 = zeta_coefficients(a, lam)
-    s2, c4 = _ring_factors(grid)
+    s2, c4, _ = _ring_factors(grid)
     return lambda x: (z1 * s2 - z2) / c4
 
 
@@ -582,26 +582,26 @@ def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int,
 def heun_regime_scan(a: AmbiguitySet, energy_target: float,
                      lambda_range: tuple[float, float], *, state_index: int = 1,
                      n_points: int = SCAN_N_POINTS, curve_samples: int = 9) -> tuple[float, float]:
-    """Find lambda* with E_index(lambda*) = energy_target by bisection.
+    """Find lambda* in (lo, hi] with E_index(lambda*) = energy_target by one solve.
 
-    The tracked eigenvalue decreases monotonically in lambda (the potential
-    decreases pointwise).  Each step only asks on which side of the target
-    the level lies: E_index(lambda) > target exactly when at most
-    state_index eigenvalues of the ring lie at or below the target, which
-    LAPACK's Sturm count (:func:`eigensolve.count_below`) answers in O(n)
-    per parity sector without solving for the level.  The same test at the range
-    ends either brackets the root or proves there is none; NoRoot then
-    carries the sampled curve for diagnosis.  The one eigenvalue solve is
-    the residual at the end.  Returns (lambda*, |E(lambda*) - energy_target|).
-    A target or a range end that is not finite raises DomainError before
-    any solve.
+    lambda enters linearly: the ring at lambda is T(lo) - ((lambda - lo)/2) C^-2,
+    C = diag(cos x).  By Sylvester's law of inertia T(lambda) - E and
+    M - ((lambda - lo)/2) I, M = C (T(lo) - E) C, have as many negative
+    eigenvalues, so E_index(lambda) > E exactly when lambda < lo + 2 mu_index,
+    mu being the eigenvalues of the ring M (B. N. Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998).  So the level falls monotonically in
+    lambda, and a root exists exactly when lo < lambda* = lo + 2 mu_index <= hi
+    (at most state_index levels at or below the target at lo, more at hi);
+    else NoRoot carries the sampled curve.  Returns (lambda*, |E(lambda*) -
+    energy_target|), the residual being the one level solve.  A target or a
+    range end that is not finite raises DomainError before any solve.
 
-    Both the counts and the solve see the level only to about
-    4 eps ||T||inf of the ring's operator, so the residual and lambda* are
-    determined only to that floor: about 1.9e-10 for the gate ordering at
-    n_points = 2050, but about 1e-4 for bendaniel-duke, whose ring has
-    ||T||inf = 1.13e11 there; a smaller residual (2.5e-6 for an energy
-    target 1.5 on (-2, 1)) is below what the ring resolves.
+    lambda* is resolved to about 8 eps ||M||inf, about 4e-10 at n_points =
+    2050 for the gate ordering and bendaniel-duke alike.  The residual keeps
+    the ring's floor of about 4 eps ||T||inf: about 1.9e-10 for the gate, but
+    about 1e-4 for bendaniel-duke, whose ring has ||T||inf = 1.13e11; a
+    smaller residual (2.4e-6 for an energy target 1.5 on (-2, 1)) is below
+    what the ring resolves.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not math.isfinite(energy_target):
@@ -618,11 +618,14 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     def level(lam: float) -> float:
         return scan_level(a, lam, state_index=state_index, n_points=n_points)
 
-    def above_target(lam: float) -> bool:
-        op = _scan_operator(a, lam, state_index, n_points)
-        return count_below(op, energy_target) <= state_index
-
-    if not above_target(lo) or above_target(hi):
+    op = _scan_operator(a, lo, state_index, n_points)
+    c = _ring_factors(op.grid)[2]
+    congruent = DiscretizedOperator((op.diagonal - energy_target) * c**2,
+                                    op.off_diagonal * c[:-1] * c[1:], op.grid)
+    # mu in (0, (hi - lo)/2] is tried first; quartering first keeps hi - lo from overflowing
+    quarter = 0.25 * hi - 0.25 * lo
+    lam_star = lo + 2.0 * eigenvalue(congruent, state_index, near=(quarter, quarter))
+    if not lo < lam_star <= hi:
         curve = scan_curve(a, (lo, hi), curve_samples,
                            state_index=state_index, n_points=n_points)
         # the curve holds both range ends unless it has fewer than two samples
@@ -634,15 +637,6 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
             f"not cross {energy_target}",
             curve=curve,
         )
-    for _ in range(200):
-        if hi - lo <= _LAMBDA_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if above_target(mid):
-            lo = mid
-        else:
-            hi = mid
-    lam_star = 0.5 * (lo + hi)
     return lam_star, abs(level(lam_star) - energy_target)
 
 

@@ -453,6 +453,21 @@ def test_sample_counts_below_one_rejected(cos2_model_file, argv):
     assert stderr_error(result)["code"] == "config"
 
 
+# counts that would allocate gigabytes before any check: each is refused where it is parsed
+@pytest.mark.parametrize("argv", [
+    ["scan", "--energy", "0.5", "--lambda-range=-1,0", "--curve-samples", "10001"],
+    ["effpot", "--which", "angular", "--range=-0.9,0.9", "--samples", "1000000000000"],
+    ["wavefunction", "--state", "toy:n=1/2", "--range", "0.5,12", "--samples", "1000000000000"],
+    ["spectrum", "--m-max", "100000000"],
+])
+def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model_file, argv):
+    model = coulomb_model_file if argv[0] == "spectrum" else cos2_model_file
+    result = run_cli([*argv, "--model", str(model)])
+    assert result.returncode == 2
+    assert stderr_error(result)["code"] == "config"
+    assert "must be" in stderr_error(result)["message"]
+
+
 def test_scan_determinism(cos2_model_file):
     args = ["scan", "--model", str(cos2_model_file), "--energy", "0.5",
             "--lambda-range=-1,0", "--curve-samples", "3"]

@@ -341,6 +341,46 @@ def test_periodic_requires_symmetric_potential():
         count_below(op, 0.0)
 
 
+def _mirrored_ring(rng, n):
+    """A ring operator with random entries, reflection symmetric about node 0:
+    diagonal[i] = diagonal[n - i] and off_diagonal[j] = off_diagonal[n - 1 - j]."""
+    half_diag = rng.uniform(-2.0, 2.0, n // 2)
+    diag = np.concatenate([rng.uniform(-2.0, 2.0, 1), half_diag, half_diag[-2::-1]])
+    half_off = -rng.uniform(0.5, 1.5, n // 2 - 1)
+    off = np.concatenate([-rng.uniform(0.5, 1.5, 1), half_off, half_off[::-1]])
+    return DiscretizedOperator(diag, off, Grid(0.0, 2.0 * math.pi, n, PERIODIC))
+
+
+def test_ring_with_mirrored_couplings_matches_the_dense_matrix(rng):
+    n = 64
+    op = _mirrored_ring(rng, n)
+    dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+    dense[0, -1] = dense[-1, 0] = op.off_diagonal[0]
+    reference = np.linalg.eigvalsh(dense)
+    # the bisection's floor of 4 eps ||T||inf, and as much again for the dense solve
+    bound = 8.0 * EPS * op.inf_norm()
+    for j in range(n // 4):
+        assert abs(eigenvalue(op, j) - reference[j]) <= bound
+    gaps = [0.5 * (below + above) for below, above in zip(reference, reference[1:])
+            if above - below > 4.0 * bound]
+    assert len(gaps) > n // 2
+    for x in gaps:
+        assert count_below(op, x) == int(np.sum(reference <= x))
+    # matvec closes the ring with the same corners
+    assert np.array_equal(np.column_stack([op.matvec(e) for e in np.eye(n)]), dense)
+
+
+def test_ring_with_asymmetric_couplings_is_refused(rng):
+    op = _mirrored_ring(rng, 64)
+    off = op.off_diagonal.copy()
+    off[5] *= 1.5
+    broken = DiscretizedOperator(op.diagonal, off, op.grid)
+    with pytest.raises(DomainError, match="reflection-symmetric"):
+        eigenvalue(broken, 0)
+    with pytest.raises(DomainError, match="reflection-symmetric"):
+        count_below(broken, 0.0)
+
+
 def test_sturm_oscillation_node_counts():
     # ground state nodeless, j-th excited state has j sign changes
     g = Grid(-8.0, 8.0, 1200, DIRICHLET)

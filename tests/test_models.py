@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdm_polar import (
@@ -17,6 +17,7 @@ from pdm_polar import (
     SpectrumRecord,
     all_within,
     bracket,
+    check_constraint27,
     coulomb_energy,
     coulomb_lambda,
     coulomb_numeric_level,
@@ -635,9 +636,13 @@ def test_scan_curve_monotone_lowest_level():
 
 
 def test_scan_no_root_carries_curve():
-    with pytest.raises(NoRoot) as excinfo:
-        heun_regime_scan(MM, 50.0, (-0.9, -0.5), state_index=1, curve_samples=5)
-    assert len(excinfo.value.curve) == 5
+    # targets near the float limit put the congruent ring's diagonal near
+    # 1.7e308, where the sum of two entries overflows: NoRoot, with no RuntimeWarning
+    for energy, lambda_range in ((50.0, (-0.9, -0.5)), (1.7e308, (-1.0, 0.0)),
+                                 (-1.7e308, (-1.0, 0.0))):
+        with pytest.raises(NoRoot) as excinfo:
+            heun_regime_scan(MM, energy, lambda_range, state_index=1, curve_samples=5)
+        assert len(excinfo.value.curve) == 5
 
 
 def test_scan_degenerate_range():
@@ -689,7 +694,8 @@ def test_scan_no_root_solves_each_range_end_once(monkeypatch):
 
 
 def _value_bisection(a, target, lo, hi, *, state_index, n_points, lambda_tol=1e-6):
-    """The scan's bisection decided on solved eigenvalues instead of counts."""
+    """A bisection on solved eigenvalues, sharing nothing with the scan's root
+    solve; returns its final bracket (lo, hi), level(lo) >= target > level(hi)."""
     def level(lam):
         return scan_level(a, lam, state_index=state_index, n_points=n_points)
 
@@ -700,7 +706,7 @@ def _value_bisection(a, target, lo, hi, *, state_index, n_points, lambda_tol=1e-
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 @pytest.mark.parametrize("n_points", [2050, 4098, 8194])
@@ -716,10 +722,66 @@ def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch
     monkeypatch.setattr(md, "scan_level", counting_scan_level)
     lam_star, residual = heun_regime_scan(MM, 0.5, (-1.0, 0.0), state_index=1,
                                           n_points=n_points)
-    # the bisection only counts levels; the residual at lambda* is the one solve
+    # the root is one eigenvalue of the congruent ring; the residual at lambda* is the one solve
     assert solved == [lam_star]
     assert residual == abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
-    assert lam_star == _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
+    lo, hi = _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
+    assert lo <= lam_star <= hi
+    assert residual <= 1e-8
+
+
+@st.composite
+def scan_problems(draw):
+    """(ordering, target, range, state_index, ring): named orderings and
+    custom triples, off the gate or on it; only gate rings go finer than 2050."""
+    kind = draw(st.sampled_from(["named", "custom", "custom gate"]))
+    if kind == "named":
+        a = draw(st.sampled_from([GW, BDD, ZK, LK, MM]))
+    elif kind == "custom":
+        alpha, gamma = draw(st.floats(-1.0, 0.5)), draw(st.floats(-1.0, 0.5))
+        a = make_ambiguity(alpha, -1.0 - alpha - gamma, gamma)
+    else:
+        # alpha + gamma = sigma and (alpha - gamma)^2 = sigma^2 + 3 sigma + 5/4 put c27 at 5/8
+        sigma = draw(st.floats(-0.5, 0.5))
+        delta = math.sqrt(sigma * sigma + 3.0 * sigma + 1.25)
+        a = make_ambiguity(0.5 * (sigma + delta), -1.0 - sigma, 0.5 * (sigma - delta))
+    n_points = draw(st.sampled_from([2050, 4098])) if check_constraint27(a) else 2050
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.05, 2.0))
+    state_index = draw(st.integers(0, 3))
+    # half the targets lie on the level's curve over the range, so that roots are common
+    if draw(st.booleans()):
+        energy = draw(st.floats(-3.0, 6.0))
+    else:
+        lam = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        energy = scan_level(a, lam, state_index=state_index, n_points=n_points)
+    return a, energy, (lo, hi), state_index, n_points
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_problems())
+def test_scan_root_decision_is_the_sturm_count_rule(problem):
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import count_below
+
+    a, energy, (lo, hi), state_index, n_points = problem
+
+    def above(lam):
+        """The level lies above the target at lambda: at most state_index at or below it."""
+        return count_below(md._scan_operator(a, lam, state_index, n_points), energy) <= state_index
+
+    # lambda* within 1e-5 of a range end may fall on either side of it
+    assume(above(lo - 1e-5) == above(lo + 1e-5) and above(hi - 1e-5) == above(hi + 1e-5))
+    try:
+        lam_star, _ = heun_regime_scan(a, energy, (lo, hi), state_index=state_index,
+                                       n_points=n_points, curve_samples=1)
+    except NoRoot:
+        assert not (above(lo) and not above(hi))
+        return
+    assert above(lo) and not above(hi)
+    assert lo < lam_star <= hi
+    if check_constraint27(a):
+        assert above(lam_star - 1e-7) and not above(lam_star + 1e-7)
 
 
 # back to the first ring last, so that a sample kept from the previous ring
