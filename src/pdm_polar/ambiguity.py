@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConfigError, ConstraintViolation
+from .errors import ConfigError
 
 CONSTRAINT_TOL = 1e-12
 
@@ -28,7 +28,7 @@ class AmbiguitySet:
     def __post_init__(self):
         total = self.alpha + self.beta + self.gamma
         if abs(total + 1.0) > CONSTRAINT_TOL:
-            raise ConstraintViolation(
+            raise ConfigError(
                 f"ordering exponents must sum to -1, got {total!r} "
                 f"for ({self.alpha}, {self.beta}, {self.gamma})"
             )
@@ -62,7 +62,7 @@ _TOKEN_MAP = {o.token: o for o in Ordering}
 def make_ambiguity(alpha: float, beta: float, gamma: float) -> AmbiguitySet:
     """Validate and return the ordering triple.
 
-    Raises ConstraintViolation when |alpha+beta+gamma+1| > 1e-12.  The
+    Raises ConfigError when |alpha+beta+gamma+1| > 1e-12.  The
     tolerance admits decimal literals while still catching typos.
     """
     return AmbiguitySet(float(alpha), float(beta), float(gamma))

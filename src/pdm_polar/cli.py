@@ -23,7 +23,7 @@ import numpy as np
 from . import models as md
 from . import separation as sp
 from .ambiguity import check_constraint27
-from .errors import ConfigError, ConstraintViolation, DomainError, NoRoot, PdmPolarError
+from .errors import ConfigError, DomainError, NoRoot, PdmPolarError
 from .separation import radial_problem, radial_to_R
 from .serialize import dump_json, to_csv
 from .specfun import BesselOrder
@@ -33,8 +33,6 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 EXIT_NO_ROOT = 5
-
-_CONFIG_ERRORS = (ConfigError, ConstraintViolation)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +64,8 @@ def _count_in(low: int, high: int):
 
 
 _N_POINTS = _count_in(64, 10**6)
-# a negative m_max is an empty table, refused by cmd_spectrum as a domain error
-_M_MAX = _checked(int, lambda m: m <= 10**4, "<= 10000")
+# a negative m_max or n_rho_max is an empty table, refused as a domain error
+_TABLE_MAX = _checked(int, lambda m: m <= 10**4, "<= 10000")
 _TOL = _checked(float, lambda t: 1e-10 <= t <= 1e-1, "in [1e-10, 0.1]")
 _RHO_MAX = _checked(float, lambda r: 0.0 < r < math.inf, "finite and > 0")
 # a span that overflows would sample nothing but nan
@@ -329,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_command("spectrum", cmd_spectrum, "closed-form spectrum table")
-    p.add_argument("--n-rho-max", type=int, default=0, dest="n_rho_max")
-    p.add_argument("--m-max", type=_M_MAX, default=0, dest="m_max")
+    p.add_argument("--n-rho-max", type=_TABLE_MAX, default=0, dest="n_rho_max")
+    p.add_argument("--m-max", type=_TABLE_MAX, default=0, dest="m_max")
     p.add_argument("--lambda", type=float, default=0.0, dest="lam",
                    help="separation constant for flat (potential-free) models")
 
     p = add_command("verify", cmd_verify, "closed-form versus numeric sweep")
-    p.add_argument("--n-rho-max", type=int, default=2, dest="n_rho_max")
+    p.add_argument("--n-rho-max", type=_TABLE_MAX, default=2, dest="n_rho_max")
     p.add_argument("--tol", type=_TOL, default=1e-4)
     p.add_argument("--n-points", type=_N_POINTS, default=md.RADIAL_N_POINTS, dest="n_points")
     p.add_argument("--rho-max", type=_RHO_MAX, default=None, dest="rho_max")
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
             text = dump_json(payload) + "\n"
         _write(text, args.out)
         message = _REPORT_MESSAGES.get(code)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         code, message = EXIT_CONFIG, str(exc)
     except PdmPolarError as exc:  # every other package error: a domain error
         code, message = EXIT_DOMAIN, str(exc)

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, PotentialSingular
+from .errors import DomainError
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
@@ -184,9 +184,9 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
 
     ``potential`` is called once, on the array of grid points, and must be
     vectorized; a scalar-only function such as ``math.cos`` raises TypeError.
-    Raises PotentialSingular when |V| exceeds 1e12 at a grid point or is not
-    finite there; the caller must move the domain off the singularity.  It is
-    also raised when the spacing puts prefactor/h^2 outside the float range.
+    Raises DomainError when |V| exceeds POTENTIAL_CAP (1e12) at a grid point
+    or is not finite there, and when the spacing puts prefactor/h^2 outside
+    the float range.
     """
     x = grid.points
     # a non-finite sample is refused just below, so numpy need not warn about it
@@ -195,14 +195,15 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
     bad = ~np.isfinite(v) | (np.abs(v) > POTENTIAL_CAP)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise PotentialSingular(
-            f"potential is {v[i]!r} at x = {x[i]!r}; shrink or shift the domain"
+        raise DomainError(
+            f"potential is {float(v[i])!r} at x = {float(x[i])!r}; the solver needs "
+            f"a finite |V| <= {POTENTIAL_CAP:g} at every grid point"
         )
     h = grid.h
     try:
         kin = prefactor / h**2
     except (OverflowError, ZeroDivisionError) as exc:
-        raise PotentialSingular(
+        raise DomainError(
             f"grid spacing {h!r} puts 1/h^2 outside the float range; resize the domain"
         ) from exc
     diag = 2.0 * kin + v
@@ -258,13 +259,13 @@ def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
         bounds = (1, lo, hi, 1, 1)
     m, w, block, split, info = stebz(diag, off, *bounds, tol, "B" if vectors else "E")
     if info != 0:  # pragma: no cover - degenerate cluster
-        raise ConvergenceFailure(f"?stebz failed (LAPACK info = {info})")
+        raise DomainError(f"?stebz failed (LAPACK info = {info})")
     w = w[:m]
     if not vectors:
         return w
     v, info = stein(diag, off, w, block, split)
     if info != 0:  # pragma: no cover - degenerate cluster
-        raise ConvergenceFailure(f"?stein: {info} eigenvectors failed to converge")
+        raise DomainError(f"?stein: {info} eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
 

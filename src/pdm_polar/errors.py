@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each concrete type is one exit code of the command line: ConfigError exits
+2, every other PdmPolarError (DomainError) exits 3, and NoRoot, which the
+scan command reports with its curve, exits 5.
+"""
 
 
 class PdmPolarError(Exception):
@@ -6,33 +11,18 @@ class PdmPolarError(Exception):
 
 
 class ConfigError(PdmPolarError):
-    """Malformed model file, unknown key, or out-of-bounds run option."""
-
-
-class ConstraintViolation(PdmPolarError):
-    """Ordering exponents do not sum to -1 within tolerance."""
-
-
-class MassVanishes(PdmPolarError):
-    """Evaluation requested at (or across) a zero of the angular mass factor."""
-
-
-class UnsupportedProfile(PdmPolarError):
-    """A tabulated mass profile cannot be used for the requested construction."""
-
-
-class PotentialSingular(PdmPolarError):
-    """A grid point hit a potential value too large to discretize meaningfully."""
-
-
-class ConvergenceFailure(PdmPolarError):
-    """An eigensolve did not converge: LAPACK's bisection or inverse iteration
-    returned ``info != 0``, which usually signals a tight degenerate cluster."""
+    """The run is misconfigured: a malformed command line or model file, an
+    unknown key or token, an ordering whose exponents do not sum to -1, an
+    out-of-bounds run option, or an output file that cannot be written."""
 
 
 class DomainError(PdmPolarError, ValueError):
-    """Input outside a closed form's range, or refused by the solver or the Bessel
-    and Laguerre kernels (a grid, an index, an order); it is a ValueError too."""
+    """Well-formed input the mathematics or the solver refuses: a value outside
+    a closed form's range, a zero of the angular mass factor on an
+    evaluation point or path, a tabulated profile that cannot be used, a
+    potential too large to discretize, a grid, an index or an order the
+    solver or the Bessel and Laguerre kernels refuse, or a LAPACK failure;
+    it is a ValueError too."""
 
 
 class NoRoot(PdmPolarError):

@@ -302,6 +302,18 @@ def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: 
     return Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
 
 
+def _sweep(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
+           rho_max: float | None) -> tuple[list, Grid]:
+    """The levels 0..n_rho_max of a sweep and their grid.  A negative n_rho_max
+    or an index the grid cannot resolve raises DomainError before any level is
+    computed; then so does what :meth:`RadialFamily.levels` and
+    :func:`_radial_grid` refuse."""
+    if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
+        _radial_grid(family, params, n_rho_max, n_points, 1.0)  # the index alone
+    return family.levels(params, n_rho_max), _radial_grid(family, params, n_rho_max,
+                                                          n_points, rho_max)
+
+
 def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
                    n_points: int, rho_max: float | None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of the family's operator at radial order ell.
@@ -356,12 +368,9 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     family's).  Each record carries the absolute difference; use
     :func:`all_within` to gate on a tolerance.  A negative n_rho_max, which
     would sweep no level and pass vacuously, raises DomainError before any
-    solve, as does a level outside the quantization's domain or an index or
-    a grid that :func:`_radial_grid` refuses.
+    solve, as does everything else :func:`_sweep` refuses.
     """
-    lams = family.levels(params, n_rho_max)
-    # refuses, before the first solve, what any level of the sweep would
-    _radial_grid(family, params, n_rho_max, n_points, rho_max)
+    lams, _ = _sweep(family, params, n_rho_max, n_points, rho_max)
     records = []
     for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)
@@ -393,8 +402,7 @@ def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
     the grid or the wall does not hold the state.  It refuses, before any
     solve, what :func:`verify_family` refuses.
     """
-    lams = family.levels(params, n_rho_max)
-    grid = _radial_grid(family, params, n_rho_max, n_points, rho_max)
+    lams, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
     errors = []
     for n_rho, lam in enumerate(lams):
         ell = math.sqrt(lam + 1.0)

@@ -38,7 +38,7 @@ from .ambiguity import (
     parse_ordering_token,
     xi,
 )
-from .errors import ConfigError, DomainError, MassVanishes, UnsupportedProfile
+from .errors import ConfigError, DomainError
 
 MASS_EPS = 1e-8
 
@@ -93,27 +93,27 @@ class TabulatedProfile:
     def __init__(self, phi, f, fp, fpp):
         phi, f, fp, fpp = (np.asarray(a, dtype=float) for a in (phi, f, fp, fpp))
         if phi.ndim != 1 or phi.size < 16:
-            raise UnsupportedProfile("need a 1-d grid with at least 16 samples")
+            raise DomainError("need a 1-d grid with at least 16 samples")
         if not (f.shape == fp.shape == fpp.shape == phi.shape):
-            raise UnsupportedProfile("phi, f, fp, fpp must have matching shapes")
+            raise DomainError("phi, f, fp, fpp must have matching shapes")
         if not all(np.all(np.isfinite(a)) for a in (phi, f, fp, fpp)):
-            raise UnsupportedProfile("phi, f, fp, fpp must hold finite numbers only")
+            raise DomainError("phi, f, fp, fpp must hold finite numbers only")
         steps = np.diff(phi)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-            raise UnsupportedProfile("phi grid must be uniform and increasing")
+            raise DomainError("phi grid must be uniform and increasing")
         if phi[0] > 1e-9 or phi[-1] < 2.0 * math.pi - steps[0] - 1e-9:
-            raise UnsupportedProfile("phi grid must cover (0, 2pi)")
+            raise DomainError("phi grid must cover (0, 2pi)")
         if np.any(f <= 0.0):
-            raise UnsupportedProfile("mass profile must be positive at every sample")
+            raise DomainError("mass profile must be positive at every sample")
         h = steps[0]
         fd1 = (f[2:] - f[:-2]) / (2.0 * h)
         fd2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
         scale1 = max(1e-30, float(np.max(np.abs(fp))))
         scale2 = max(1e-30, float(np.max(np.abs(fpp))))
         if np.max(np.abs(fp[1:-1] - fd1)) > 1e-3 * scale1:
-            raise UnsupportedProfile("supplied f' disagrees with centered differences")
+            raise DomainError("supplied f' disagrees with centered differences")
         if np.max(np.abs(fpp[1:-1] - fd2)) > 1e-3 * scale2:
-            raise UnsupportedProfile("supplied f'' disagrees with centered differences")
+            raise DomainError("supplied f'' disagrees with centered differences")
         if phi[-1] < phi[0] + math.tau - 1e-9:
             phi = np.append(phi, phi[0] + math.tau)
             f, fp, fpp = (np.append(a, a[0]) for a in (f, fp, fpp))
@@ -233,7 +233,7 @@ class AngularProblem:
 def _profile_at(f, phi: float) -> tuple[float, float, float]:
     fval = f.value(phi)
     if fval <= MASS_EPS:
-        raise MassVanishes(f"mass factor f({phi}) = {fval} is below {MASS_EPS}")
+        raise DomainError(f"mass factor f({phi}) = {fval} is below {MASS_EPS}")
     return fval, f.d1(phi), f.d2(phi)
 
 
@@ -314,14 +314,14 @@ def pct_map(f, phi: float) -> float:
 
     Exact for the flat (q = phi) and cos^2 (q = sin phi) profiles; tabulated
     profiles are integrated by the trapezoid rule on a dense mesh.  Raises
-    MassVanishes when the integration path from 0 to phi meets a zero of f.
+    DomainError when the integration path from 0 to phi meets a zero of f.
     """
     phi = float(phi)
     if isinstance(f, FlatProfile):
         return phi
     if isinstance(f, CosSquaredProfile):
         if abs(phi) >= 0.5 * math.pi:
-            raise MassVanishes(
+            raise DomainError(
                 f"path from 0 to {phi} crosses the mass zero at phi = +/- pi/2"
             )
         return math.sin(phi)
@@ -330,7 +330,7 @@ def pct_map(f, phi: float) -> float:
     mesh = np.linspace(0.0, phi, 4097)
     fvals = np.array([f.value(p) for p in mesh])
     if np.any(fvals <= MASS_EPS):
-        raise MassVanishes(f"mass factor vanishes on the path from 0 to {phi}")
+        raise DomainError(f"mass factor vanishes on the path from 0 to {phi}")
     roots = np.sqrt(fvals)
     return float(np.sum(0.5 * (roots[1:] + roots[:-1]) * np.diff(mesh)))
 
@@ -363,7 +363,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
             q = np.asarray(q, dtype=float)
             fq = 1.0 - q**2
             if np.any(fq <= MASS_EPS):
-                raise MassVanishes("effective potential diverges at q = +/- 1")
+                raise DomainError("effective potential diverges at q = +/- 1")
             return (z1 * q**2 - z2) / fq**2
 
         return AngularProblem(cos2_potential, (-1.0, 1.0))
@@ -372,7 +372,7 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
     mesh = np.linspace(0.0, 2.0 * math.pi, 8193)
     fvals = np.array([f.value(p) for p in mesh])
     if np.any(fvals <= MASS_EPS):
-        raise UnsupportedProfile("tabulated profile vanishes inside (0, 2pi)")
+        raise DomainError("tabulated profile vanishes inside (0, 2pi)")
     q_mesh = np.concatenate([[0.0], np.cumsum(0.5 * (np.sqrt(fvals[1:]) + np.sqrt(fvals[:-1])) * np.diff(mesh))])
     w_mesh = np.array([w_eff(f, a, lam, p) for p in mesh])
 
@@ -386,14 +386,14 @@ def angular_wavefunction_recompose(f, chi, phi):
     """Reassemble the angular wavefunction Phi(phi) = f(phi)^(1/4) chi(q(phi)).
 
     ``chi`` is called with the mapped coordinate q(phi); complex values pass
-    through.  Raises MassVanishes at zeros of f.
+    through.  Raises DomainError at zeros of f.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     out = np.empty(phi.shape, dtype=complex)
     for i, p in enumerate(phi):
         fval = f.value(p)
         if fval <= MASS_EPS:
-            raise MassVanishes(f"mass factor vanishes at phi = {p}")
+            raise DomainError(f"mass factor vanishes at phi = {p}")
         out[i] = fval**0.25 * chi(pct_map(f, p))
     return out
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -37,15 +35,15 @@ def dump_json(obj, indent: int = 0) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         text = format_float(float(obj))
         # keep the token a valid JSON number
         if "." not in text and "e" not in text and "E" not in text:
             text += ".0"
         return text
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = [dump_json(item, indent + 1) for item in obj]
         if not items:
             return "[]"

@@ -12,7 +12,7 @@ from pdm_polar import (
     swap_alpha_gamma,
     xi,
 )
-from pdm_polar.errors import ConfigError, ConstraintViolation
+from pdm_polar.errors import ConfigError
 
 from conftest import random_ordering
 
@@ -36,13 +36,13 @@ def test_make_ambiguity_accepts_catalog_values():
 
 
 def test_make_ambiguity_rejects_bad_sum():
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConfigError, match="must sum to -1"):
         make_ambiguity(0.0, 0.0, 0.0)
 
 
 def test_constraint_tolerance_edges():
     make_ambiguity(-0.25 + 5e-13, -0.5, -0.25)  # within 1e-12
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConfigError, match="must sum to -1"):
         make_ambiguity(-0.25 + 5e-12, -0.5, -0.25)
 
 
@@ -118,5 +118,5 @@ def test_parse_ordering_rejects_junk():
         parse_ordering_token("weyl")
     with pytest.raises(ConfigError):
         parse_ordering_token("custom:1,2")
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConfigError, match="must sum to -1"):
         parse_ordering_token("custom:0,0,0")

@@ -459,9 +459,11 @@ def test_sample_counts_below_one_rejected(cos2_model_file, argv):
     ["effpot", "--which", "angular", "--range=-0.9,0.9", "--samples", "1000000000000"],
     ["wavefunction", "--state", "toy:n=1/2", "--range", "0.5,12", "--samples", "1000000000000"],
     ["spectrum", "--m-max", "100000000"],
+    ["spectrum", "--n-rho-max", "10001"],
+    ["verify", "--n-rho-max", "10001"],
 ])
 def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model_file, argv):
-    model = coulomb_model_file if argv[0] == "spectrum" else cos2_model_file
+    model = coulomb_model_file if argv[0] in ("spectrum", "verify") else cos2_model_file
     result = run_cli([*argv, "--model", str(model)])
     assert result.returncode == 2
     assert stderr_error(result)["code"] == "config"

@@ -27,7 +27,7 @@ from pdm_polar.eigensolve import (
     sign_changes,
     sturm_count_below,
 )
-from pdm_polar.errors import DomainError, PotentialSingular
+from pdm_polar.errors import DomainError
 from pdm_polar.specfun import BesselOrder, bessel_j, laguerre_assoc
 
 
@@ -175,15 +175,16 @@ def test_discretize_periodic_corner():
 
 def test_discretize_rejects_singular_potential():
     g = Grid(0.0, 1.0, 31, DIRICHLET)
-    with pytest.raises(PotentialSingular):
+    with pytest.raises(DomainError, match=r"potential is 2000000000000\.0 at x = 0\.03125; "
+                                          r"the solver needs a finite \|V\| <= 1e\+12"):
         discretize(lambda x: np.full_like(x, 2e12), g)
-    with pytest.raises(PotentialSingular):
+    with pytest.raises(DomainError, match="potential is inf at x = 0.53125;"):
         discretize(lambda x: np.where(x > 0.5, np.inf, 0.0), g)
 
 
 def test_discretize_rejects_spacing_outside_float_range():
     # 1/h^2 overflows the float range before any potential sample is bad
-    with pytest.raises(PotentialSingular):
+    with pytest.raises(DomainError, match="outside the float range"):
         discretize(lambda x: np.zeros_like(x), Grid(0.0, 1e300, 64, DIRICHLET))
 
 

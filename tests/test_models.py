@@ -45,6 +45,7 @@ from pdm_polar.models import (
     angular_confined_levels,
     scan_level,
     state_errors,
+    verify_family,
     zero_zeta_levels,
 )
 from pdm_polar.specfun import bessel_j
@@ -530,6 +531,22 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
         state_errors(OSCILLATOR, (1.0, 4.0), -1)
     with pytest.raises(DomainError, match="at least 16 points"):
         state_errors(COULOMB, (3.0,), 0, n_points=8)
+
+
+@pytest.mark.parametrize("sweep", [verify_family, state_errors], ids=["verify", "states"])
+def test_sweep_refuses_an_unresolved_index_before_any_level(sweep):
+    # an index far past the grid is refused before a list of 3e6 levels is built
+    calls = {"lam": 0}
+
+    def lam(*args):
+        calls["lam"] += 1
+        return COULOMB.lam(*args)
+
+    counted = dataclasses.replace(COULOMB, lam=lam)
+    with pytest.raises(DomainError,
+                       match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 3000000"):
+        sweep(counted, (1e9,), 3_000_000)
+    assert calls["lam"] == 0
 
 
 @pytest.mark.parametrize("family, params", [(COULOMB, (3.0,)), (OSCILLATOR, (1.0, 6.0))],
