@@ -94,10 +94,10 @@ def cmd_spectrum(args):
     family = md.RADIAL_FAMILIES.get(type(model.v))
     if family is not None:
         params = family.params(model.v)
-        levels = enumerate(family.levels(params, args.n_rho_max))
+        levels = family.levels(params, args.n_rho_max)
         header = family.header(params)
     elif model.v is None:
-        levels = [(0, args.lam)]
+        levels = [(0, args.lam, None)]
         header = {"model_kind": "flat", "lambda": args.lam}
     else:
         raise ConfigError(
@@ -107,7 +107,7 @@ def cmd_spectrum(args):
     records = [
         md.SpectrumRecord(qn=md.QuantumNumbers(n_rho, m), lam=lam,
                           energy_closed=md.flat_energy(model.ordering, m, lam))
-        for n_rho, lam in levels
+        for n_rho, lam, _ in levels
         for m in range(-args.m_max, args.m_max + 1)
     ]
     payload = {
@@ -212,7 +212,7 @@ def _radial_rows(model, n_rho, coords) -> list:
     if family is None:
         raise DomainError("radial states need a coulomb-like or oscillator-like model")
     params = family.params(model.v)
-    ell = math.sqrt(family.lam(*params, n_rho) + 1.0)
+    _, ell = family.level(params, n_rho)
     values = radial_to_R(coords, family.state(*params, n_rho, ell, coords))
     return [{"coordinate": float(c), "value": float(v)} for c, v in zip(coords, values)]
 

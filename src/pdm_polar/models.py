@@ -197,15 +197,20 @@ class RadialFamily:
     def params(self, v) -> tuple:
         return tuple(getattr(v, name) for name in self.names)
 
+    def level(self, params, n_rho: int) -> tuple:
+        """(lambda(n_rho), ell), ell = sqrt(1 + lambda) the radial order."""
+        lam = self.lam(*params, n_rho)
+        return lam, math.sqrt(lam + 1.0)
+
     def levels(self, params, n_rho_max: int) -> list:
-        """lambda(n_rho) for n_rho = 0..n_rho_max.
+        """(n_rho, lambda, ell) of :meth:`level` for n_rho = 0..n_rho_max.
 
         A negative n_rho_max, which would give no level, raises DomainError,
         as does a level outside the quantization's domain.
         """
         if n_rho_max < 0:
             raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
-        return [self.lam(*params, n_rho) for n_rho in range(n_rho_max + 1)]
+        return [(n_rho, *self.level(params, n_rho)) for n_rho in range(n_rho_max + 1)]
 
     def header(self, params) -> dict:
         return {"model_kind": self.kind, **dict(zip(self.names, params))}
@@ -286,52 +291,48 @@ RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
 # numeric levels (the independent oracle)
 
 
-def _radial_operator(family: RadialFamily, params: tuple, ell: float):
-    """The potential (ell^2 - 1/4)/rho^2 + w(rho) of the family's eigenvalue form."""
+def _operator(family: RadialFamily, params: tuple, ell: float, grid: Grid) -> DiscretizedOperator:
+    """The family's eigenvalue form -U'' + [(ell^2 - 1/4)/rho^2 + w(rho)] U on the grid."""
     c = ell * ell - 0.25
-    return lambda r: c / r**2 + family.w(*params, r)
+    return discretize(lambda r: c / r**2 + family.w(*params, r), grid)
 
 
-def _radial_grid(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
-                 rho_max: float | None) -> Grid:
-    """The Dirichlet grid (0, wall) of the levels up to index n_rho_max; a grid
-    the solver refuses, or an index :meth:`Grid.check_index` refuses, raises DomainError."""
+def _check_index(n_points: int, top: int) -> None:
     # the index rule reads only n_points, so it is checked on a unit interval
     # before the wall, which a Coulomb b = n_rho + ell + 1/2 <= 0 would empty
-    Grid(0.0, 1.0, n_points, DIRICHLET).check_index(n_rho_max, "n_rho")
-    return Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    Grid(0.0, 1.0, n_points, DIRICHLET).check_index(top, "n_rho")
+
+
+def _check_order(ell: float) -> None:
+    if not ell > 0:
+        raise DomainError(f"need a radial order ell > 0, got {ell}")
 
 
 def _sweep(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
            rho_max: float | None) -> tuple[list, Grid]:
-    """The levels 0..n_rho_max of a sweep and their grid.  A negative n_rho_max
-    or an index the grid cannot resolve raises DomainError before any level is
-    computed; then so does what :meth:`RadialFamily.levels` and
-    :func:`_radial_grid` refuse."""
+    """The levels (n_rho, lambda, ell) of a sweep and their one wall grid; the top
+    index is checked before any level is computed."""
     if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
-        _radial_grid(family, params, n_rho_max, n_points, 1.0)  # the index alone
-    return family.levels(params, n_rho_max), _radial_grid(family, params, n_rho_max,
-                                                          n_points, rho_max)
+        _check_index(n_points, n_rho_max)
+    levels = family.levels(params, n_rho_max)
+    return levels, Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
 
 
-def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
-                   n_points: int, rho_max: float | None) -> tuple[float, float]:
-    """Index-n_rho eigenvalue of the family's operator at radial order ell.
+def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, grid: Grid,
+                   closed: float) -> tuple[float, float]:
+    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell on
+    the grid: one Richardson refinement, bisected around the closed value."""
+    _check_order(ell)
+    return refine_eigenvalue(functools.partial(_operator, family, params, ell), grid, n_rho, closed)
 
-    Dirichlet walls at rho = h and rho_max (default: the family's wall), one
-    Richardson refinement, bisected around the family's closed value.
-    Returns (eigenvalue, convergence_estimate).  An ell that is not positive
-    and what :func:`_radial_grid` refuses (a negative n_rho too) raise DomainError.
-    """
-    if not ell > 0:
-        raise DomainError(f"need a radial order ell > 0, got {ell}")
-    potential = _radial_operator(family, params, ell)
 
-    def factory(grid):
-        return discretize(potential, grid, prefactor=1.0)
-
-    grid = _radial_grid(family, params, n_rho, n_points, rho_max)
-    return refine_eigenvalue(factory, grid, n_rho, family.closed(*params, n_rho, ell))
+def _lone_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, n_points: int,
+                rho_max: float | None) -> tuple[float, float]:
+    """:func:`_numeric_level` on the level's own wall grid, ell checked first."""
+    _check_order(ell)
+    _check_index(n_points, n_rho)
+    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    return _numeric_level(family, params, ell, n_rho, grid, family.closed(*params, n_rho, ell))
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -341,7 +342,7 @@ def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_PO
     The exact level is -1/nu^2 with nu = n_rho + ell + 1/2, the level's own
     b; the default wall is :func:`coulomb_rho_max` of nu.
     """
-    return _numeric_level(COULOMB, (n_rho + ell + 0.5,), ell, n_rho, n_points, rho_max)
+    return _lone_level(COULOMB, (n_rho + ell + 0.5,), ell, n_rho, n_points, rho_max)
 
 
 def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
@@ -354,7 +355,7 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
     if not a_param > 0:
         raise DomainError(f"need a > 0, got {a_param}")
     d = a_param * (2.0 * n_rho + ell + 1.0)
-    return _numeric_level(OSCILLATOR, (a_param, d), ell, n_rho, n_points, rho_max)
+    return _lone_level(OSCILLATOR, (a_param, d), ell, n_rho, n_points, rho_max)
 
 
 def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
@@ -370,12 +371,11 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     would sweep no level and pass vacuously, raises DomainError before any
     solve, as does everything else :func:`_sweep` refuses.
     """
-    lams, _ = _sweep(family, params, n_rho_max, n_points, rho_max)
+    levels, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
     records = []
-    for n_rho, lam in enumerate(lams):
-        ell = math.sqrt(lam + 1.0)
-        numeric, conv = _numeric_level(family, params, ell, n_rho, n_points, rho_max)
+    for n_rho, lam, ell in levels:
         closed = family.closed(*params, n_rho, ell)
+        numeric, conv = _numeric_level(family, params, ell, n_rho, grid, closed)
         records.append(SpectrumRecord(
             qn=QuantumNumbers(n_rho, 0),
             lam=lam,
@@ -402,12 +402,10 @@ def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
     the grid or the wall does not hold the state.  It refuses, before any
     solve, what :func:`verify_family` refuses.
     """
-    lams, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
+    levels, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
     errors = []
-    for n_rho, lam in enumerate(lams):
-        ell = math.sqrt(lam + 1.0)
-        op = discretize(_radial_operator(family, params, ell), grid)
-        numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
+    for n_rho, _, ell in levels:
+        numeric = eigen_lowest(_operator(family, params, ell, grid), n_rho + 1).eigenvectors[:, n_rho]
         closed = family.state(*params, n_rho, ell, grid.points)
         numeric = math.copysign(1.0, numeric @ closed) * numeric
         errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
