@@ -65,7 +65,10 @@ def _count_in(low: int, high: int):
 
 _N_POINTS = _count_in(64, 10**6)
 # a negative m_max or n_rho_max is an empty table, refused as a domain error
-_TABLE_MAX = _checked(int, lambda m: m <= 10**4, "<= 10000")
+_TABLE_BOUND = 10**4
+_TABLE_MAX = _checked(int, lambda m: m <= _TABLE_BOUND, f"<= {_TABLE_BOUND}")
+# each bound alone admits (1e4 + 1)(2e4 + 1) rows, so a spectrum table has its own
+_TABLE_ROWS = 10**5
 _TOL = _checked(float, lambda t: 1e-10 <= t <= 1e-1, "in [1e-10, 0.1]")
 _RHO_MAX = _checked(float, lambda r: 0.0 < r < math.inf, "finite and > 0")
 # a span that overflows would sample nothing but nan
@@ -93,6 +96,9 @@ def cmd_spectrum(args):
         raise DomainError(f"m_max must be >= 0, got {args.m_max}")
     family = md.RADIAL_FAMILIES.get(type(model.v))
     if family is not None:
+        rows = (args.n_rho_max + 1) * (2 * args.m_max + 1)
+        if rows > _TABLE_ROWS:
+            raise ConfigError(f"(n_rho_max + 1)(2 m_max + 1) rows must be <= {_TABLE_ROWS}, got {rows}")
         params = family.params(model.v)
         levels = family.levels(params, args.n_rho_max)
         header = family.header(params)
@@ -125,11 +131,12 @@ def cmd_verify(args):
     if family is None:
         raise ConfigError("verification sweeps need a coulomb-like or oscillator-like model")
     params = family.params(model.v)
-    rho_max = family.wall(params, args.rho_max)
     records = md.verify_family(family, params, args.n_rho_max,
-                               n_points=args.n_points, rho_max=rho_max)
+                               n_points=args.n_points, rho_max=args.rho_max)
     state_errors = md.state_errors(family, params, args.n_rho_max,
-                                   n_points=args.n_points, rho_max=rho_max)
+                                   n_points=args.n_points, rho_max=args.rho_max)
+    # resolved after the sweeps refused a model without levels, whose default wall may not exist
+    rho_max = family.wall(params, args.rho_max)
 
     ok = md.all_within(records, args.tol)
     payload = {
@@ -189,9 +196,13 @@ def _parse_state(text: str):
     parse, name = _STATE_KEYS[kind, key.strip()]
     raw = raw.strip()
     try:
-        return kind, parse(raw)
+        value = parse(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse {name} {raw!r}") from exc
+    # the closed radial state costs O(n_rho), so n_rho has the bound of --n-rho-max
+    if kind == "radial" and value > _TABLE_BOUND:
+        raise ConfigError(f"{name} must be <= {_TABLE_BOUND}, got {raw!r}")
+    return kind, value
 
 
 def _toy_rows(model, order_fraction, coords) -> list:

@@ -280,7 +280,8 @@ OSCILLATOR = RadialFamily(
     w=lambda a_param, d, rho: 0.25 * a_param**2 * rho**2,
     closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
     state=_oscillator_state,
-    default_wall=lambda a_param, d: 12.0 / math.sqrt(a_param),
+    # five lengths 1/sqrt(a) past the outer turning point 2 sqrt(d)/a, at least 12/sqrt(a)
+    default_wall=lambda a_param, d: max(12.0, 2.0 * math.sqrt(d / a_param) + 5.0) / math.sqrt(a_param),
     note="radial spectral value d; independent of m",
 )
 
@@ -328,7 +329,8 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, 
 
 def _lone_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, n_points: int,
                 rho_max: float | None) -> tuple[float, float]:
-    """:func:`_numeric_level` on the level's own wall grid, ell checked first."""
+    """:func:`_numeric_level` on the level's own wall grid; ell is checked first,
+    since a bad ell can empty the wall of the level's own b."""
     _check_order(ell)
     _check_index(n_points, n_rho)
     grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)

@@ -100,6 +100,27 @@ def test_spectrum_rejects_empty_table(coulomb_model_file, option):
     assert stderr_error(result)["code"] == "domain"
 
 
+@pytest.mark.parametrize("n_rho_max, m_max", [("49", "1000"), ("4", "10000"), ("10000", "10000")])
+def test_spectrum_above_the_row_cap_builds_no_record(tmp_path, monkeypatch, capsys,
+                                                     n_rho_max, m_max):
+    from pdm_polar import models as md
+
+    def no_record(*args):
+        raise AssertionError("a record was built before the table size was checked")
+
+    monkeypatch.setattr(md, "flat_energy", no_record)
+    deep = write_model(tmp_path, "deep.json",
+                       {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e9}},
+                        "ordering": "bendaniel-duke"})
+    code = main(["spectrum", "--model", str(deep), "--n-rho-max", n_rho_max, "--m-max", m_max])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "config"
+    assert "must be <= 100000" in error["message"]
+
+
 def test_spectrum_rejects_cos2_model(tmp_path, cos2_model_file):
     # the tables hold the flat-profile angular spectrum, which a cos^2
     # profile does not have, whatever its radial family
@@ -461,9 +482,16 @@ def test_sample_counts_below_one_rejected(cos2_model_file, argv):
     ["spectrum", "--m-max", "100000000"],
     ["spectrum", "--n-rho-max", "10001"],
     ["verify", "--n-rho-max", "10001"],
+    # d/a = 1e5 quantizes this n_rho: only the selector's bound refuses it
+    ["wavefunction", "--state", "radial:n_rho=10001", "--range", "0.5,6", "--samples", "3"],
 ])
-def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model_file, argv):
+def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model_file, tmp_path,
+                                                  argv):
     model = coulomb_model_file if argv[0] in ("spectrum", "verify") else cos2_model_file
+    if "radial:n_rho=10001" in argv:
+        model = write_model(tmp_path, "deep.json",
+                            {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e5}},
+                             "ordering": "bendaniel-duke"})
     result = run_cli([*argv, "--model", str(model)])
     assert result.returncode == 2
     assert stderr_error(result)["code"] == "config"

@@ -370,6 +370,18 @@ def test_verify_oscillator_within_tolerance():
         assert record.convergence_estimate is not None
 
 
+@pytest.mark.parametrize("a_param, d, n_rho_max", [(1.0, 60.0, 0), (0.5, 40.0, 1)])
+def test_verify_oscillator_default_wall_holds_a_deep_well(a_param, d, n_rho_max):
+    # the outer turning point 2 sqrt(d)/a lies past 12/sqrt(a) once d/a > 9
+    records = verify_oscillator(a_param, d, n_rho_max, 1e-4)
+    assert all_within(records, 1e-4), [r.delta for r in records]
+
+
+@pytest.mark.parametrize("a_param", [0.5, 1.0, 2.0])
+def test_oscillator_default_wall_keeps_its_floor(a_param):
+    assert OSCILLATOR.default_wall(a_param, 12.0 * a_param) == 12.0 / math.sqrt(a_param)
+
+
 def test_verify_oscillator_domain_guard():
     with pytest.raises(DomainError):
         verify_oscillator(0.0, 4.0, 1, 1e-4)
