@@ -100,7 +100,7 @@ def test_spectrum_rejects_empty_table(coulomb_model_file, option):
     assert stderr_error(result)["code"] == "domain"
 
 
-@pytest.mark.parametrize("n_rho_max, m_max", [("49", "1000"), ("4", "10000"), ("10000", "10000")])
+@pytest.mark.parametrize("n_rho_max, m_max", [("4", "10000"), ("10000", "10000")])
 def test_spectrum_above_the_row_cap_builds_no_record(tmp_path, monkeypatch, capsys,
                                                      n_rho_max, m_max):
     from pdm_polar import models as md
