@@ -323,7 +323,6 @@ def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, 
                    closed: float) -> tuple[float, float]:
     """(eigenvalue, convergence_estimate) of index n_rho at radial order ell on
     the grid: one Richardson refinement, bisected around the closed value."""
-    _check_order(ell)
     return refine_eigenvalue(functools.partial(_operator, family, params, ell), grid, n_rho, closed)
 
 
@@ -376,6 +375,7 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     levels, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
     records = []
     for n_rho, lam, ell in levels:
+        _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
         closed = family.closed(*params, n_rho, ell)
         numeric, conv = _numeric_level(family, params, ell, n_rho, grid, closed)
         records.append(SpectrumRecord(
