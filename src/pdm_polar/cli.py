@@ -131,14 +131,12 @@ def cmd_verify(args):
     if family is None:
         raise ConfigError("verification sweeps need a coulomb-like or oscillator-like model")
     params = family.params(model.v)
-    records = md.verify_family(family, params, args.n_rho_max,
-                               n_points=args.n_points, rho_max=args.rho_max)
-    state_errors = md.state_errors(family, params, args.n_rho_max,
-                                   n_points=args.n_points, rho_max=args.rho_max)
-    # resolved after the sweeps refused a model without levels, whose default wall may not exist
+    levels = md.verify_sweep(family, params, args.n_rho_max,
+                             n_points=args.n_points, rho_max=args.rho_max)
+    # resolved after the sweep refused a model without levels, whose default wall may not exist
     rho_max = family.wall(params, args.rho_max)
 
-    ok = md.all_within(records, args.tol)
+    ok = md.all_within([r for r, _ in levels], args.tol)
     payload = {
         "command": "verify",
         "model": family.header(params),
@@ -146,7 +144,7 @@ def cmd_verify(args):
         "tol": args.tol,
         "n_points": args.n_points,
         "rho_max": rho_max,
-        "records": [{**md.record_to_row(r), "state_error": e} for r, e in zip(records, state_errors)],
+        "records": [{**md.record_to_row(r), "state_error": e} for r, e in levels],
         "all_within_tol": ok,
     }
     return _table_output(EXIT_OK if ok else EXIT_TOLERANCE, payload)

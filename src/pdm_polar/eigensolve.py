@@ -14,13 +14,16 @@ the eigenvalues in a window certified by a Sturm count (``_window``, which
 :func:`refine_eigenvalue` give it) and the Sturm count at or below a value
 (:func:`count_below`).  All four go through one call site, ``_lapack``,
 which calls LAPACK's Sturm-sequence bisection (``?stebz``), plus inverse
-iteration (``?stein``) for vectors, directly: the two routines are
-fetched once through :func:`scipy.linalg.get_lapack_funcs` and given the
-arguments :func:`scipy.linalg.eigh_tridiagonal` would pass, without its
-per-call checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967);
-B. N. Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  scipy is
-imported there, on the first request, so code that never solves runs on
-numpy alone.
+iteration (``?stein``) for vectors, directly, with the arguments
+:func:`scipy.linalg.eigh_tridiagonal` would pass, without its per-call
+checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N.
+Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  The two routines
+are scipy's own ``dstebz`` and ``dstein``, read on the first request from
+its compiled LAPACK extension ``scipy/linalg/_flapack`` (``_flapack``),
+which is loaded from its file without importing the ``scipy`` or
+``scipy.linalg`` packages: those package imports cost a cold process
+several times what the solves of one command do.  Code that never solves
+does not load the extension either.
 
 The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
 symmetric tridiagonal, and a ring splits into its even and odd
@@ -55,7 +58,11 @@ production use.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,13 +239,38 @@ def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) 
 
 
 @functools.cache
-def _routines():
-    """LAPACK's double-precision ``?stebz`` and ``?stein``, fetched on the first
-    request; scipy is imported here so that commands which never solve do not
-    load it."""
-    from scipy.linalg import get_lapack_funcs
+def _flapack():
+    """scipy's compiled LAPACK extension ``scipy.linalg._flapack``, loaded on
+    the first request without importing ``scipy`` or ``scipy.linalg``.
 
-    return get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+    The extension is found in the ``linalg`` directory of the ``scipy``
+    package and loaded from its file.  A single-phase extension enters
+    itself in ``sys.modules`` as it loads; that entry is taken out again
+    unless scipy.linalg had already made it, so a later ``import
+    scipy.linalg`` sets its submodule up as usual, with these same routine
+    objects.  An extension that cannot be found raises ImportError naming
+    the directories searched.
+    """
+    name = "scipy.linalg._flapack"
+    package = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (package.submodule_search_locations if package else [])]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"LAPACK extension {name} not found in {dirs} (is scipy installed?)")
+    loaded = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        sys.modules.pop(name, None)
+    return module
+
+
+def _routines():
+    """LAPACK's double-precision ``?stebz`` and ``?stein``: the ``dstebz`` and
+    ``dstein`` of :func:`_flapack`, the objects that
+    ``scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=float64)`` returns."""
+    flapack = _flapack()
+    return flapack.dstebz, flapack.dstein
 
 
 def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
@@ -414,11 +446,15 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     return EigenResult(extrapolated, fine.eigenvectors, fine_grid, estimate)
 
 
-def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple[float, float]:
+def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
+                      guess: float) -> tuple[float, float]:
     """:func:`refine` for the one eigenvalue of the given index, without vectors.
 
-    Returns (extrapolated value, |extrapolated - fine|), the Richardson step
-    of :func:`refine` applied to ``eigenvalue(..., near=...)`` at h and h/2.
+    ``op`` is the operator at h, which the caller may go on using (for its
+    eigenvectors, say); ``op_factory`` maps ``op.grid.refined()`` to the
+    operator at h/2.  Returns (extrapolated value, |extrapolated - fine|),
+    the Richardson step of :func:`refine` applied to
+    ``eigenvalue(..., near=...)`` at h and h/2.
     The level at h is bisected in a window of half-width 2e-2 |guess| around
     the caller's guess, typically the level's closed value.  The level at
     h/2 is bisected in a window around the level at h of half-width
@@ -437,10 +473,9 @@ def refine_eigenvalue(op_factory, grid: Grid, index: int, guess: float) -> tuple
     12-wide domain that is about 2.5e-7, so above n of about 2e4 the
     convergence estimate measures roundoff, not discretization error.
     """
-    # the operator on grid is a temporary, freed before the refined one is built
-    coarse = eigenvalue(op_factory(grid), index, near=(guess, _COARSE_WINDOW * abs(guess)))
+    coarse = eigenvalue(op, index, near=(guess, _COARSE_WINDOW * abs(guess)))
     fine_width = min(3.0 * abs(coarse - guess), _COARSE_WINDOW * abs(coarse))
-    fine = eigenvalue(op_factory(grid.refined()), index, near=(coarse, fine_width))
+    fine = eigenvalue(op_factory(op.grid.refined()), index, near=(coarse, fine_width))
     return _richardson(coarse, fine)
 
 

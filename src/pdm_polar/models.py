@@ -21,7 +21,8 @@ l = ell - 1/2, Laguerre polynomials normalized in closed form.
 
 Every closed spectral value is cross-checked against the finite-difference
 solver, which plays the independent-oracle role, and so is every closed
-state, against its eigenvectors (:func:`state_errors`).  The
+state, against its eigenvectors (:func:`state_errors`; :func:`verify_sweep`
+makes both checks in one sweep).  The
 cos^2-profile system supplies the Bessel radial solution and the
 zero-potential angular line E = m^2/2; away from that line the
 (E, lambda) pairing is explored numerically by :func:`heun_regime_scan`
@@ -310,20 +311,26 @@ def _check_order(ell: float) -> None:
 
 
 def _sweep(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
-           rho_max: float | None) -> tuple[list, Grid]:
-    """The levels (n_rho, lambda, ell) of a sweep and their one wall grid; the top
-    index is checked before any level is computed."""
+           rho_max: float | None):
+    """Each level of a sweep as (n_rho, lambda, ell, operator), the operator on
+    the sweep's one wall grid.  The top index is checked before any level is
+    computed, and each level's ell before its operator is built; an operator
+    is built when its level is reached, so one level's is held at a time."""
     if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
         _check_index(n_points, n_rho_max)
     levels = family.levels(params, n_rho_max)
-    return levels, Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    for n_rho, lam, ell in levels:
+        _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
+        yield n_rho, lam, ell, _operator(family, params, ell, grid)
 
 
-def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, grid: Grid,
-                   closed: float) -> tuple[float, float]:
-    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell on
-    the grid: one Richardson refinement, bisected around the closed value."""
-    return refine_eigenvalue(functools.partial(_operator, family, params, ell), grid, n_rho, closed)
+def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
+                   op: DiscretizedOperator, closed: float) -> tuple[float, float]:
+    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
+    one Richardson refinement of the operator op, bisected around the closed
+    value."""
+    return refine_eigenvalue(op, functools.partial(_operator, family, params, ell), n_rho, closed)
 
 
 def _lone_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, n_points: int,
@@ -333,7 +340,8 @@ def _lone_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, n_p
     _check_order(ell)
     _check_index(n_points, n_rho)
     grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
-    return _numeric_level(family, params, ell, n_rho, grid, family.closed(*params, n_rho, ell))
+    return _numeric_level(family, params, ell, n_rho, _operator(family, params, ell, grid),
+                          family.closed(*params, n_rho, ell))
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -359,6 +367,34 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
     return _lone_level(OSCILLATOR, (a_param, d), ell, n_rho, n_points, rho_max)
 
 
+def _record(family: RadialFamily, params: tuple, n_rho: int, lam: float, ell: float,
+            op: DiscretizedOperator) -> SpectrumRecord:
+    """The closed spectral value of one sweep level against its numeric one."""
+    closed = family.closed(*params, n_rho, ell)
+    numeric, conv = _numeric_level(family, params, ell, n_rho, op, closed)
+    return SpectrumRecord(
+        qn=QuantumNumbers(n_rho, 0),
+        lam=lam,
+        energy_closed=closed,
+        energy_numeric=numeric,
+        delta=abs(closed - numeric),
+        provenance="both",
+        convergence_estimate=conv,
+        note=family.note,
+    )
+
+
+def _state_error(family: RadialFamily, params: tuple, n_rho: int, lam: float, ell: float,
+                 op: DiscretizedOperator) -> float:
+    """h-weighted L2 distance of one sweep level's closed state and the
+    index-n_rho eigenvector of op, signed to agree with it."""
+    grid = op.grid
+    numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
+    closed = family.state(*params, n_rho, ell, grid.points)
+    numeric = math.copysign(1.0, numeric @ closed) * numeric
+    return math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2)))
+
+
 def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
                   n_points: int = RADIAL_N_POINTS,
                   rho_max: float | None = None) -> list[SpectrumRecord]:
@@ -372,23 +408,8 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     would sweep no level and pass vacuously, raises DomainError before any
     solve, as does everything else :func:`_sweep` refuses.
     """
-    levels, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
-    records = []
-    for n_rho, lam, ell in levels:
-        _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
-        closed = family.closed(*params, n_rho, ell)
-        numeric, conv = _numeric_level(family, params, ell, n_rho, grid, closed)
-        records.append(SpectrumRecord(
-            qn=QuantumNumbers(n_rho, 0),
-            lam=lam,
-            energy_closed=closed,
-            energy_numeric=numeric,
-            delta=abs(closed - numeric),
-            provenance="both",
-            convergence_estimate=conv,
-            note=family.note,
-        ))
-    return records
+    return [_record(family, params, *level)
+            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
 
 
 def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
@@ -404,14 +425,19 @@ def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
     the grid or the wall does not hold the state.  It refuses, before any
     solve, what :func:`verify_family` refuses.
     """
-    levels, grid = _sweep(family, params, n_rho_max, n_points, rho_max)
-    errors = []
-    for n_rho, _, ell in levels:
-        numeric = eigen_lowest(_operator(family, params, ell, grid), n_rho + 1).eigenvectors[:, n_rho]
-        closed = family.state(*params, n_rho, ell, grid.points)
-        numeric = math.copysign(1.0, numeric @ closed) * numeric
-        errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
-    return errors
+    return [_state_error(family, params, *level)
+            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
+
+
+def verify_sweep(family: RadialFamily, params: tuple, n_rho_max: int, *,
+                 n_points: int = RADIAL_N_POINTS,
+                 rho_max: float | None = None) -> list[tuple[SpectrumRecord, float]]:
+    """(record, state error) per level: :func:`verify_family` and
+    :func:`state_errors` in one sweep, which checks each level and builds its
+    unrefined operator once for both.  The values are theirs, bit for bit,
+    and so are the refusals."""
+    return [(_record(family, params, *level), _state_error(family, params, *level))
+            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
 
 
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *,
@@ -472,7 +498,8 @@ def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
         return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
 
     # the levels ascend as m = 0, 1, 1, 2, 2, ...: index j has m = (j + 1) // 2
-    refined = np.array([refine_eigenvalue(factory, grid, j, 0.5 * ((j + 1) // 2) ** 2)
+    op = factory(grid)
+    refined = np.array([refine_eigenvalue(op, factory, j, 0.5 * ((j + 1) // 2) ** 2)
                         for j in range(2 * m_max + 1)])
     return refined[:, 0], refined[:, 1]
 

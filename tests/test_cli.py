@@ -220,6 +220,26 @@ def test_verify_determinism(oscillator_model_file):
     assert first.stdout.encode() == second.stdout.encode()
 
 
+def test_verify_builds_each_operator_once(coulomb_model_file, monkeypatch, capsys):
+    # one sweep serves the records and the state errors: each level's
+    # operator is built once at h and once at h/2
+    import pdm_polar.models as md
+    from pdm_polar import cli
+
+    sizes = []
+    discretize = md.discretize
+
+    def counting_discretize(potential, grid, **kwargs):
+        sizes.append(grid.n_points)
+        return discretize(potential, grid, **kwargs)
+
+    monkeypatch.setattr(md, "discretize", counting_discretize)
+    code = cli.main(["verify", "--model", str(coulomb_model_file), "--n-rho-max", "2"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 3
+    assert sizes == [4000, 8001] * 3
+
+
 @pytest.mark.parametrize("rho_max", ["0", "-5", "nan"])
 @pytest.mark.parametrize("command", [["verify", "--n-rho-max", "1"]], ids=["verify"])
 def test_rho_max_must_be_finite_and_positive(oscillator_model_file, command, rho_max):
@@ -736,8 +756,8 @@ print(json.dumps(runs))
 """
 
 
-def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_model_file,
-                                                flat_model_file, cos2_model_file):
+def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file,
+                                       flat_model_file, cos2_model_file):
     # a fresh interpreter: the test process itself has scipy loaded already
     closed_form = [
         ["spectrum", "--model", str(coulomb_model_file)],
@@ -754,18 +774,21 @@ def test_closed_form_commands_do_not_load_scipy(coulomb_model_file, oscillator_m
         ["wavefunction", "--model", str(oscillator_model_file), "--state", "radial:n_rho=1",
          "--range", "0.5,6", "--samples", "5"],
     ]
-    solving = ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0",
-               "--n-points", "1024"]
+    # the solving commands reach LAPACK through scipy's extension module alone
+    solving = [
+        ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0",
+         "--n-points", "1024"],
+        ["scan", "--model", str(cos2_model_file), "--energy", "0.5", "--lambda-range=-1,0"],
+    ]
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, json.dumps(closed_form + [solving])],
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(closed_form + solving)],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    bare_import, *runs, verify = json.loads(result.stdout)
+    bare_import, *runs = json.loads(result.stdout)
     assert bare_import is False
-    for argv, outcome in zip(closed_form, runs, strict=True):
+    for argv, outcome in zip(closed_form + solving, runs, strict=True):
         assert outcome == [0, False], argv
-    assert verify == [0, True]
 
 
 def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_file, capsys,

@@ -1,7 +1,13 @@
 """Grid conventions, discretization, and the tridiagonal eigensolver."""
 
 import functools
+import importlib.machinery
+import importlib.util
+import json
 import math
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -452,7 +458,8 @@ def test_refine_eigenvalue_matches_refine(case):
     per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
     for rule, guess_of in GUESS_RULES.items():
         for j in range(k):
-            value, estimate = refine_eigenvalue(factory, grid, j, guess_of(CLOSED_LEVELS[case], j))
+            value, estimate = refine_eigenvalue(factory(grid), factory, j,
+                                                guess_of(CLOSED_LEVELS[case], j))
             assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve, (rule, j)
             assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve, (rule, j)
 
@@ -549,7 +556,8 @@ def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch)
     extrapolated = (4.0 * fine - coarse) / 3.0
     monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
     assert eigenvalue(op, 0, near=(1.0, 1e-3)) == level
-    assert refine_eigenvalue(factory, grid, 0, -0.4) == (extrapolated, abs(extrapolated - fine))
+    assert refine_eigenvalue(factory(grid), factory, 0, -0.4) == (extrapolated,
+                                                                  abs(extrapolated - fine))
 
 
 def spy_on_lapack(monkeypatch):
@@ -574,8 +582,8 @@ def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
     _, potential, prefactor, _ = SOLVE_CASES[case]
     requests = spy_on_lapack(monkeypatch)
     for index in range(3):
-        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
-                          grid, index, CLOSED_LEVELS[case](index))
+        factory = functools.partial(discretize, potential, prefactor=prefactor)
+        refine_eigenvalue(factory(grid), factory, index, CLOSED_LEVELS[case](index))
     assert requests and {select for _, select, _, _ in requests} == {"v"}
 
 
@@ -588,8 +596,9 @@ def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, r
     requests = spy_on_lapack(monkeypatch)
     for index in range(3):
         requests.clear()
-        refine_eigenvalue(lambda g: discretize(potential, g, prefactor=prefactor),
-                          grid, index, GUESS_RULES[rule](CLOSED_LEVELS["coulombish"], index))
+        factory = functools.partial(discretize, potential, prefactor=prefactor)
+        refine_eigenvalue(factory(grid), factory, index,
+                          GUESS_RULES[rule](CLOSED_LEVELS["coulombish"], index))
         for rows in (grid.n_points, grid.refined().n_points):
             mine = [(select, tol, m) for n, select, tol, m in requests if n == rows]
             counts = [r for r in mine if r[0] == "v" and r[1] != 0.0]
@@ -602,10 +611,11 @@ def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, r
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
     grid = Grid(0.0, 1.0, 64, DIRICHLET)
     with pytest.raises(ValueError, match="resolve 0 <= index < 16, got index = 16"):
-        refine_eigenvalue(lambda g: discretize(zero, g), grid, 16, 1.0)
+        refine_eigenvalue(discretize(zero, grid), functools.partial(discretize, zero), 16, 1.0)
     ring = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
     with pytest.raises(ValueError, match="reflection-symmetric"):
-        refine_eigenvalue(lambda g: discretize(np.sin, g, prefactor=0.5), ring, 1, 0.5)
+        refine_eigenvalue(discretize(np.sin, ring, prefactor=0.5),
+                          functools.partial(discretize, np.sin, prefactor=0.5), 1, 0.5)
 
 
 def test_observed_order_box():
@@ -641,3 +651,96 @@ def test_operator_symmetry_is_structural():
     assert op.off_diagonal.shape == (63,)
     dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
     np.testing.assert_array_equal(dense, dense.T)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK from scipy's extension module, without the scipy packages
+
+FRESH_SOLVES = """
+import json, sys
+
+from pdm_polar.eigensolve import (DIRICHLET, Grid, _flapack, _routines, count_below, discretize,
+                                  eigen_lowest, eigenvalue)
+
+op = discretize(lambda x: 0.5 * x**2, Grid(-8.0, 8.0, 600, DIRICHLET), prefactor=0.5)
+lowest = eigen_lowest(op, 3)
+solved = [count_below(op, 1.0), eigenvalue(op, 2), eigenvalue(op, 1, near=(1.5, 0.1)),
+          lowest.eigenvalues.tolist(), float(lowest.eigenvectors[300, 1])]
+unloaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+import scipy.linalg
+
+shared = [_flapack().__file__ == scipy.linalg._flapack.__file__,
+          _routines()[0] is scipy.linalg._flapack.dstebz,
+          _routines()[1] is scipy.linalg._flapack.dstein]
+print(json.dumps([solved, unloaded, shared]))
+"""
+
+
+def test_solves_in_a_fresh_interpreter_load_no_scipy_package():
+    # the test process has scipy loaded already; a fresh one solves first
+    result = subprocess.run([sys.executable, "-c", FRESH_SOLVES], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    solved, unloaded, shared = json.loads(result.stdout)
+    op = discretize(harmonic, Grid(-8.0, 8.0, 600, DIRICHLET), prefactor=0.5)
+    lowest = eigen_lowest(op, 3)
+    assert solved == [count_below(op, 1.0), eigenvalue(op, 2), eigenvalue(op, 1, near=(1.5, 0.1)),
+                      lowest.eigenvalues.tolist(), float(lowest.eigenvectors[300, 1])]
+    assert solved[0] == 1 and solved[1] == pytest.approx(2.5, rel=1e-3)
+    # a later import of scipy.linalg finds the extension, and these routines, in place
+    assert unloaded == []
+    assert shared == [True, True, True]
+
+
+def test_routines_are_scipys_own():
+    from scipy.linalg import _flapack, get_lapack_funcs
+
+    assert eigensolve._flapack().__file__ == _flapack.__file__
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+    assert eigensolve._routines()[0] is stebz and eigensolve._routines()[1] is stein
+
+
+def test_missing_extension_names_the_directories_searched(monkeypatch, tmp_path):
+    # a scipy package whose linalg directory holds no extension, and no scipy at all
+    package = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    package.submodule_search_locations = [str(tmp_path)]
+    for found, searched in ((package, re.escape(repr([str(tmp_path / "linalg")]))), (None, r"\[\]")):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+        eigensolve._flapack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in " + searched):
+                eigensolve._flapack()
+        finally:
+            monkeypatch.undo()
+            eigensolve._flapack.cache_clear()
+    assert eigensolve._flapack().dstebz is eigensolve._routines()[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op=st.sampled_from(sorted(SOLVE_CASES)).map(case_operator) | random_tridiagonals(),
+    data=st.data(),
+)
+def test_lapack_requests_match_eigh_tridiagonal(op, data):
+    # eigh_tridiagonal's stebz driver fetches its routines through get_lapack_funcs
+    from scipy.linalg import eigh_tridiagonal
+
+    for diag, off in op.sectors:
+        n = len(diag)
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo, min(n - 1, lo + 8)), label="hi")
+        reference = functools.partial(eigh_tridiagonal, diag, off, lapack_driver="stebz")
+        by_index = reference(eigvals_only=True, select="i", select_range=(lo, hi))
+        np.testing.assert_array_equal(eigensolve._lapack(diag, off, "i", (lo, hi)), by_index)
+        w, v = eigensolve._lapack(diag, off, "i", (lo, hi), vectors=True)
+        w_ref, v_ref = reference(select="i", select_range=(lo, hi))
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(v, v_ref)
+        # a window between two of those levels, and the count at its top
+        a, b = sorted(data.draw(st.sampled_from(by_index.tolist()), label=end) for end in "ab")
+        window = (a - 1e-3 * abs(a), b)
+        np.testing.assert_array_equal(
+            eigensolve._lapack(diag, off, "v", window),
+            reference(eigvals_only=True, select="v", select_range=window))
+        assert _count(diag, off, b) == len(reference(
+            eigvals_only=True, select="v", select_range=(-np.inf, b), tol=np.finfo(float).max))

@@ -46,6 +46,7 @@ from pdm_polar.models import (
     scan_level,
     state_errors,
     verify_family,
+    verify_sweep,
     zero_zeta_levels,
 )
 from pdm_polar.specfun import bessel_j
@@ -545,7 +546,18 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
         state_errors(COULOMB, (3.0,), 0, n_points=8)
 
 
-@pytest.mark.parametrize("sweep", [verify_family, state_errors], ids=["verify", "states"])
+@pytest.mark.parametrize("family, params", [
+    (COULOMB, (3.0,)), (COULOMB, (5.3,)), (OSCILLATOR, (1.0, 8.0)), (OSCILLATOR, (0.7, 9.0)),
+], ids=["coulomb-3", "coulomb-5.3", "oscillator-8", "oscillator-0.7-9"])
+def test_verify_sweep_is_verify_family_and_state_errors(family, params):
+    # the one sweep of the verify command gives both checks' values bit for bit
+    pairs = verify_sweep(family, params, 2, n_points=1024)
+    assert [record for record, _ in pairs] == verify_family(family, params, 2, n_points=1024)
+    assert [error for _, error in pairs] == state_errors(family, params, 2, n_points=1024)
+
+
+@pytest.mark.parametrize("sweep", [verify_family, state_errors, verify_sweep],
+                         ids=["verify", "states", "both"])
 def test_sweep_refuses_an_unresolved_index_before_any_level(sweep):
     # an index far past the grid is refused before a list of 3e6 levels is built
     calls = {"lam": 0}
