@@ -37,7 +37,6 @@ from .models import (
     oscillator_numeric_level,
     scan_curve,
     toy_radial_solution,
-    toy_zero_zeta_spectrum,
     verify_coulomb,
     verify_oscillator,
 )

@@ -69,6 +69,9 @@ _TABLE_BOUND = 10**4
 _TABLE_MAX = _checked(int, lambda m: m <= _TABLE_BOUND, f"<= {_TABLE_BOUND}")
 # each bound alone admits (1e4 + 1)(2e4 + 1) rows, so a spectrum table has its own
 _TABLE_ROWS = 10**5
+# a closed radial state costs O(n_rho) per sample, and the bounds of n_rho and
+# --samples alone admit 1e10 terms, so a radial dump has its own
+_RADIAL_TERMS = 10**9
 _TOL = _checked(float, lambda t: 1e-10 <= t <= 1e-1, "in [1e-10, 0.1]")
 _RHO_MAX = _checked(float, lambda r: 0.0 < r < math.inf, "finite and > 0")
 # a span that overflows would sample nothing but nan
@@ -259,6 +262,9 @@ def _angular_rows(model, m, coords) -> list:
 def cmd_wavefunction(args):
     model = sp.load_model(args.model)
     kind, value = _parse_state(args.state)
+    if kind == "radial" and (value + 1) * args.samples > _RADIAL_TERMS:
+        raise ConfigError(f"(n_rho + 1) * samples must be <= {_RADIAL_TERMS}, "
+                          f"got {(value + 1) * args.samples}")
     lo, hi = args.range
     coords = np.linspace(lo, hi, args.samples)
     if kind == "angular":

@@ -50,9 +50,7 @@ the bisection tolerance, about 4 eps ||T||inf.
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`: a by-value ``?stebz`` request that stops
 after the Sturm count, O(n) per sector, with no bisection towards any
-eigenvalue.  A small pure-Python Sturm counter, :func:`sturm_count_below`,
-stays as the test reference for those counts; it is too slow for
-production use.
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
 POTENTIAL_CAP = 1e12
-_SIGN_THRESHOLD = 1e-8
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -146,15 +143,6 @@ class DiscretizedOperator:
     def n(self) -> int:
         return self.diagonal.shape[0]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        if self.grid.boundary == PERIODIC:
-            out[0] += self.off_diagonal[0] * v[-1]
-            out[-1] += self.off_diagonal[0] * v[0]
-        return out
-
     def inf_norm(self) -> float:
         row = np.abs(self.diagonal).copy()
         row[:-1] += np.abs(self.off_diagonal)
@@ -216,26 +204,6 @@ def discretize(potential, grid: Grid, *, prefactor: float = 1.0) -> DiscretizedO
     diag = 2.0 * kin + v
     off = np.full(grid.n_points - 1, -kin)
     return DiscretizedOperator(diag, off, grid)
-
-
-def sturm_count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
-
-    Classic negative-pivot count of the shifted LDL^T recurrence; reference
-    implementation for tests, not used by the production solve path.
-    """
-    count = 0
-    q = float(diagonal[0]) - x
-    if q < 0.0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(diagonal)):
-        if q == 0.0:
-            q = tiny
-        q = (float(diagonal[i]) - x) - float(off_diagonal[i - 1]) ** 2 / q
-        if q < 0.0:
-            count += 1
-    return count
 
 
 @functools.cache
@@ -483,9 +451,3 @@ def observed_order(e_h: float, e_h2: float, e_h4: float) -> float:
     """Convergence order from eigenvalues at spacings h, h/2, h/4."""
     return math.log2(abs(e_h - e_h2) / abs(e_h2 - e_h4))
 
-
-def sign_changes(v: np.ndarray) -> int:
-    """Count strict sign alternations of a vector, ignoring near-zero entries."""
-    cutoff = _SIGN_THRESHOLD * float(np.max(np.abs(v)))
-    signs = np.sign(v[np.abs(v) > cutoff])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))

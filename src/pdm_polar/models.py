@@ -21,11 +21,11 @@ l = ell - 1/2, Laguerre polynomials normalized in closed form.
 
 Every closed spectral value is cross-checked against the finite-difference
 solver, which plays the independent-oracle role, and so is every closed
-state, against its eigenvectors (:func:`state_errors`; :func:`verify_sweep`
-makes both checks in one sweep).  The
-cos^2-profile system supplies the Bessel radial solution and the
-zero-potential angular line E = m^2/2; away from that line the
-(E, lambda) pairing is explored numerically by :func:`heun_regime_scan`
+state, against its eigenvectors (:func:`verify_sweep` makes both checks in
+one sweep).  The cos^2-profile system supplies the Bessel radial solution
+and the zero-potential angular line E = m^2/2, the levels of the scan ring
+(:func:`scan_level`) at the gate point lambda = -3/4; away from that line
+the (E, lambda) pairing is explored numerically by :func:`heun_regime_scan`
 instead of through closed special functions.
 """
 
@@ -66,11 +66,6 @@ RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
 # relative energy gap within which degeneracy_report groups two records
 _DEGENERACY_RTOL = 1e-9
-
-ZERO_ZETA_NOTE = (
-    "zero-potential angular line validated on a 2pi-periodic coordinate; "
-    "the boundary treatment away from this line is a documented solver choice"
-)
 
 
 @dataclass(frozen=True)
@@ -412,30 +407,15 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
             for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
 
 
-def state_errors(family: RadialFamily, params: tuple, n_rho_max: int, *,
-                 n_points: int = RADIAL_N_POINTS,
-                 rho_max: float | None = None) -> list[float]:
-    """Closed-state-versus-eigenvector check over n_rho = 0..n_rho_max.
-
-    For each n_rho, the index-n_rho eigenvector of the family's operator at
-    ell = sqrt(1 + lambda), on the unrefined grid of :func:`verify_family`
-    and signed to agree with ``family.state``, is set against that closed
-    state at the grid's nodes.  Each entry is the h-weighted L2 distance of
-    the two unit-norm states: near 0 when they agree, near 1 or above when
-    the grid or the wall does not hold the state.  It refuses, before any
-    solve, what :func:`verify_family` refuses.
-    """
-    return [_state_error(family, params, *level)
-            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
-
-
 def verify_sweep(family: RadialFamily, params: tuple, n_rho_max: int, *,
                  n_points: int = RADIAL_N_POINTS,
                  rho_max: float | None = None) -> list[tuple[SpectrumRecord, float]]:
-    """(record, state error) per level: :func:`verify_family` and
-    :func:`state_errors` in one sweep, which checks each level and builds its
-    unrefined operator once for both.  The values are theirs, bit for bit,
-    and so are the refusals."""
+    """(record, state error) per level: the record is :func:`verify_family`'s,
+    bit for bit, and so are the refusals.  The state error is the h-weighted
+    L2 distance of the level's unit-norm closed state and the index-n_rho
+    eigenvector of its unrefined operator, signed to agree with it: near 0
+    when they agree, near 1 or above when the grid or the wall does not hold
+    the state.  Each level and its unrefined operator serve both checks."""
     return [(_record(family, params, *level), _state_error(family, params, *level))
             for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
 
@@ -479,55 +459,6 @@ def toy_radial_solution(n, rho: float) -> float:
     if rho <= 0.0:
         raise DomainError(f"need rho > 0, got {rho}")
     return bessel_j(n, rho) / rho
-
-
-def zero_zeta_levels(m_max: int, *, n_points: int = 2048):
-    """Numeric spectrum of the zero-potential periodic angular problem.
-
-    Solves -(1/2) chi'' = E chi on a 2pi ring; the exact levels are m^2/2
-    with the +/-m pairs doubly degenerate.  Returns (values, estimates):
-    the Richardson-refined lowest 2 m_max + 1 levels and their
-    |extrapolated - fine| estimates, each bisected around its exact value.
-    A ring the solver refuses, or a top index 2 m_max that
-    :meth:`Grid.check_index` refuses, raises DomainError before any solve.
-    """
-    grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
-    grid.check_index(2 * m_max, "2 m_max")
-
-    def factory(g):
-        return discretize(lambda x: np.zeros_like(x), g, prefactor=0.5)
-
-    # the levels ascend as m = 0, 1, 1, 2, 2, ...: index j has m = (j + 1) // 2
-    op = factory(grid)
-    refined = np.array([refine_eigenvalue(op, factory, j, 0.5 * ((j + 1) // 2) ** 2)
-                        for j in range(2 * m_max + 1)])
-    return refined[:, 0], refined[:, 1]
-
-
-def toy_zero_zeta_spectrum(m_max: int, *, n_points: int = 2048) -> list[SpectrumRecord]:
-    """Records {(n_rho=0, m): E = m^2/2, lambda = -3/4} for |m| <= m_max.
-
-    Each record is cross-validated against :func:`zero_zeta_levels`.
-    """
-    values, estimates = zero_zeta_levels(m_max, n_points=n_points)
-    records = []
-    for m in range(-m_max, m_max + 1):
-        closed = 0.5 * m * m
-        index = 0 if m == 0 else 2 * abs(m) - 1
-        numeric = float(values[index])
-        records.append(
-            SpectrumRecord(
-                qn=QuantumNumbers(0, m),
-                lam=-0.75,
-                energy_closed=closed,
-                energy_numeric=numeric,
-                delta=abs(closed - numeric),
-                provenance="both",
-                convergence_estimate=float(estimates[index]),
-                note=ZERO_ZETA_NOTE,
-            )
-        )
-    return records
 
 
 @functools.lru_cache(maxsize=1)

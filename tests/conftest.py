@@ -1,11 +1,16 @@
-"""Shared fixtures: named orderings, random ordering draws, model files."""
+"""Shared fixtures and references: named orderings, random ordering draws,
+model files, the zero-potential records of the scan ring, and the
+plain-Python solver references the tests compare against (a Sturm count, a
+node count and the operator's product)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from pdm_polar import Ordering, make_ambiguity
+from pdm_polar import Ordering, QuantumNumbers, SpectrumRecord, make_ambiguity
+from pdm_polar.eigensolve import PERIODIC
+from pdm_polar.models import scan_level
 
 
 @pytest.fixture
@@ -23,6 +28,25 @@ def random_ordering(rng, scale=2.0):
     alpha = float(rng.uniform(-scale, scale))
     gamma = float(rng.uniform(-scale, scale))
     return make_ambiguity(alpha, -1.0 - alpha - gamma, gamma)
+
+
+def zero_zeta_records(m_max, n_points):
+    """Records (n_rho = 0, m), |m| <= m_max, of the scan ring's levels at the
+    paper's zero-potential point, the gate ordering at lambda = -3/4, each
+    set against its closed value m^2/2.
+
+    The levels ascend as m = 0, -1, 1, -2, 2, ...: index j has
+    |m| = (j + 1) // 2, so +m and -m read two different levels.
+    """
+    gate = Ordering.MUSTAFA_MAZHARIMOUSAVI.ambiguity()
+    records = []
+    for j in range(2 * m_max + 1):
+        m = (-1) ** j * ((j + 1) // 2)
+        numeric = scan_level(gate, -0.75, state_index=j, n_points=n_points)
+        records.append(SpectrumRecord(qn=QuantumNumbers(0, m), lam=-0.75,
+                                      energy_closed=0.5 * m * m, energy_numeric=numeric,
+                                      delta=abs(0.5 * m * m - numeric), provenance="both"))
+    return records
 
 
 def write_model(tmp_path, name, data):
@@ -77,3 +101,43 @@ def cos2_model_file(tmp_path):
             "ordering": "mustafa-mazharimousavi",
         },
     )
+
+
+def sturm_count_below(diagonal, off_diagonal, x: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
+
+    Classic negative-pivot count of the shifted LDL^T recurrence: the count
+    oracle for the solver's LAPACK Sturm counts.
+    """
+    count = 0
+    q = float(diagonal[0]) - x
+    if q < 0.0:
+        count += 1
+    tiny = 1e-300
+    for i in range(1, len(diagonal)):
+        if q == 0.0:
+            q = tiny
+        q = (float(diagonal[i]) - x) - float(off_diagonal[i - 1]) ** 2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def sign_changes(v) -> int:
+    """Count strict sign alternations of a vector, ignoring entries below
+    1e-8 of its largest magnitude."""
+    cutoff = 1e-8 * float(np.max(np.abs(v)))
+    signs = np.sign(v[np.abs(v) > cutoff])
+    return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+
+def matvec(op, v):
+    """The product of a DiscretizedOperator and a vector; a ring's corner
+    entries equal ``off_diagonal[0]``."""
+    out = op.diagonal * v
+    out[:-1] += op.off_diagonal * v[1:]
+    out[1:] += op.off_diagonal * v[:-1]
+    if op.grid.boundary == PERIODIC:
+        out[0] += op.off_diagonal[0] * v[-1]
+        out[-1] += op.off_diagonal[0] * v[0]
+    return out

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they are produced.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from pdm_polar import (
     oscillator_lambda,
     oscillator_numeric_level,
     swap_alpha_gamma,
-    toy_zero_zeta_spectrum,
     verify_coulomb,
     w_eff,
     zeta_coefficients,
@@ -43,7 +43,7 @@ from pdm_polar.eigensolve import (
 )
 from pdm_polar.separation import CosSquaredProfile, PowerWell, SeparableModel, radial_problem
 
-from conftest import random_ordering, write_model
+from conftest import matvec, random_ordering, write_model, zero_zeta_records
 
 MM = Ordering.MUSTAFA_MAZHARIMOUSAVI.ambiguity()
 
@@ -192,10 +192,14 @@ def test_criterion_06_toy_bessel_solution():
 
 
 def test_criterion_07_zero_zeta_spectrum():
-    """Numeric zero-potential angular levels are m^2/2 with +/-m pairs."""
-    records = toy_zero_zeta_spectrum(4)
+    """Numeric zero-potential angular levels are m^2/2 with +/-m pairs.
+
+    The levels are those of the scan ring at the gate point lambda = -3/4;
+    the pairs are grouped by their numeric energies alone.
+    """
+    records = zero_zeta_records(4, n_points=4098)
     worst = max(r.delta for r in records)
-    groups = degeneracy_report(records)
+    groups = degeneracy_report([dataclasses.replace(r, energy_closed=None) for r in records])
     pair_labels = {e for g in groups for e in g.explanations if len(g.records) > 1}
     expected_labels = {f"magnetic pair m = +/-{m}" for m in range(1, 5)}
     ok = worst <= 1e-4 and expected_labels <= pair_labels
@@ -290,7 +294,7 @@ def test_criterion_09_solver_quality():
     worst_residual = 0.0
     for j in range(4):
         v = result.eigenvectors[:, j]
-        r = np.linalg.norm(op.matvec(v) - result.eigenvalues[j] * v) * math.sqrt(grid.h)
+        r = np.linalg.norm(matvec(op, v) - result.eigenvalues[j] * v) * math.sqrt(grid.h)
         worst_residual = max(worst_residual, float(r))
 
     ok = 1.9 <= box_order <= 2.1 and 1.9 <= ho_order <= 2.1 and worst_residual <= bound

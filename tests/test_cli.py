@@ -504,11 +504,13 @@ def test_sample_counts_below_one_rejected(cos2_model_file, argv):
     ["verify", "--n-rho-max", "10001"],
     # d/a = 1e5 quantizes this n_rho: only the selector's bound refuses it
     ["wavefunction", "--state", "radial:n_rho=10001", "--range", "0.5,6", "--samples", "3"],
+    # each within its own bound, but (n_rho + 1) * samples = 1e10 terms
+    ["wavefunction", "--state", "radial:n_rho=9999", "--range", "0.5,6", "--samples", "1000000"],
 ])
 def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model_file, tmp_path,
                                                   argv):
     model = coulomb_model_file if argv[0] in ("spectrum", "verify") else cos2_model_file
-    if "radial:n_rho=10001" in argv:
+    if any(token.startswith("radial:") for token in argv):
         model = write_model(tmp_path, "deep.json",
                             {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e5}},
                              "ordering": "bendaniel-duke"})
@@ -516,6 +518,30 @@ def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model
     assert result.returncode == 2
     assert stderr_error(result)["code"] == "config"
     assert "must be" in stderr_error(result)["message"]
+
+
+@pytest.mark.parametrize("n_rho, samples", [(9999, 100001), (10000, 10**6)],
+                         ids=["just-above", "both-at-their-bounds"])
+def test_radial_dump_is_refused_before_any_sampling(tmp_path, monkeypatch, capsys, n_rho, samples):
+    # (n_rho + 1) * samples above 1e9 is refused before any point or state is sampled
+    import dataclasses
+
+    from pdm_polar import models as md
+    from pdm_polar import separation as sp
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the bound was checked")
+
+    monkeypatch.setattr(np, "linspace", no_sampling)
+    monkeypatch.setitem(md.RADIAL_FAMILIES, sp.OscillatorLike,
+                        dataclasses.replace(md.OSCILLATOR, state=no_sampling))
+    model = write_model(tmp_path, "deep.json",
+                        {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e5}},
+                         "ordering": "bendaniel-duke"})
+    code = main(["wavefunction", "--model", str(model), "--state", f"radial:n_rho={n_rho}",
+                 "--range", "0.5,6", "--samples", str(samples)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "config"
 
 
 def test_scan_determinism(cos2_model_file):

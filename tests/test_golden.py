@@ -81,14 +81,13 @@ def test_verify_payload_matches_library(capsys, model):
     v = loaded.v
     if isinstance(v, sp.CoulombLike):
         rho_max = md.coulomb_rho_max(v.b)
-        records = md.verify_coulomb(v.b, 1, 1e-4, n_points=1024, rho_max=rho_max)
         header = {"model_kind": "coulomb_like", "b": v.b}
     else:
         rho_max = 12.0 / v.a**0.5
-        records = md.verify_oscillator(v.a, v.d, 1, 1e-4, n_points=1024, rho_max=rho_max)
         header = {"model_kind": "oscillator_like", "a": v.a, "d": v.d}
     family = md.RADIAL_FAMILIES[type(v)]
-    state_errors = md.state_errors(family, family.params(v), 1, n_points=1024, rho_max=rho_max)
+    levels = md.verify_sweep(family, family.params(v), 1, n_points=1024, rho_max=rho_max)
+    records = [record for record, _ in levels]
     ok = md.all_within(records, 1e-4)
     assert code == (0 if ok else 4)
     raw_token = json.loads((GOLDEN / f"{model}.json").read_text(encoding="utf-8"))["ordering"]
@@ -99,7 +98,7 @@ def test_verify_payload_matches_library(capsys, model):
         "tol": 1e-4,
         "n_points": 1024,
         "rho_max": rho_max,
-        "records": [{**md.record_to_row(r), "state_error": e} for r, e in zip(records, state_errors)],
+        "records": [{**md.record_to_row(r), "state_error": e} for r, e in levels],
         "all_within_tol": ok,
     }
 

@@ -32,7 +32,6 @@ from pdm_polar import (
     scan_curve,
     swap_alpha_gamma,
     toy_radial_solution,
-    toy_zero_zeta_spectrum,
     verify_coulomb,
     verify_oscillator,
     w_eff,
@@ -44,14 +43,13 @@ from pdm_polar.models import (
     OSCILLATOR,
     angular_confined_levels,
     scan_level,
-    state_errors,
     verify_family,
     verify_sweep,
-    zero_zeta_levels,
 )
+from pdm_polar.eigensolve import DIRICHLET, Grid, discretize, eigen_lowest
 from pdm_polar.specfun import bessel_j
 
-from conftest import random_ordering, write_model
+from conftest import random_ordering, write_model, zero_zeta_records
 
 MM = Ordering.MUSTAFA_MAZHARIMOUSAVI.ambiguity()
 BDD = Ordering.BENDANIEL_DUKE.ambiguity()
@@ -423,16 +421,16 @@ def test_verify_coulomb_domain_guard():
     lambda: coulomb_numeric_level(-0.5, 0),
     lambda: coulomb_numeric_level(math.nan, 0),
     lambda: oscillator_numeric_level(1.0, 1.0, -1),
-    lambda: zero_zeta_levels(-1),
-    # index 2 m_max = 512 reaches n_points/4
-    lambda: zero_zeta_levels(256, n_points=2048),
+    lambda: scan_level(MM, -0.75, state_index=-1),
+    # index 512 reaches n_points/4
+    lambda: scan_level(MM, -0.75, state_index=512, n_points=2050),
     # index 1000 reaches n_points/4
     lambda: coulomb_numeric_level(1.0, 1000, n_points=4000),
-    # grids the solver refuses: fewer than 16 points, an odd ring
+    # grids refused: fewer than 16 points, an odd scan ring
     lambda: oscillator_numeric_level(1.0, 1.0, 0, n_points=8),
-    lambda: zero_zeta_levels(1, n_points=63),
+    lambda: scan_level(MM, -0.75, n_points=63),
 ], ids=["coulomb-ell-zero", "coulomb-ell-negative", "coulomb-ell-nan", "oscillator-n-rho-negative",
-        "zero-zeta-m-max-negative", "zero-zeta-m-max-past-grid", "coulomb-n-rho-past-grid",
+        "zero-zeta-index-negative", "zero-zeta-index-past-grid", "coulomb-n-rho-past-grid",
         "oscillator-too-few-points", "zero-zeta-odd-ring"])
 def test_numeric_level_guards_raise_domain_error(monkeypatch, call):
     import pdm_polar.models as md
@@ -441,6 +439,7 @@ def test_numeric_level_guards_raise_domain_error(monkeypatch, call):
         raise AssertionError("solved before the input was checked")
 
     monkeypatch.setattr(md, "refine_eigenvalue", no_solve)
+    monkeypatch.setattr(md, "eigenvalue", no_solve)
     with pytest.raises(DomainError):
         call()
 
@@ -457,9 +456,11 @@ def test_negative_n_rho_is_refused_by_the_index_rule(call):
 
 
 def test_zero_zeta_levels_resolve_the_last_index_below_a_quarter_of_the_ring():
-    # 68 / 4 = 17: index 2 m_max = 16 is the last one resolved
-    values, _ = zero_zeta_levels(8, n_points=68)
-    assert values[-1] == pytest.approx(32.0, rel=1e-3)
+    # 66 / 4 = 16.5: index 15, m = 8, is the last one resolved; on the free
+    # ring of spacing h its level is (1 - cos 8h)/h^2
+    h = 2.0 * math.pi / 66
+    value = scan_level(MM, -0.75, state_index=15, n_points=66)
+    assert value == pytest.approx((1.0 - math.cos(8 * h)) / h**2, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +514,8 @@ def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(famil
     for n_rho in range(3):
         for nominal_ell in (1.0, 1.17, 2.5, 8.0):
             params, _ = family_params(family, n_rho, nominal_ell, a_param=1.0)
-            errors = [state_errors(family, params, n_rho, n_points=n)[n_rho] for n in (500, 1001, 2003)]
+            errors = [sweep_state_errors(family, params, n_rho, n_points=n)[n_rho]
+                      for n in (500, 1001, 2003)]
             for coarse, fine in zip(errors, errors[1:]):
                 assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.3), (n_rho, nominal_ell)
 
@@ -529,6 +531,26 @@ def test_closed_state_largest_lobe_is_positive(family):
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
 
 
+def sweep_state_errors(family, params, n_rho_max, **kwargs):
+    """The state errors of :func:`verify_sweep`, one per level."""
+    return [error for _, error in verify_sweep(family, params, n_rho_max, **kwargs)]
+
+
+def reference_state_errors(family, params, n_rho_max, n_points):
+    """Each level's closed state against the eigenvector of its operator on
+    the default wall grid, built here from the solver's primitives."""
+    grid = Grid(0.0, family.default_wall(*params), n_points, DIRICHLET)
+    errors = []
+    for n_rho, _, ell in family.levels(params, n_rho_max):
+        c = ell * ell - 0.25
+        op = discretize(lambda r: c / r**2 + family.w(*params, r), grid)
+        numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
+        closed = family.state(*params, n_rho, ell, grid.points)
+        numeric = math.copysign(1.0, numeric @ closed) * numeric
+        errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
+    return errors
+
+
 def test_state_errors_guard_their_own_sweep(monkeypatch):
     import pdm_polar.models as md
 
@@ -536,14 +558,15 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
         raise AssertionError("solved before the input was checked")
 
     monkeypatch.setattr(md, "eigen_lowest", no_solve)
-    # the guard verify_family applies, without verify_family having run
+    monkeypatch.setattr(md, "refine_eigenvalue", no_solve)
+    # the sweep's guards hold before either check solves
     with pytest.raises(DomainError,
                        match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 1000"):
-        state_errors(OSCILLATOR, (1.0, 4001.0), 1000, n_points=4000)
+        verify_sweep(OSCILLATOR, (1.0, 4001.0), 1000, n_points=4000)
     with pytest.raises(DomainError, match="n_rho_max must be >= 0"):
-        state_errors(OSCILLATOR, (1.0, 4.0), -1)
+        verify_sweep(OSCILLATOR, (1.0, 4.0), -1)
     with pytest.raises(DomainError, match="at least 16 points"):
-        state_errors(COULOMB, (3.0,), 0, n_points=8)
+        verify_sweep(COULOMB, (3.0,), 0, n_points=8)
 
 
 @pytest.mark.parametrize("family, params", [
@@ -553,11 +576,10 @@ def test_verify_sweep_is_verify_family_and_state_errors(family, params):
     # the one sweep of the verify command gives both checks' values bit for bit
     pairs = verify_sweep(family, params, 2, n_points=1024)
     assert [record for record, _ in pairs] == verify_family(family, params, 2, n_points=1024)
-    assert [error for _, error in pairs] == state_errors(family, params, 2, n_points=1024)
+    assert [error for _, error in pairs] == reference_state_errors(family, params, 2, 1024)
 
 
-@pytest.mark.parametrize("sweep", [verify_family, state_errors, verify_sweep],
-                         ids=["verify", "states", "both"])
+@pytest.mark.parametrize("sweep", [verify_family, verify_sweep], ids=["verify", "both"])
 def test_sweep_refuses_an_unresolved_index_before_any_level(sweep):
     # an index far past the grid is refused before a list of 3e6 levels is built
     calls = {"lam": 0}
@@ -576,14 +598,15 @@ def test_sweep_refuses_an_unresolved_index_before_any_level(sweep):
 @pytest.mark.parametrize("family, params", [(COULOMB, (3.0,)), (OSCILLATOR, (1.0, 6.0))],
                          ids=["coulomb", "oscillator"])
 def test_state_errors_flag_a_wrong_state(family, params):
-    assert max(state_errors(family, params, 2)) < 1e-4
+    assert max(sweep_state_errors(family, params, 2)) < 1e-4
     # each eigenvector is far from the closed state of the next level
     shifted = dataclasses.replace(
         family, state=lambda *args: family.state(*args[:-3], args[-3] + 1, *args[-2:]))
-    assert min(state_errors(shifted, params, 2, n_points=1000)) > 0.5
+    assert min(sweep_state_errors(shifted, params, 2, n_points=1000)) > 0.5
     # the eigenvector's sign is arbitrary, so the check aligns it
     flipped = dataclasses.replace(family, state=lambda *args: -family.state(*args))
-    assert state_errors(flipped, params, 2, n_points=1000) == state_errors(family, params, 2, n_points=1000)
+    assert (sweep_state_errors(flipped, params, 2, n_points=1000)
+            == sweep_state_errors(family, params, 2, n_points=1000))
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +631,18 @@ def test_toy_radial_solution_solves_reduced_equation():
 
 
 def test_zero_zeta_spectrum_records():
-    records = toy_zero_zeta_spectrum(3, n_points=1024)
-    assert len(records) == 7
+    records = zero_zeta_records(3, n_points=2050)
+    assert sorted(record.qn.m for record in records) == list(range(-3, 4))
     for record in records:
         m = record.qn.m
         assert record.lam == -0.75
         assert record.energy_closed == 0.5 * m * m
         assert record.delta <= 1e-4
-        assert record.note
 
 
 def test_zero_zeta_levels_degeneracy():
-    values, estimates = zero_zeta_levels(2, n_points=1024)
+    values = np.array([scan_level(MM, -0.75, state_index=j) for j in range(5)])
     np.testing.assert_allclose(values, [0.0, 0.5, 0.5, 2.0, 2.0], atol=1e-5)
-    assert estimates.shape == values.shape
     # each +/-m pair agrees to relative 1e-9 and is set apart from its neighbours
     for lower, upper in ((1, 2), (3, 4)):
         assert abs(values[upper] - values[lower]) <= 1e-9 * max(1.0, abs(values[lower]))
@@ -639,12 +660,15 @@ def test_ring_callers_never_ask_for_vectors(monkeypatch):
         return lapack(*args, vectors=vectors, **kwargs)
 
     monkeypatch.setattr(eigensolve, "_lapack", recording_lapack)
-    caller = "toy_zero_zeta_spectrum"
-    toy_zero_zeta_spectrum(2, n_points=256)
+    caller = "scan_level"
+    for j in range(5):
+        scan_level(MM, -0.75, state_index=j, n_points=258)
+    caller = "heun_regime_scan"
+    heun_regime_scan(MM, 0.5, (-1.0, 0.0), n_points=258)
     caller = "angular_confined_levels"
     angular_confined_levels(BDD, 0.0, k=2, n_points=400)
-    # both callers reach the one LAPACK call site, and neither asks for vectors
-    assert set(flags) == {"toy_zero_zeta_spectrum", "angular_confined_levels"}
+    # every caller reaches the one LAPACK call site, and none asks for vectors
+    assert set(flags) == {"scan_level", "heun_regime_scan", "angular_confined_levels"}
     assert not any(any(f) for f in flags.values())
 
 
@@ -1061,7 +1085,8 @@ def test_degeneracy_report_alpha_gamma_swap():
 
 
 def test_degeneracy_report_zero_zeta_pairs():
-    records = toy_zero_zeta_spectrum(2, n_points=1024)
+    # numeric energies alone: +m and -m are two levels of the ring
+    records = [dataclasses.replace(r, energy_closed=None) for r in zero_zeta_records(2, n_points=2050)]
     groups = degeneracy_report(records)
     multi = [g for g in groups if len(g.records) > 1]
     assert {e for g in multi for e in g.explanations} == {
