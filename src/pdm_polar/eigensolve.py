@@ -63,18 +63,19 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import DomainError
+
+np = LazyNumpy(globals())
 
 DIRICHLET = "dirichlet"
 PERIODIC = "periodic"
 
 POTENTIAL_CAP = 1e12
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-_HUGE = float(np.finfo(float).max)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 # refine_eigenvalue bisects its level at h within _COARSE_WINDOW * |guess| of
 # the caller's guess, and no window is narrower than
 # _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a zero

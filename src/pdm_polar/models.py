@@ -27,6 +27,9 @@ and the zero-potential angular line E = m^2/2, the levels of the scan ring
 (:func:`scan_level`) at the gate point lambda = -3/4; away from that line
 the (E, lambda) pairing is explored numerically by :func:`heun_regime_scan`
 instead of through closed special functions.
+
+The closed forms run on Python floats; numpy is imported on the first
+array, by a numeric path or a closed state (:class:`._lazy.LazyNumpy`).
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .ambiguity import AmbiguitySet, bracket
 from .eigensolve import (
     DIRICHLET,
@@ -59,6 +61,8 @@ from .separation import (
     zeta_coefficients,
 )
 from .specfun import bessel_j, laguerre_assoc
+
+np = LazyNumpy(globals())
 
 # default grid sizes: the radial Dirichlet grid of the verify sweeps, and the
 # scan ring (n_points % 4 == 2, see scan_level)

@@ -19,6 +19,14 @@ The expanded form of W_eff implemented here is
 For f = cos^2 phi this collapses to (z1 q^2 - z2)/(1 - q^2)^2 in q = sin phi
 with z1 = 3/8 + lambda/2 and z2 = lambda/2 - 1/4 + c27(ordering), the two
 coefficients returned by :func:`zeta_coefficients`.
+
+The closed potentials evaluate on a Python float and on a numpy array alike,
+one expression serving both.  Squares are spelled as products, as numpy
+computes an array's square, so a float gives its array element bit for bit;
+a higher power goes through libm's pow on a float and numpy's on an array,
+which may differ in the last bit.  numpy itself is imported on the first
+array (:class:`._lazy.LazyNumpy`): a tabulated profile, a mesh, a recomposed
+wavefunction.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .ambiguity import (
     AmbiguitySet,
     bracket,
@@ -41,6 +48,13 @@ from .ambiguity import (
 from .errors import ConfigError, DomainError
 
 MASS_EPS = 1e-8
+
+np = LazyNumpy(globals())
+
+
+def _any(mask) -> bool:
+    """One comparison's result on floats; whether any element holds on an array."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +167,8 @@ class PowerWell:
             raise DomainError(f"k must be an integer >= 1, got {self.k}")
 
     def tilde_v(self, rho):
-        return -0.5 * self.v0 * np.asarray(rho, dtype=float) ** (2 * self.k)
+        # k = 1, the Bessel well, is a square: a product, as numpy squares an array
+        return -0.5 * self.v0 * (rho * rho if self.k == 1 else rho ** (2 * self.k))
 
 
 @dataclass(frozen=True)
@@ -172,8 +187,7 @@ class CoulombLike:
         return 1.0 / self.omega
 
     def tilde_v(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return 0.5 * self.omega**2 * rho**2 - rho
+        return 0.5 * self.omega**2 * (rho * rho) - rho
 
 
 @dataclass(frozen=True)
@@ -189,8 +203,7 @@ class OscillatorLike:
             raise DomainError(f"a must be > 0, got {self.a}")
 
     def tilde_v(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.a**2 * rho**4 / 8.0 - 0.5 * self.d * rho**2
+        return self.a**2 * rho**4 / 8.0 - 0.5 * self.d * (rho * rho)
 
 
 @dataclass(frozen=True)
@@ -296,8 +309,8 @@ def radial_problem(model: SeparableModel, lam: float, domain: tuple[float, float
     v = model.v
 
     def effective_potential(rho):
-        rho = np.asarray(rho, dtype=float)
-        return (0.75 + lam) / rho**2 + 2.0 * v.tilde_v(rho) / rho**2
+        rho2 = rho * rho
+        return (0.75 + lam) / rho2 + 2.0 * v.tilde_v(rho) / rho2
 
     return RadialProblem(effective_potential, lam, (rho_min, rho_max))
 
@@ -351,8 +364,8 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
         const = -(bracket(a) + 0.5 * lam)
 
         def flat_potential(q):
-            q = np.asarray(q, dtype=float)
-            return np.full(q.shape, const) if q.shape else const
+            shape = getattr(q, "shape", ())
+            return np.full(shape, const) if shape else const
 
         return AngularProblem(flat_potential, (0.0, 2.0 * math.pi))
 
@@ -360,11 +373,11 @@ def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
         z1, z2 = zeta_coefficients(a, lam)
 
         def cos2_potential(q):
-            q = np.asarray(q, dtype=float)
-            fq = 1.0 - q**2
-            if np.any(fq <= MASS_EPS):
+            q2 = q * q
+            fq = 1.0 - q2
+            if _any(fq <= MASS_EPS):
                 raise DomainError("effective potential diverges at q = +/- 1")
-            return (z1 * q**2 - z2) / fq**2
+            return (z1 * q2 - z2) / (fq * fq)
 
         return AngularProblem(cos2_potential, (-1.0, 1.0))
 

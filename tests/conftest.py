@@ -4,6 +4,7 @@ plain-Python solver references the tests compare against (a Sturm count, a
 node count and the operator's product)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def zero_zeta_records(m_max, n_points):
                                       energy_closed=0.5 * m * m, energy_numeric=numeric,
                                       delta=abs(0.5 * m * m - numeric), provenance="both"))
     return records
+
+
+def float_bits(values) -> list[bytes]:
+    """The IEEE bytes of each float, so that equality also tells -0.0 from 0.0."""
+    return [struct.pack("<d", value) for value in values]
 
 
 def write_model(tmp_path, name, data):

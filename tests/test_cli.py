@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pdm_polar import cli
 from pdm_polar.cli import main
 
-from conftest import write_model
+from conftest import float_bits, write_model
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -532,7 +535,7 @@ def test_radial_dump_is_refused_before_any_sampling(tmp_path, monkeypatch, capsy
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the bound was checked")
 
-    monkeypatch.setattr(np, "linspace", no_sampling)
+    monkeypatch.setattr(cli, "_linspace", no_sampling)
     monkeypatch.setitem(md.RADIAL_FAMILIES, sp.OscillatorLike,
                         dataclasses.replace(md.OSCILLATOR, state=no_sampling))
     model = write_model(tmp_path, "deep.json",
@@ -670,12 +673,22 @@ def test_control_character_in_an_error_message_prints_valid_json():
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--model", "FLAT", "--lambda", "nan"],
     ["effpot", "--model", "COULOMB", "--which", "radial", "--range", "0.5,1", "--lambda", "1e308"],
-], ids=["spectrum-nan", "effpot-overflow"])
+    # rho**4 and rho**400 pass the float range, which a float power raises on
+    ["effpot", "--model", "OSCILLATOR", "--which", "radial", "--range=1e100,1e200"],
+    ["effpot", "--model", "DEEP_WELL", "--which", "radial", "--range=1,10", "--samples", "3"],
+], ids=["spectrum-nan", "effpot-overflow", "effpot-oscillator-power-overflow",
+        "effpot-power-well-overflow"])
 def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_model_file,
-                                                       argv, fmt):
-    files = {"FLAT": flat_model_file, "COULOMB": coulomb_model_file}
+                                                       oscillator_model_file, tmp_path, argv, fmt):
+    deep_well = write_model(tmp_path, "deep_well.json",
+                            {"f": "flat", "potential": {"power_well": {"v0": 1.0, "k": 200}},
+                             "ordering": "bendaniel-duke"})
+    files = {"FLAT": flat_model_file, "COULOMB": coulomb_model_file,
+             "OSCILLATOR": oscillator_model_file, "DEEP_WELL": deep_well}
     result = run_cli([str(files.get(token, token)) for token in argv] + ["--format", fmt])
-    assert one_json_error(result, 3)["code"] == "domain"
+    error = one_json_error(result, 3)
+    assert error["code"] == "domain"
+    assert error["message"].startswith("refusing to print non-finite value")
 
 
 @pytest.mark.parametrize("argv", [
@@ -770,21 +783,22 @@ IMPORT_GUARD = """
 import contextlib, io, json, sys
 
 import pdm_polar
-runs = ["scipy.linalg" in sys.modules]
+runs = [["scipy.linalg" in sys.modules, "numpy" in sys.modules]]
 
 from pdm_polar.cli import main
 
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    runs.append([code, "scipy.linalg" in sys.modules])
+    runs.append([code, "scipy.linalg" in sys.modules, "numpy" in sys.modules])
 print(json.dumps(runs))
 """
 
 
 def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file,
                                        flat_model_file, cos2_model_file):
-    # a fresh interpreter: the test process itself has scipy loaded already
+    # a fresh interpreter: the test process itself has numpy and scipy loaded
+    # already.  The closed forms run first, on Python floats, and load neither
     closed_form = [
         ["spectrum", "--model", str(coulomb_model_file)],
         ["spectrum", "--model", str(oscillator_model_file)],
@@ -797,11 +811,12 @@ def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file
          "--range", "0.5,12", "--samples", "5"],
         ["wavefunction", "--model", str(flat_model_file), "--state", "angular:m=1",
          "--range", "0,6.28", "--samples", "5"],
+    ]
+    # the radial state is sampled on an array; the solving commands reach
+    # LAPACK through scipy's extension module alone
+    solving = [
         ["wavefunction", "--model", str(oscillator_model_file), "--state", "radial:n_rho=1",
          "--range", "0.5,6", "--samples", "5"],
-    ]
-    # the solving commands reach LAPACK through scipy's extension module alone
-    solving = [
         ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "0",
          "--n-points", "1024"],
         ["scan", "--model", str(cos2_model_file), "--energy", "0.5", "--lambda-range=-1,0"],
@@ -812,9 +827,27 @@ def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file
     )
     assert result.returncode == 0, result.stderr
     bare_import, *runs = json.loads(result.stdout)
-    assert bare_import is False
-    for argv, outcome in zip(closed_form + solving, runs, strict=True):
-        assert outcome == [0, False], argv
+    assert bare_import == [False, False]
+    for argv, outcome in zip(closed_form, runs[:len(closed_form)], strict=True):
+        assert outcome == [0, False, False], argv
+    for argv, outcome in zip(solving, runs[len(closed_form):], strict=True):
+        assert outcome[:2] == [0, False], argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=st.floats(allow_nan=False), hi=st.floats(allow_nan=False),
+       n=st.integers(min_value=1, max_value=40))
+# the step underflows to 0, and numpy computes i/div * delta + lo
+@example(lo=0.0, hi=5e-324, n=3)
+@example(lo=0.0, hi=1.5e-323, n=8)
+@example(lo=-0.0, hi=2.0, n=1)
+@example(lo=0.5, hi=6.0, n=2)
+@example(lo=1.0, hi=1.0, n=4)
+@example(lo=-1e308, hi=1e308, n=5)  # the span overflows
+def test_sampler_is_numpy_linspace_bit_for_bit(lo, hi, n):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(lo, hi, n)
+    assert float_bits(cli._linspace(lo, hi, n)) == float_bits(expected.tolist())
 
 
 def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_file, capsys,

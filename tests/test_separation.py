@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdm_polar import (
     CosSquaredProfile,
@@ -19,6 +21,7 @@ from pdm_polar import (
     bracket,
     bessel_j,
     load_model,
+    make_ambiguity,
     model_from_dict,
     pct_map,
     radial_problem,
@@ -30,7 +33,7 @@ from pdm_polar import (
 )
 from pdm_polar.errors import ConfigError, DomainError
 
-from conftest import random_ordering
+from conftest import float_bits, random_ordering
 
 MM = Ordering.MUSTAFA_MAZHARIMOUSAVI.ambiguity()
 BDD = Ordering.BENDANIEL_DUKE.ambiguity()
@@ -195,6 +198,53 @@ def test_radial_problem_generic_invariant(rng):
         for rho in rng.uniform(0.1, 15.0, size=20):
             expected = (0.75 + lam) / rho**2 + 2.0 * float(v.tilde_v(rho)) / rho**2
             assert problem.effective_potential(rho) == pytest.approx(expected, rel=1e-12)
+
+
+def _float_and_array(potential, xs):
+    """Each point through the potential as a Python float, and all of them as one array."""
+    return [potential(x) for x in xs], np.broadcast_to(potential(np.array(xs)), len(xs)).tolist()
+
+
+# float ** 2 calls libm's pow, which misses x * x on about 1 argument in 1200
+# here: a dense sweep beside the draws shows a square spelled as a power
+@settings(max_examples=200, deadline=None)
+@example(rhos=np.geomspace(1e-3, 1e3, 20001).tolist(), lam=0.3, v0=1.3, omega=0.7, a=1.1, d=6.0)
+@given(rhos=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=16), lam=st.floats(-0.99, 8.0),
+       v0=st.floats(0.1, 10.0), omega=st.floats(0.05, 5.0), a=st.floats(0.1, 5.0),
+       d=st.floats(-5.0, 50.0))
+def test_closed_radial_potentials_agree_on_floats_and_arrays(rhos, lam, v0, omega, a, d):
+    def potential(v):
+        return radial_problem(SeparableModel(FlatProfile(), v, BDD), lam, (1e-4, 1e4)).effective_potential
+
+    # squares are products, as numpy squares an array: bit for bit
+    for v in (PowerWell(v0, 1), CoulombLike(omega)):
+        floats, array = _float_and_array(potential(v), rhos)
+        assert float_bits(floats) == float_bits(array), v
+    # rho**4 and rho**(2k) go through libm's pow on a float and numpy's on an
+    # array; on an AVX-512 machine they differ by 1 ulp on about 5% of
+    # arguments, which the rest of the expression carries to at most about
+    # 2.1 eps times the sum of the terms' magnitudes: bounded by 4 eps
+    eps = np.finfo(float).eps
+    for v in (PowerWell(v0, 2), PowerWell(v0, 3), OscillatorLike(a, d)):
+        floats, array = _float_and_array(potential(v), rhos)
+        for rho, x, y in zip(rhos, floats, array):
+            terms = [(0.75 + lam) / rho**2, 2.0 * v.tilde_v(rho) / rho**2]
+            if isinstance(v, OscillatorLike):
+                terms = [terms[0], a * a * rho * rho / 4.0, d]
+            assert abs(x - y) <= 4.0 * eps * sum(map(abs, terms)), (v, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@example(qs=np.linspace(-0.9999, 0.9999, 20001).tolist(), lam=0.3, exponents=(-0.25, -0.5))
+@given(qs=st.lists(st.floats(-0.9999, 0.9999), min_size=1, max_size=16),
+       lam=st.floats(-4.0, 4.0), exponents=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_closed_angular_potentials_agree_on_floats_and_arrays(qs, lam, exponents):
+    alpha, gamma = exponents
+    ordering = make_ambiguity(alpha, -1.0 - alpha - gamma, gamma)
+    for profile in (FlatProfile(), CosSquaredProfile()):
+        problem = angular_problem(SeparableModel(profile, None, ordering), lam)
+        floats, array = _float_and_array(problem.effective_potential, qs)
+        assert float_bits(floats) == float_bits(array), profile.kind
 
 
 def test_radial_problem_domain_validation():
