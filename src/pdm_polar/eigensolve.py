@@ -7,23 +7,24 @@ with two boundary treatments:
 * periodic:  x_i = x_min + i h, h = L / n; the corner entries that close
   the ring equal the first off-diagonal entry.
 
-Four requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
+Five requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
 and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
-the eigenvalues in a window certified by a Sturm count (``_window``, which
-:func:`eigenvalue` tries once when given a guess, as the lambda scan and
-:func:`refine_eigenvalue` give it) and the Sturm count at or below a value
-(:func:`count_below`).  All four go through one call site, ``_lapack``,
-which calls LAPACK's Sturm-sequence bisection (``?stebz``), plus inverse
-iteration (``?stein``) for vectors, directly, with the arguments
-:func:`scipy.linalg.eigh_tridiagonal` would pass, without its per-call
-checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N.
-Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  The two routines
-are scipy's own ``dstebz`` and ``dstein``, read on the first request from
-its compiled LAPACK extension ``scipy/linalg/_flapack`` (``_flapack``),
-which is loaded from its file without importing the ``scipy`` or
-``scipy.linalg`` packages: those package imports cost a cold process
-several times what the solves of one command do.  Code that never solves
-does not load the extension either.
+the same with the eigenvalue's rate of change (:func:`eigenvalue_slope`,
+which asks for one vector), the eigenvalues in a window certified by a
+Sturm count (``_window``, which :func:`eigenvalue` tries once when given a
+guess, as the lambda scan and :func:`refine_eigenvalue` give it) and the
+Sturm count at or below a value (:func:`count_below`).  All five go through
+one call site, ``_lapack``, which calls LAPACK's Sturm-sequence bisection
+(``?stebz``), plus inverse iteration (``?stein``) for vectors, directly,
+with the arguments :func:`scipy.linalg.eigh_tridiagonal` would pass,
+without its per-call checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+(1967); B. N. Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  The
+two routines are scipy's own ``dstebz`` and ``dstein``, read on the first
+request from its compiled LAPACK extension ``scipy/linalg/_flapack``
+(``_flapack``), which is loaded from its file without importing the
+``scipy`` or ``scipy.linalg`` packages: those package imports cost a cold
+process several times what the solves of one command do.  Code that never
+solves does not load the extension either.
 
 The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
 symmetric tridiagonal, and a ring splits into its even and odd
@@ -34,23 +35,28 @@ off-diagonal to be reflection symmetric about x_min, which holds for every
 ring this package builds.  It is made once per operator and kept on it
 (``DiscretizedOperator.sectors``), so the counts, windows and index
 searches of one solve share it.  The requests by value and by index run
-over the sectors and merge what they return; eigenpairs exist on Dirichlet
-grids only, so :func:`eigen_lowest` refuses a ring.
+over the sectors and merge what they return.  Eigenpairs are returned on
+Dirichlet grids only, so :func:`eigen_lowest` refuses a ring; a ring's
+vector is computed only inside :func:`eigenvalue_slope`, on the one sector
+that holds the level (``_sector_nodes``).
 
 :func:`eigenvalue` searches the whole spectrum for its index, from the
-Gershgorin interval, in every sector.  Given a guess and a width (the
-lambda scan passes the straight line through a curve's previous two
-points, and one step; :func:`refine_eigenvalue` the caller's guess of the
-level), it first bisects by value in one window about the guess and
-searches by index only if that window does not hold the level.  The window
-is certified by a Sturm count, so a poor guess costs one index search,
-never a wrong level; the value differs from the index search's only within
-the bisection tolerance, about 4 eps ||T||inf.
+Gershgorin interval, in every sector.  Given a guess and a width, it first
+bisects by value in one window about the guess and searches by index only
+if that window does not hold the level.  The lambda scan passes a level's
+previous value moved by one step, and one step; its root residual passes the
+energy target and ``COARSE_WINDOW`` times it; :func:`refine_eigenvalue`
+passes the caller's guess of the level.  The window is certified by a Sturm
+count, so a poor guess costs one index search, never a wrong level; the
+value differs from the index search's only within the bisection tolerance,
+about 4 eps ||T||inf.  So the lambda scan searches by index only for the
+first point of a curve, which has no neighbour (and whose search also gives
+the slope that seeds the second point), and where a window misses.
 
 A caller that only needs to know on which side of a value a level lies
-should use :func:`count_below`: a by-value ``?stebz`` request that stops
-after the Sturm count, O(n) per sector, with no bisection towards any
-eigenvalue.
+should use :func:`count_below`, as the lambda scan does to decide whether a
+root exists: a by-value ``?stebz`` request that stops after the Sturm
+count, O(n) per sector, with no bisection towards any eigenvalue.
 """
 
 from __future__ import annotations
@@ -76,11 +82,11 @@ POTENTIAL_CAP = 1e12
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
-# refine_eigenvalue bisects its level at h within _COARSE_WINDOW * |guess| of
-# the caller's guess, and no window is narrower than
-# _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float, for a zero
-# operator)
-_COARSE_WINDOW = 2e-2
+# refine_eigenvalue bisects its level at h, and the lambda scan the level at
+# its root, within COARSE_WINDOW * |guess| of the guess, and no window is
+# narrower than _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float,
+# for a zero operator)
+COARSE_WINDOW = 2e-2
 _WINDOW_FLOOR = 4.0
 
 
@@ -304,7 +310,8 @@ def _parity_sectors(op: DiscretizedOperator):
     diag[1:] = 0.5 * tail + 0.5 * tail[::-1]
     e_even = off[:m].copy()
     e_even[[0, -1]] *= math.sqrt(2.0)
-    return (diag[: m + 1], e_even), (diag[1:m], off[1 : m - 1])
+    even, odd = _sector_nodes(op)
+    return (diag[even], e_even), (diag[odd], off[1 : m - 1])
 
 
 def _sectors(op: DiscretizedOperator):
@@ -317,6 +324,16 @@ def _sectors(op: DiscretizedOperator):
     if op.grid.boundary == PERIODIC:
         return _parity_sectors(op)
     return ((op.diagonal, op.off_diagonal),)
+
+
+def _sector_nodes(op: DiscretizedOperator):
+    """The grid nodes of each sector of :func:`_sectors`, as slices: every
+    node of a Dirichlet operator; nodes 0..m and 1..m-1 (m = n/2) of a ring's
+    even and odd sector, whose unit vectors have these nodes' weights."""
+    if op.grid.boundary == PERIODIC:
+        m = op.n // 2
+        return slice(0, m + 1), slice(1, m)
+    return (slice(None),)
 
 
 def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
@@ -353,11 +370,40 @@ def eigenvalue(op: DiscretizedOperator, index: int, *,
         level = _window(op, index, *near)
         if level is not None:
             return level
+    return _by_index(op, index)[0]
+
+
+def _by_index(op: DiscretizedOperator, index: int) -> tuple[float, int]:
+    """(eigenvalue, sector) of the given index: the search by index in every
+    sector of ``op.sectors``, and the position of the sector that holds it."""
     sectors = op.sectors
     # a lone sector is asked for the index alone, several for their lowest index + 1
     first = index if len(sectors) == 1 else 0
-    lowest = np.concatenate([_lapack(diag, off, "i", (first, index)) for diag, off in sectors])
-    return float(np.sort(lowest)[index - first])
+    levels = [(float(w), s) for s, (diag, off) in enumerate(sectors)
+              for w in _lapack(diag, off, "i", (first, index))]
+    return sorted(levels)[index - first]
+
+
+def eigenvalue_slope(op: DiscretizedOperator, index: int, rate: np.ndarray) -> tuple[float, float]:
+    """The eigenvalue of the given index and its rate of change when the
+    diagonal changes at the given rate.
+
+    The eigenvalue is :func:`eigenvalue`'s search by index.  The rate is
+    ``sum(rate * psi**2)`` over the unit eigenvector psi of the level in the
+    sector that holds it: the Hellmann-Feynman theorem, dE/dt = <psi| dT/dt
+    |psi> (R. P. Feynman, Phys. Rev. 56, 340 (1939)).  psi comes from one
+    more request, by value, on that sector alone, in the window of
+    half-width ``_WINDOW_FLOOR * eps * ||T||inf`` that holds the level at the
+    bisection tolerance.  ``rate`` has one entry per grid point and, on a
+    ring, the reflection symmetry about node 0 that the potential has.
+    """
+    op.grid.check_index(index)
+    value, sector = _by_index(op, index)
+    diag, off = op.sectors[sector]
+    w = max(_WINDOW_FLOOR * _EPS * op.inf_norm(), _TINY)
+    values, vectors = _lapack(diag, off, "v", (value - w, value + w), vectors=True)
+    psi = vectors[:, int(np.argmin(np.abs(values - value)))]
+    return value, float(rate[_sector_nodes(op)[sector]] @ psi**2)
 
 
 def count_below(op: DiscretizedOperator, x: float) -> int:
@@ -442,8 +488,8 @@ def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
     12-wide domain that is about 2.5e-7, so above n of about 2e4 the
     convergence estimate measures roundoff, not discretization error.
     """
-    coarse = eigenvalue(op, index, near=(guess, _COARSE_WINDOW * abs(guess)))
-    fine_width = min(3.0 * abs(coarse - guess), _COARSE_WINDOW * abs(coarse))
+    coarse = eigenvalue(op, index, near=(guess, COARSE_WINDOW * abs(guess)))
+    fine_width = min(3.0 * abs(coarse - guess), COARSE_WINDOW * abs(coarse))
     fine = eigenvalue(op_factory(op.grid.refined()), index, near=(coarse, fine_width))
     return _richardson(coarse, fine)
 

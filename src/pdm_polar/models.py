@@ -42,13 +42,16 @@ from typing import Callable
 from ._lazy import LazyNumpy
 from .ambiguity import AmbiguitySet, bracket
 from .eigensolve import (
+    COARSE_WINDOW,
     DIRICHLET,
     PERIODIC,
     DiscretizedOperator,
     Grid,
+    count_below,
     discretize,
     eigen_lowest,
     eigenvalue,
+    eigenvalue_slope,
     refine_eigenvalue,
 )
 from .errors import DomainError, NoRoot
@@ -518,9 +521,21 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
 
     ``near=(guess, width)`` bisects the level by value in one window about
     the guess, certified by a Sturm count, before any search by index (see
-    :func:`eigensolve.eigenvalue`).
+    :func:`eigensolve.eigenvalue`): :func:`scan_curve` passes it for every
+    point after the first, and :func:`heun_regime_scan` for the level at its
+    root.  Without it, the level is searched by index.
     """
     return eigenvalue(_scan_operator(a, lam, state_index, n_points), state_index, near=near)
+
+
+def _scan_level_slope(a: AmbiguitySet, lam: float, state_index: int,
+                      n_points: int) -> tuple[float, float]:
+    """:func:`scan_level`'s level at lambda, searched by index, and its slope
+    dE/dlambda = -(1/2) <psi| C^-2 |psi>: the ring changes at the rate
+    dT/dlambda = -(1/2) C^-2, C = diag(cos x) (see :func:`heun_regime_scan`)."""
+    op = _scan_operator(a, lam, state_index, n_points)
+    c = _ring_factors(op.grid)[2]
+    return eigenvalue_slope(op, state_index, -0.5 / c**2)
 
 
 def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int, *,
@@ -528,24 +543,30 @@ def scan_curve(a: AmbiguitySet, lambda_range: tuple[float, float], samples: int,
                n_points: int = SCAN_N_POINTS) -> list[tuple[float, float]]:
     """Sample the eigenvalue-versus-lambda curve over the range.
 
-    The first two points are searched by index.  Each later one is first
-    bisected by value in a window about the straight line through the two
-    before it, ``2 E[i-1] - E[i-2]``, of half-width one step
-    ``|E[i-1] - E[i-2]|``; a window that does not hold the level falls back
-    to the index search, so every point is the index search's level to
-    within the bisection tolerance, 4 eps ||T||inf of the ring.  A range
-    with equal ends solves its one level once.
+    The first point is searched by index, and the same search gives its
+    slope dE/dlambda (:func:`_scan_level_slope`).  Each later point is first
+    bisected by value in a window about the previous point moved by one
+    step, ``E[i-1] + step``, of half-width ``|step|``: the step is the
+    slope times the lambda spacing for the second point, ``E[i-1] - E[i-2]``
+    for the others.  A window that does not hold the level falls back to
+    the index search, so every point is the index search's level to within
+    the bisection tolerance, 4 eps ||T||inf of the ring.  A range with equal
+    ends, or a single sample, solves its one level once, by index.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     lams = [float(lam) for lam in np.linspace(lo, hi, samples)]
     if lo == hi and lams:
         return [(lo, scan_level(a, lo, state_index=state_index, n_points=n_points))] * samples
-    energies = []
-    for lam in lams:
-        near = None
-        if len(energies) >= 2:
-            near = (2.0 * energies[-1] - energies[-2], energies[-1] - energies[-2])
-        energies.append(scan_level(a, lam, state_index=state_index, n_points=n_points, near=near))
+    if len(lams) < 2:
+        return [(lam, scan_level(a, lam, state_index=state_index, n_points=n_points))
+                for lam in lams]
+    energy, slope = _scan_level_slope(a, lams[0], state_index, n_points)
+    energies = [energy]
+    step = slope * (lams[1] - lams[0])
+    for lam in lams[1:]:
+        energies.append(scan_level(a, lam, state_index=state_index, n_points=n_points,
+                                   near=(energies[-1] + step, step)))
+        step = energies[-1] - energies[-2]
     return list(zip(lams, energies))
 
 
@@ -560,17 +581,26 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     eigenvalues, so E_index(lambda) > E exactly when lambda < lo + 2 mu_index,
     mu being the eigenvalues of the ring M (B. N. Parlett, The Symmetric
     Eigenvalue Problem, SIAM 1998).  So the level falls monotonically in
-    lambda, and a root exists exactly when lo < lambda* = lo + 2 mu_index <= hi
-    (at most state_index levels at or below the target at lo, more at hi);
-    else NoRoot carries the sampled curve.  Returns (lambda*, |E(lambda*) -
-    energy_target|), the residual being the one level solve.  A target or a
-    range end that is not finite raises DomainError before any solve.
+    lambda, and a root exists exactly when lo < lambda* = lo + 2 mu_index <= hi.
+
+    That is decided by the Sturm counts of the ring at the two range ends
+    (:func:`eigensolve.count_below`), with no solve: a root exists exactly
+    when at most state_index levels lie at or below the target at lo, and
+    more at hi; else NoRoot carries the sampled curve.  mu is then bisected
+    by value in the window (0, (hi - lo)/2], and lambda* = lo + 2 mu is kept
+    in (lo, hi], where the counts put it, should the bisection's tolerance
+    put it just outside.  Returns (lambda*, |E(lambda*) - energy_target|),
+    the residual being one level solve, bisected in a window of half-width
+    ``COARSE_WINDOW * |energy_target|`` about the target, which holds the
+    level unless the residual is larger.  A window that misses falls back
+    to the search by index.  A target or a range end that is not finite
+    raises DomainError before any solve.
 
     lambda* is resolved to about 8 eps ||M||inf, about 4e-10 at n_points =
     2050 for the gate ordering and bendaniel-duke alike.  The residual keeps
     the ring's floor of about 4 eps ||T||inf: about 1.9e-10 for the gate, but
     about 1e-4 for bendaniel-duke, whose ring has ||T||inf = 1.13e11; a
-    smaller residual (2.4e-6 for an energy target 1.5 on (-2, 1)) is below
+    smaller residual (7.3e-6 for an energy target 1.5 on (-2, 1)) is below
     what the ring resolves.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
@@ -585,17 +615,15 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
                      curve=scan_curve(a, (lo, hi), curve_samples,
                                       state_index=state_index, n_points=n_points))
 
-    def level(lam: float) -> float:
-        return scan_level(a, lam, state_index=state_index, n_points=n_points)
+    def level(lam: float, near: tuple[float, float] | None = None) -> float:
+        return scan_level(a, lam, state_index=state_index, n_points=n_points, near=near)
+
+    def above(op: DiscretizedOperator) -> bool:
+        """The level lies above the target on the ring: at most state_index at or below it."""
+        return count_below(op, energy_target) <= state_index
 
     op = _scan_operator(a, lo, state_index, n_points)
-    c = _ring_factors(op.grid)[2]
-    congruent = DiscretizedOperator((op.diagonal - energy_target) * c**2,
-                                    op.off_diagonal * c[:-1] * c[1:], op.grid)
-    # mu in (0, (hi - lo)/2] is tried first; quartering first keeps hi - lo from overflowing
-    quarter = 0.25 * hi - 0.25 * lo
-    lam_star = lo + 2.0 * eigenvalue(congruent, state_index, near=(quarter, quarter))
-    if not lo < lam_star <= hi:
+    if not (above(op) and not above(_scan_operator(a, hi, state_index, n_points))):
         curve = scan_curve(a, (lo, hi), curve_samples,
                            state_index=state_index, n_points=n_points)
         # the curve holds both range ends unless it has fewer than two samples
@@ -607,7 +635,16 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
             f"not cross {energy_target}",
             curve=curve,
         )
-    return lam_star, abs(level(lam_star) - energy_target)
+    c = _ring_factors(op.grid)[2]
+    congruent = DiscretizedOperator((op.diagonal - energy_target) * c**2,
+                                    op.off_diagonal * c[:-1] * c[1:], op.grid)
+    # mu in (0, (hi - lo)/2] is tried first; quartering first keeps hi - lo from overflowing
+    quarter = 0.25 * hi - 0.25 * lo
+    mu = eigenvalue(congruent, state_index, near=(quarter, quarter))
+    # the counts put lambda* in (lo, hi]; lo + 2 mu may fall just outside at a range end
+    lam_star = min(max(lo + 2.0 * mu, math.nextafter(lo, hi)), hi)
+    e_star = level(lam_star, (energy_target, COARSE_WINDOW * abs(energy_target)))
+    return lam_star, abs(e_star - energy_target)
 
 
 def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,

@@ -152,6 +152,15 @@ class TabulatedProfile:
 # radial potentials
 
 
+def _square(x: float) -> float:
+    """x**2 of a float parameter, or inf where it passes the float range: a
+    float power raises there, and the potential's inf is refused when printed."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerWell:
     """v(rho) = -v0 rho^(2k) / 2, v0 > 0, integer k >= 1."""
@@ -187,7 +196,7 @@ class CoulombLike:
         return 1.0 / self.omega
 
     def tilde_v(self, rho):
-        return 0.5 * self.omega**2 * (rho * rho) - rho
+        return 0.5 * _square(self.omega) * (rho * rho) - rho
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,7 @@ class OscillatorLike:
             raise DomainError(f"a must be > 0, got {self.a}")
 
     def tilde_v(self, rho):
-        return self.a**2 * rho**4 / 8.0 - 0.5 * self.d * (rho * rho)
+        return _square(self.a) * rho**4 / 8.0 - 0.5 * self.d * (rho * rho)
 
 
 @dataclass(frozen=True)

@@ -561,20 +561,26 @@ def test_unbracketed_scan_solves_each_curve_point_once(cos2_model_file, monkeypa
     from pdm_polar import models as md
 
     solved = []
-    scan_level = md.scan_level
+    scan_level, scan_level_slope = md.scan_level, md._scan_level_slope
 
     def counting_scan_level(a, lam, **kwargs):
         solved.append(lam)
         return scan_level(a, lam, **kwargs)
 
+    def counting_scan_level_slope(a, lam, *args):
+        solved.append(lam)
+        return scan_level_slope(a, lam, *args)
+
     monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    monkeypatch.setattr(md, "_scan_level_slope", counting_scan_level_slope)
     code = cli.main(["scan", "--model", str(cos2_model_file), "--energy", "50.0",
                      "--lambda-range=-0.9,-0.5", "--curve-samples", "5"])
     assert code == 5
-    assert len(json.loads(capsys.readouterr().out)["curve"]) == 5
+    curve = json.loads(capsys.readouterr().out)["curve"]
     # the bracket check counts levels instead of solving, and the message
-    # reads the range ends off the curve, so only the five curve points solve
-    assert len(solved) == 5
+    # reads the range ends off the curve, so each of the five curve points
+    # solves once: the first with its slope, the others by scan_level
+    assert solved == [p["lambda"] for p in curve] and len(curve) == 5
 
 
 def test_degenerate_scan_solves_its_one_level_once(cos2_model_file, monkeypatch, capsys):
@@ -676,15 +682,23 @@ def test_control_character_in_an_error_message_prints_valid_json():
     # rho**4 and rho**400 pass the float range, which a float power raises on
     ["effpot", "--model", "OSCILLATOR", "--which", "radial", "--range=1e100,1e200"],
     ["effpot", "--model", "DEEP_WELL", "--which", "radial", "--range=1,10", "--samples", "3"],
+    # a parameter's square passes the float range, which a float power raises on
+    ["effpot", "--model", "HUGE_A", "--which", "radial", "--range=0.5,2", "--samples", "3"],
+    ["effpot", "--model", "HUGE_OMEGA", "--which", "radial", "--range=0.5,2", "--samples", "3"],
 ], ids=["spectrum-nan", "effpot-overflow", "effpot-oscillator-power-overflow",
-        "effpot-power-well-overflow"])
+        "effpot-power-well-overflow", "effpot-oscillator-a-squared-overflow",
+        "effpot-coulomb-omega-squared-overflow"])
 def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_model_file,
                                                        oscillator_model_file, tmp_path, argv, fmt):
-    deep_well = write_model(tmp_path, "deep_well.json",
-                            {"f": "flat", "potential": {"power_well": {"v0": 1.0, "k": 200}},
-                             "ordering": "bendaniel-duke"})
+    def model(name, potential):
+        return write_model(tmp_path, name, {"f": "flat", "potential": potential,
+                                            "ordering": "bendaniel-duke"})
+
     files = {"FLAT": flat_model_file, "COULOMB": coulomb_model_file,
-             "OSCILLATOR": oscillator_model_file, "DEEP_WELL": deep_well}
+             "OSCILLATOR": oscillator_model_file,
+             "DEEP_WELL": model("deep_well.json", {"power_well": {"v0": 1.0, "k": 200}}),
+             "HUGE_A": model("huge_a.json", {"oscillator_like": {"a": 1e200, "d": 1.0}}),
+             "HUGE_OMEGA": model("huge_omega.json", {"coulomb_like": {"omega": 1e200}})}
     result = run_cli([str(files.get(token, token)) for token in argv] + ["--format", fmt])
     error = one_json_error(result, 3)
     assert error["code"] == "domain"

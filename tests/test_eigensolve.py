@@ -274,6 +274,37 @@ def test_eigenvalue_matches_eigen_lowest(case):
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_eigenvalue_slope_is_the_derivative_of_the_level(monkeypatch, case):
+    grid, potential, prefactor, k = SOLVE_CASES[case]
+    op = discretize(potential, grid, prefactor=prefactor)
+    # reflection symmetric about node 0, as a ring's diagonal must be
+    rate = 1.0 + np.cos(grid.points) ** 2
+    lowest = reference_lowest(op, k + 1)
+    vectors = []
+    lapack = eigensolve._lapack
+
+    def spy(*args, **kwargs):
+        vectors.append(kwargs.get("vectors", False))
+        return lapack(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_lapack", spy)
+    t = 1e-3
+    # a degenerate level has one slope per vector; only simple levels have the derivative
+    simple = [j for j in range(k) if (j == 0 or lowest[j] - lowest[j - 1] > 1e-3)
+              and lowest[j + 1] - lowest[j] > 1e-3]
+    assert simple
+    for j in simple:
+        vectors.clear()
+        value, slope = eigensolve.eigenvalue_slope(op, j, rate)
+        assert value == eigenvalue(op, j)
+        # the index search asks for no vector; one request by value asks for the level's own
+        assert vectors.count(True) == 1
+        shifted = [eigenvalue(DiscretizedOperator(op.diagonal + s * rate, op.off_diagonal, grid), j)
+                   for s in (t, -t)]
+        assert slope == pytest.approx((shifted[0] - shifted[1]) / (2.0 * t), abs=1e-4)
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_count_below_matches_references(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
     op = discretize(potential, grid, prefactor=prefactor)

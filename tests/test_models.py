@@ -739,16 +739,29 @@ def test_scan_refuses_non_finite_input_before_any_solve(monkeypatch, energy, lam
         heun_regime_scan(MM, energy, lambda_range)
 
 
-def test_scan_no_root_solves_each_range_end_once(monkeypatch):
+def _count_solves(monkeypatch):
+    """The lambdas at which the scan solves a level from here on, through
+    :func:`scan_level` or a curve's first point with its slope."""
     import pdm_polar.models as md
 
     solved = []
+    scan_level_slope = md._scan_level_slope
 
     def counting_scan_level(a, lam, **kwargs):
         solved.append(lam)
         return scan_level(a, lam, **kwargs)
 
+    def counting_scan_level_slope(a, lam, *args):
+        solved.append(lam)
+        return scan_level_slope(a, lam, *args)
+
     monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    monkeypatch.setattr(md, "_scan_level_slope", counting_scan_level_slope)
+    return solved
+
+
+def test_scan_no_root_solves_each_range_end_once(monkeypatch):
+    solved = _count_solves(monkeypatch)
     with pytest.raises(NoRoot) as excinfo:
         heun_regime_scan(MM, 50.0, (-0.9, -0.5), state_index=1, curve_samples=1)
     # the one curve point is the lower end; only the upper end is solved besides
@@ -778,18 +791,15 @@ def _value_bisection(a, target, lo, hi, *, state_index, n_points, lambda_tol=1e-
 def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch, n_points):
     import pdm_polar.models as md
 
-    solved = []
-
-    def counting_scan_level(a, lam, **kwargs):
-        solved.append(lam)
-        return scan_level(a, lam, **kwargs)
-
-    monkeypatch.setattr(md, "scan_level", counting_scan_level)
+    solved = _count_solves(monkeypatch)
     lam_star, residual = heun_regime_scan(MM, 0.5, (-1.0, 0.0), state_index=1,
                                           n_points=n_points)
-    # the root is one eigenvalue of the congruent ring; the residual at lambda* is the one solve
+    # the root is one eigenvalue of the congruent ring; the residual at lambda* is the one
+    # solve, bisected about the target, and the index search's level within its tolerance
     assert solved == [lam_star]
-    assert residual == abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
+    bound = 4.0 * float(np.finfo(float).eps) * md._scan_operator(MM, lam_star, 1, n_points).inf_norm()
+    index_residual = abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
+    assert abs(residual - index_residual) <= bound
     lo, hi = _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
     assert lo <= lam_star <= hi
     assert residual <= 1e-8
@@ -847,6 +857,52 @@ def test_scan_root_decision_is_the_sturm_count_rule(problem):
     assert lo < lam_star <= hi
     if check_constraint27(a):
         assert above(lam_star - 1e-7) and not above(lam_star + 1e-7)
+
+
+def _level_target(a, lam, state_index, n_points):
+    """The smallest target at which count_below puts the level at lambda at or
+    below it: a root of that target lies exactly at lambda, as the counts see it."""
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import count_below
+
+    op = md._scan_operator(a, lam, state_index, n_points)
+    level = scan_level(a, lam, state_index=state_index, n_points=n_points)
+    below, at = level - 1e-6, level + 1e-6
+    assert count_below(op, below) <= state_index < count_below(op, at)
+    while math.nextafter(below, at) < at:
+        mid = below + 0.5 * (at - below)
+        if count_below(op, mid) > state_index:
+            at = mid
+        else:
+            below = mid
+    return at
+
+
+@pytest.mark.parametrize("n_points", [2050, 4098])
+def test_scan_root_decision_holds_at_the_range_ends(n_points):
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import count_below
+
+    target = _level_target(MM, -0.75, 1, n_points)
+    just_below = math.nextafter(target, -math.inf)
+
+    def above(lam, energy):
+        return count_below(md._scan_operator(MM, lam, 1, n_points), energy) <= 1
+
+    # (target at -0.75, range, root expected): lambda* at hi is kept, at lo it is NoRoot;
+    # one float lower the level at -0.75 lies above the target, and the decisions swap
+    cases = [(target, (-1.0, -0.75), True), (target, (-0.75, 0.0), False),
+             (just_below, (-1.0, -0.75), False), (just_below, (-0.75, 0.0), True)]
+    for energy, (lo, hi), root in cases:
+        assert (above(lo, energy) and not above(hi, energy)) == root
+        try:
+            lam_star, _ = heun_regime_scan(MM, energy, (lo, hi), state_index=1,
+                                           n_points=n_points, curve_samples=1)
+        except NoRoot:
+            assert not root, (energy, lo, hi)
+            continue
+        assert root, (energy, lo, hi)
+        assert lo < lam_star <= hi and abs(lam_star + 0.75) <= 1e-6
 
 
 # back to the first ring last, so that a sample kept from the previous ring
@@ -928,7 +984,8 @@ def test_windowed_gate_curve_matches_the_index_search_on_every_ring(n_points, st
         _assert_curve_is_the_index_search(MM, lambda_range, 12, state_index, n_points)
 
 
-def test_windowed_scan_curve_makes_fewer_index_requests(monkeypatch):
+def _lapack_requests(monkeypatch):
+    """The ``select`` of each LAPACK request from here on: "i" by index, "v" by value."""
     from pdm_polar import eigensolve
 
     requests = []
@@ -939,10 +996,46 @@ def test_windowed_scan_curve_makes_fewer_index_requests(monkeypatch):
         return lapack(d, e, select, *args, **kwargs)
 
     monkeypatch.setattr(eigensolve, "_lapack", spy)
-    scan_curve(MM, (-1.0, -0.5), 9, n_points=2050)
-    # a search by index asks each of the ring's two parity sectors: 18 for
-    # nine points; only the first two points and the missed windows search
-    assert 0 < requests.count("i") < 18
+    return requests
+
+
+def test_windowed_scan_curve_makes_fewer_index_requests(monkeypatch):
+    requests = _lapack_requests(monkeypatch)
+    scan_curve(MM, (-1.0, -0.75), 9, n_points=2050)
+    # a search by index asks each of the ring's two parity sectors: the first
+    # point searches by index, and every later window holds its level
+    assert requests.count("i") == 2
+    requests.clear()
+    curve = scan_curve(MM, (-1.0, -0.5), 9, n_points=2050)
+    # past -3/4 the level dives (0.5 to -3130 in one step, then to -9768), more
+    # than the one-step window allows twice; the later steps' windows hold it
+    assert [round(e) for _, e in curve[4:7]] == [0, -3130, -9768]
+    assert requests.count("i") == 2 + 2 * 2
+
+
+def test_bracketed_gate_scan_makes_no_index_request(monkeypatch):
+    requests = _lapack_requests(monkeypatch)
+    heun_regime_scan(MM, 0.5, (-1.0, 0.0), state_index=1)
+    # the counts, the window of mu and the residual's window about the target
+    assert requests and requests.count("i") == 0
+
+
+def test_unbracketed_scan_decides_without_an_index_request(monkeypatch):
+    import pdm_polar.models as md
+
+    requests = _lapack_requests(monkeypatch)
+    before_curve = []
+    scan_curve = md.scan_curve
+
+    def recording_scan_curve(*args, **kwargs):
+        before_curve.extend(requests)
+        return scan_curve(*args, **kwargs)
+
+    monkeypatch.setattr(md, "scan_curve", recording_scan_curve)
+    with pytest.raises(NoRoot):
+        heun_regime_scan(MM, 50.0, (-0.9, -0.5), state_index=1, curve_samples=5)
+    # the decision is Sturm counts alone; the curve's budget is its own
+    assert before_curve and "i" not in before_curve
 
 
 def test_scan_curve_falls_back_when_no_window_certifies(monkeypatch):
@@ -961,8 +1054,8 @@ def test_scan_curve_falls_back_when_no_window_certifies(monkeypatch):
     lams = np.linspace(-1.0, 0.0, 9)
     curve = scan_curve(MM, (-1.0, 0.0), 9, n_points=2050)
     assert curve == [(float(lam), scan_level(MM, lam, n_points=2050)) for lam in lams]
-    # one window per point after the first two, never widened
-    assert len(windows) == 7
+    # one window per point after the first, never widened
+    assert len(windows) == 8
 
 
 def test_degenerate_scan_curve_solves_once(monkeypatch):
