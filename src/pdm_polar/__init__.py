@@ -27,13 +27,11 @@ from .models import (
     SpectrumRecord,
     all_within,
     coulomb_energy,
-    coulomb_lambda,
     coulomb_numeric_level,
     degeneracy_report,
     flat_energy,
     heun_regime_scan,
     oscillator_energy,
-    oscillator_lambda,
     oscillator_numeric_level,
     scan_curve,
     toy_radial_solution,
@@ -44,6 +42,7 @@ from .separation import (
     AngularProblem,
     CosSquaredProfile,
     CoulombLike,
+    ExactRadial,
     FlatProfile,
     OscillatorLike,
     PowerWell,
@@ -52,8 +51,10 @@ from .separation import (
     TabulatedProfile,
     angular_problem,
     angular_wavefunction_recompose,
+    coulomb_lambda,
     load_model,
     model_from_dict,
+    oscillator_lambda,
     pct_map,
     radial_problem,
     radial_to_R,

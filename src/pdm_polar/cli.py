@@ -125,15 +125,14 @@ def cmd_spectrum(args):
         raise ConfigError("spectrum tables need a flat angular profile (f = \"flat\")")
     if args.m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {args.m_max}")
-    family = md.RADIAL_FAMILIES.get(type(model.v))
-    if family is not None:
+    v = model.v
+    if isinstance(v, sp.ExactRadial):
         rows = (args.n_rho_max + 1) * (2 * args.m_max + 1)
         if rows > _TABLE_ROWS:
             raise ConfigError(f"(n_rho_max + 1)(2 m_max + 1) rows must be <= {_TABLE_ROWS}, got {rows}")
-        params = family.params(model.v)
-        levels = family.levels(params, args.n_rho_max)
-        header = family.header(params)
-    elif model.v is None:
+        levels = v.levels(args.n_rho_max)
+        header = v.header()
+    elif v is None:
         levels = [(0, args.lam, None)]
         header = {"model_kind": "flat", "lambda": args.lam}
     else:
@@ -158,19 +157,17 @@ def cmd_spectrum(args):
 
 def cmd_verify(args):
     model = sp.load_model(args.model)
-    family = md.RADIAL_FAMILIES.get(type(model.v))
-    if family is None:
+    v = model.v
+    if not isinstance(v, sp.ExactRadial):
         raise ConfigError("verification sweeps need a coulomb-like or oscillator-like model")
-    params = family.params(model.v)
-    levels = md.verify_sweep(family, params, args.n_rho_max,
-                             n_points=args.n_points, rho_max=args.rho_max)
+    levels = md.verify_sweep(v, args.n_rho_max, n_points=args.n_points, rho_max=args.rho_max)
     # resolved after the sweep refused a model without levels, whose default wall may not exist
-    rho_max = family.wall(params, args.rho_max)
+    rho_max = v.wall(args.rho_max)
 
     ok = md.all_within([r for r, _ in levels], args.tol)
     payload = {
         "command": "verify",
-        "model": family.header(params),
+        "model": v.header(),
         "ordering": model.ordering_token,
         "tol": args.tol,
         "n_points": args.n_points,
@@ -254,12 +251,11 @@ def _toy_rows(model, order_fraction, coords) -> list:
 
 
 def _radial_rows(model, n_rho, coords) -> list:
-    family = md.RADIAL_FAMILIES.get(type(model.v))
-    if family is None:
+    v = model.v
+    if not isinstance(v, sp.ExactRadial):
         raise DomainError("radial states need a coulomb-like or oscillator-like model")
-    params = family.params(model.v)
-    _, ell = family.level(params, n_rho)
-    values = radial_to_R(coords, family.state(*params, n_rho, ell, coords))
+    _, ell = v.level(n_rho)
+    values = radial_to_R(coords, v.state(n_rho, ell, coords))
     return [{"coordinate": float(c), "value": float(v)} for c, v in zip(coords, values)]
 
 

@@ -12,10 +12,10 @@ one closed energy is the flat-profile one, E = (m^2 - lambda)/2 - bracket
 * oscillator-like radial potential a^2 rho^4/8 - d rho^2/2, quantized through
   lambda = (d/a - 2 n_rho - 1)^2 - 1.
 
-The two radial families are declared once each, as :class:`RadialFamily`
-entries of :data:`RADIAL_FAMILIES` (quantization, potential w(rho), closed
-spectral value, closed state, default wall); the spectrum tables,
-the verify sweeps and the radial wavefunction all read them.  The closed
+The two radial families are declared once each, on their potential classes
+(:class:`.separation.ExactRadial`: quantization, potential w(rho), closed
+spectral value, closed state, default wall); the spectrum tables, the verify
+sweeps and the radial wavefunction all read the potential object.  The closed
 states are the 3D hydrogen and isotropic-oscillator states at
 l = ell - 1/2, Laguerre polynomials normalized in closed form.
 
@@ -58,12 +58,16 @@ from .errors import DomainError, NoRoot
 from .separation import (
     CosSquaredProfile,
     CoulombLike,
+    ExactRadial,
     OscillatorLike,
     SeparableModel,
     angular_problem,
+    coulomb_lambda,
+    coulomb_rho_max,
+    oscillator_lambda,
     zeta_coefficients,
 )
-from .specfun import bessel_j, laguerre_assoc
+from .specfun import bessel_j
 
 np = LazyNumpy(globals())
 
@@ -126,37 +130,9 @@ def flat_energy(a: AmbiguitySet, m: int, lam: float) -> float:
     return 0.5 * (m * m - lam) - bracket(a)
 
 
-def coulomb_lambda(b: float, n_rho: int) -> float:
-    """lambda = (b - n_rho - 1/2)^2 - 1, defined for b > n_rho + 1/2.
-
-    This is the paper's b = n_rho + l + 1 with l(l+1) = 3/4 + lambda, i.e.
-    lambda = l(l+1) - 3/4 with l = b - n_rho - 1; the radial order of the
-    operator is ell = sqrt(1 + lambda) = l + 1/2 = b - n_rho - 1/2 > 0.
-    """
-    if n_rho < 0:
-        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
-    if not b > n_rho + 0.5:
-        raise DomainError(f"need b > n_rho + 1/2, got b = {b}, n_rho = {n_rho}")
-    t = b - n_rho - 0.5
-    return t * t - 1.0
-
-
 def coulomb_energy(a: AmbiguitySet, b: float, qn: QuantumNumbers) -> float:
     """E = (1/2)[m^2 - (b - n_rho - 1/2)^2 + 1] - bracket, for b > n_rho + 1/2."""
     return flat_energy(a, qn.m, coulomb_lambda(b, qn.n_rho))
-
-
-def oscillator_lambda(a_param: float, d: float, n_rho: int) -> float:
-    """lambda = (d/a - 2 n_rho - 1)^2 - 1, defined for d/a > 2 n_rho + 1."""
-    if n_rho < 0:
-        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
-    if not a_param > 0:
-        raise DomainError(f"need a > 0, got {a_param}")
-    ratio = d / a_param
-    if not ratio > 2 * n_rho + 1:
-        raise DomainError(f"need d/a > 2 n_rho + 1, got d/a = {ratio}, n_rho = {n_rho}")
-    t = ratio - 2.0 * n_rho - 1.0
-    return t * t - 1.0
 
 
 def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumbers) -> float:
@@ -165,140 +141,13 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 
 
 # ---------------------------------------------------------------------------
-# the radial families, each declared once
-
-
-@dataclass(frozen=True)
-class RadialFamily:
-    """One exactly solvable radial family: potential, quantization, closed value and state.
-
-    ``names`` lists the family's own parameters as the potential carries
-    them (b for Coulomb-like, a and d for oscillator-like); every callable
-    takes them unpacked, in that order, ahead of its own arguments:
-
-    * ``lam(*params, n_rho)`` is the quantization lambda(n_rho), which fixes
-      the closed energy through :func:`flat_energy`;
-    * ``w(*params, rho)``, vectorized over rho, is the potential of the eigenvalue
-      form -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U, ell = sqrt(lambda + 1);
-    * ``closed(*params, n_rho, ell)`` is the closed spectral value eps;
-    * ``state(*params, n_rho, ell, rho)`` samples the closed eigenfunction U
-      of that value at the points rho > 0: unit norm (integral of U^2 over
-      rho > 0 is 1), sign (-1)^n_rho, so that the outermost and largest lobe
-      is positive;
-    * ``default_wall(*params)`` is the default outer Dirichlet wall.
-    """
-
-    kind: str
-    names: tuple
-    lam: Callable
-    w: Callable
-    closed: Callable
-    state: Callable
-    default_wall: Callable
-    note: str
-
-    def params(self, v) -> tuple:
-        return tuple(getattr(v, name) for name in self.names)
-
-    def level(self, params, n_rho: int) -> tuple:
-        """(lambda(n_rho), ell), ell = sqrt(1 + lambda) the radial order."""
-        lam = self.lam(*params, n_rho)
-        return lam, math.sqrt(lam + 1.0)
-
-    def levels(self, params, n_rho_max: int) -> list:
-        """(n_rho, lambda, ell) of :meth:`level` for n_rho = 0..n_rho_max.
-
-        A negative n_rho_max, which would give no level, raises DomainError,
-        as does a level outside the quantization's domain.
-        """
-        if n_rho_max < 0:
-            raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
-        return [(n_rho, *self.level(params, n_rho)) for n_rho in range(n_rho_max + 1)]
-
-    def header(self, params) -> dict:
-        return {"model_kind": self.kind, **dict(zip(self.names, params))}
-
-    def wall(self, params, rho_max: float | None) -> float:
-        return self.default_wall(*params) if rho_max is None else rho_max
-
-
-def coulomb_rho_max(nu: float) -> float:
-    """Default outer wall 2 nu^2 + 20 nu for Coulomb-like levels of index nu.
-
-    A level eps = -1/nu^2, nu = n_rho + ell + 1/2, has its outer turning
-    point at 2 nu^2 and decays like exp(-rho/nu) beyond it; 20 decay lengths
-    past the turning point leave a tail far below the solver's accuracy.
-    """
-    return 2.0 * nu * nu + 20.0 * nu
-
-
-def _laguerre_state(n_rho: int, alpha: float, ell: float, x_of, log_norm_sq: float, rho):
-    """(-1)^n_rho rho^(ell+1/2) exp(-x/2) L_n_rho^(alpha)(x) / sqrt(norm) at x = x_of(rho).
-
-    ``log_norm_sq`` is the log of the integral of the unsigned state squared.
-    The weight is taken in logs, so a large ell does not overflow; where x
-    overflows far out, the weight underflows and the sample is 0.0.
-    """
-    rho = np.asarray(rho, dtype=float)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        x = x_of(rho)
-        weight = np.exp((ell + 0.5) * np.log(rho) - 0.5 * x - 0.5 * log_norm_sq)
-        u = (-1.0) ** n_rho * weight * laguerre_assoc(n_rho, alpha, x)
-    return np.where(weight > 0.0, u, 0.0)
-
-
-def _coulomb_state(b: float, n_rho: int, ell: float, rho):
-    """rho^(ell+1/2) exp(-rho/b) L_n^(2 ell)(2 rho/b), the 3D hydrogen state at
-    l = ell - 1/2; its square integrates to
-    (b/2)^(2 ell+2) Gamma(n+2 ell+1) (2n+2 ell+1)/n!."""
-    log_norm_sq = ((2.0 * ell + 2.0) * math.log(0.5 * b) + math.lgamma(n_rho + 2.0 * ell + 1.0)
-                   + math.log(2.0 * n_rho + 2.0 * ell + 1.0) - math.lgamma(n_rho + 1.0))
-    return _laguerre_state(n_rho, 2.0 * ell, ell, lambda r: 2.0 * r / b, log_norm_sq, rho)
-
-
-def _oscillator_state(a_param: float, d: float, n_rho: int, ell: float, rho):
-    """rho^(ell+1/2) exp(-a rho^2/4) L_n^(ell)(a rho^2/2), the 3D oscillator
-    state at l = ell - 1/2; its square integrates to
-    (2/a)^(ell+1) Gamma(n+ell+1)/(2 n!) (Abramowitz & Stegun 22.2.12)."""
-    log_norm_sq = ((ell + 1.0) * math.log(2.0 / a_param) + math.lgamma(n_rho + ell + 1.0)
-                   - math.log(2.0) - math.lgamma(n_rho + 1.0))
-    return _laguerre_state(n_rho, ell, ell, lambda r: 0.5 * a_param * r**2, log_norm_sq, rho)
-
-
-COULOMB = RadialFamily(
-    kind=CoulombLike.kind,
-    names=("b",),
-    lam=coulomb_lambda,
-    w=lambda b, rho: -2.0 / rho,
-    closed=lambda b, n_rho, ell: -1.0 / (b * b),
-    state=_coulomb_state,
-    default_wall=coulomb_rho_max,
-    note="radial spectral value eps = -omega^2; independent of m",
-)
-
-OSCILLATOR = RadialFamily(
-    kind=OscillatorLike.kind,
-    names=("a", "d"),
-    lam=oscillator_lambda,
-    w=lambda a_param, d, rho: 0.25 * a_param**2 * rho**2,
-    closed=lambda a_param, d, n_rho, ell: a_param * (2.0 * n_rho + ell + 1.0),
-    state=_oscillator_state,
-    # five lengths 1/sqrt(a) past the outer turning point 2 sqrt(d)/a, at least 12/sqrt(a)
-    default_wall=lambda a_param, d: max(12.0, 2.0 * math.sqrt(d / a_param) + 5.0) / math.sqrt(a_param),
-    note="radial spectral value d; independent of m",
-)
-
-RADIAL_FAMILIES = {CoulombLike: COULOMB, OscillatorLike: OSCILLATOR}
-
-
-# ---------------------------------------------------------------------------
 # numeric levels (the independent oracle)
 
 
-def _operator(family: RadialFamily, params: tuple, ell: float, grid: Grid) -> DiscretizedOperator:
+def _operator(v: ExactRadial, ell: float, grid: Grid) -> DiscretizedOperator:
     """The family's eigenvalue form -U'' + [(ell^2 - 1/4)/rho^2 + w(rho)] U on the grid."""
     c = ell * ell - 0.25
-    return discretize(lambda r: c / r**2 + family.w(*params, r), grid)
+    return discretize(lambda r: c / r**2 + v.w(r), grid)
 
 
 def _check_index(n_points: int, top: int) -> None:
@@ -312,38 +161,38 @@ def _check_order(ell: float) -> None:
         raise DomainError(f"need a radial order ell > 0, got {ell}")
 
 
-def _sweep(family: RadialFamily, params: tuple, n_rho_max: int, n_points: int,
-           rho_max: float | None):
+def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None):
     """Each level of a sweep as (n_rho, lambda, ell, operator), the operator on
     the sweep's one wall grid.  The top index is checked before any level is
     computed, and each level's ell before its operator is built; an operator
     is built when its level is reached, so one level's is held at a time."""
     if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
         _check_index(n_points, n_rho_max)
-    levels = family.levels(params, n_rho_max)
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
+    levels = v.levels(n_rho_max)
+    grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
     for n_rho, lam, ell in levels:
         _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
-        yield n_rho, lam, ell, _operator(family, params, ell, grid)
+        yield n_rho, lam, ell, _operator(v, ell, grid)
 
 
-def _numeric_level(family: RadialFamily, params: tuple, ell: float, n_rho: int,
-                   op: DiscretizedOperator, closed: float) -> tuple[float, float]:
+def _numeric_level(v: ExactRadial, ell: float, n_rho: int, op: DiscretizedOperator,
+                   closed: float) -> tuple[float, float]:
     """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
     one Richardson refinement of the operator op, bisected around the closed
     value."""
-    return refine_eigenvalue(op, functools.partial(_operator, family, params, ell), n_rho, closed)
+    return refine_eigenvalue(op, functools.partial(_operator, v, ell), n_rho, closed)
 
 
-def _lone_level(family: RadialFamily, params: tuple, ell: float, n_rho: int, n_points: int,
+def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
                 rho_max: float | None) -> tuple[float, float]:
-    """:func:`_numeric_level` on the level's own wall grid; ell is checked first,
-    since a bad ell can empty the wall of the level's own b."""
+    """:func:`_numeric_level` on the level's own wall grid.  ell and n_rho are
+    checked first, and only then is ``potential()`` built, since a bad ell or
+    n_rho can empty the level's own b."""
     _check_order(ell)
     _check_index(n_points, n_rho)
-    grid = Grid(0.0, family.wall(params, rho_max), n_points, DIRICHLET)
-    return _numeric_level(family, params, ell, n_rho, _operator(family, params, ell, grid),
-                          family.closed(*params, n_rho, ell))
+    v = potential()
+    grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
+    return _numeric_level(v, ell, n_rho, _operator(v, ell, grid), v.closed(n_rho, ell))
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -353,7 +202,8 @@ def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_PO
     The exact level is -1/nu^2 with nu = n_rho + ell + 1/2, the level's own
     b; the default wall is :func:`coulomb_rho_max` of nu.
     """
-    return _lone_level(COULOMB, (n_rho + ell + 0.5,), ell, n_rho, n_points, rho_max)
+    return _lone_level(lambda: CoulombLike(1.0 / (n_rho + ell + 0.5)), ell, n_rho,
+                       n_points, rho_max)
 
 
 def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
@@ -363,17 +213,15 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 
     The exact level is the level's own d = a (2 n_rho + ell + 1).
     """
-    if not a_param > 0:
-        raise DomainError(f"need a > 0, got {a_param}")
-    d = a_param * (2.0 * n_rho + ell + 1.0)
-    return _lone_level(OSCILLATOR, (a_param, d), ell, n_rho, n_points, rho_max)
+    return _lone_level(lambda: OscillatorLike(a_param, a_param * (2.0 * n_rho + ell + 1.0)),
+                       ell, n_rho, n_points, rho_max)
 
 
-def _record(family: RadialFamily, params: tuple, n_rho: int, lam: float, ell: float,
+def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
             op: DiscretizedOperator) -> SpectrumRecord:
     """The closed spectral value of one sweep level against its numeric one."""
-    closed = family.closed(*params, n_rho, ell)
-    numeric, conv = _numeric_level(family, params, ell, n_rho, op, closed)
+    closed = v.closed(n_rho, ell)
+    numeric, conv = _numeric_level(v, ell, n_rho, op, closed)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
         lam=lam,
@@ -382,23 +230,22 @@ def _record(family: RadialFamily, params: tuple, n_rho: int, lam: float, ell: fl
         delta=abs(closed - numeric),
         provenance="both",
         convergence_estimate=conv,
-        note=family.note,
+        note=v.note,
     )
 
 
-def _state_error(family: RadialFamily, params: tuple, n_rho: int, lam: float, ell: float,
+def _state_error(v: ExactRadial, n_rho: int, lam: float, ell: float,
                  op: DiscretizedOperator) -> float:
     """h-weighted L2 distance of one sweep level's closed state and the
     index-n_rho eigenvector of op, signed to agree with it."""
     grid = op.grid
     numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
-    closed = family.state(*params, n_rho, ell, grid.points)
+    closed = v.state(n_rho, ell, grid.points)
     numeric = math.copysign(1.0, numeric @ closed) * numeric
     return math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2)))
 
 
-def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
-                  n_points: int = RADIAL_N_POINTS,
+def verify_family(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POINTS,
                   rho_max: float | None = None) -> list[SpectrumRecord]:
     """Closed-form-versus-numeric sweep over n_rho = 0..n_rho_max.
 
@@ -410,12 +257,10 @@ def verify_family(family: RadialFamily, params: tuple, n_rho_max: int, *,
     would sweep no level and pass vacuously, raises DomainError before any
     solve, as does everything else :func:`_sweep` refuses.
     """
-    return [_record(family, params, *level)
-            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
+    return [_record(v, *level) for level in _sweep(v, n_rho_max, n_points, rho_max)]
 
 
-def verify_sweep(family: RadialFamily, params: tuple, n_rho_max: int, *,
-                 n_points: int = RADIAL_N_POINTS,
+def verify_sweep(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POINTS,
                  rho_max: float | None = None) -> list[tuple[SpectrumRecord, float]]:
     """(record, state error) per level: the record is :func:`verify_family`'s,
     bit for bit, and so are the refusals.  The state error is the h-weighted
@@ -423,21 +268,24 @@ def verify_sweep(family: RadialFamily, params: tuple, n_rho_max: int, *,
     eigenvector of its unrefined operator, signed to agree with it: near 0
     when they agree, near 1 or above when the grid or the wall does not hold
     the state.  Each level and its unrefined operator serve both checks."""
-    return [(_record(family, params, *level), _state_error(family, params, *level))
-            for level in _sweep(family, params, n_rho_max, n_points, rho_max)]
+    return [(_record(v, *level), _state_error(v, *level))
+            for level in _sweep(v, n_rho_max, n_points, rho_max)]
 
 
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *,
                    n_points: int = RADIAL_N_POINTS,
                    rho_max: float | None = None) -> list[SpectrumRecord]:
-    """Sweep of the Coulomb-like levels; closed value -omega^2 = -1/b^2.
+    """Sweep of the Coulomb-like levels of omega = 1/b; closed value -omega^2.
 
     omega is read from the quantization omega = 1/(n_rho + l + 1) with
     l(l+1) = 3/4 + lambda, i.e. omega = 1/(n_rho + ell + 1/2).  Every level
-    has nu = b, so the default wall is :func:`coulomb_rho_max` of b.  ``tol``
-    is accepted for the caller's gate and not used here.
+    has nu = b, so the default wall is :func:`coulomb_rho_max` of b.  A b
+    that is not > 0 raises DomainError.  ``tol`` is accepted for the
+    caller's gate and not used here.
     """
-    return verify_family(COULOMB, (b,), n_rho_max, n_points=n_points, rho_max=rho_max)
+    if not b > 0:
+        raise DomainError(f"need b > 0, got {b}")
+    return verify_family(CoulombLike(1.0 / b), n_rho_max, n_points=n_points, rho_max=rho_max)
 
 
 def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
@@ -447,7 +295,7 @@ def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
 
     ``tol`` is accepted for the caller's gate and not used here.
     """
-    return verify_family(OSCILLATOR, (a_param, d), n_rho_max,
+    return verify_family(OscillatorLike(a_param, d), n_rho_max,
                          n_points=n_points, rho_max=rho_max)
 
 

@@ -20,6 +20,9 @@ For f = cos^2 phi this collapses to (z1 q^2 - z2)/(1 - q^2)^2 in q = sin phi
 with z1 = 3/8 + lambda/2 and z2 = lambda/2 - 1/4 + c27(ordering), the two
 coefficients returned by :func:`zeta_coefficients`.
 
+The Coulomb-like and oscillator-like potential classes are each their
+exactly solvable family's one declaration (:class:`ExactRadial`).
+
 The closed potentials evaluate on a Python float and on a numpy array alike,
 one expression serving both.  Squares are spelled as products, as numpy
 computes an array's square, so a float gives its array element bit for bit;
@@ -46,6 +49,7 @@ from .ambiguity import (
     xi,
 )
 from .errors import ConfigError, DomainError
+from .specfun import laguerre_assoc
 
 MASS_EPS = 1e-8
 
@@ -180,12 +184,104 @@ class PowerWell:
         return -0.5 * self.v0 * (rho * rho if self.k == 1 else rho ** (2 * self.k))
 
 
+class ExactRadial:
+    """An exactly solvable radial family; a subclass is its potential and defines:
+
+    * ``lam(n_rho)``, the quantization lambda(n_rho), which fixes the closed
+      energy through ``models.flat_energy``;
+    * ``w(rho)``, vectorized over rho, the potential of the eigenvalue form
+      -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U, ell = sqrt(lambda + 1): the
+      :func:`radial_problem` at lambda(n_rho), with eps moved to the right;
+    * ``closed(n_rho, ell)``, the closed spectral value eps;
+    * ``state(n_rho, ell, rho)``, the closed eigenfunction U of that value at
+      the points rho > 0: unit norm, sign (-1)^n_rho, so that the outermost
+      and largest lobe is positive;
+    * ``default_wall()``, ``header()`` (the parameters as reports print
+      them) and ``note`` (the remark on every checked record).
+    """
+
+    def level(self, n_rho: int) -> tuple:
+        """(lambda(n_rho), ell), ell = sqrt(1 + lambda) the radial order; a
+        lambda past the float range, whose every closed state is 0, raises DomainError."""
+        lam = self.lam(n_rho)
+        if not math.isfinite(lam):
+            raise DomainError(f"lambda({n_rho}) = {lam} passes the float range")
+        return lam, math.sqrt(lam + 1.0)
+
+    def levels(self, n_rho_max: int) -> list:
+        """(n_rho, lambda, ell) of :meth:`level` for n_rho = 0..n_rho_max.
+
+        A negative n_rho_max, which would give no level, raises DomainError,
+        as does a level outside the quantization's domain.
+        """
+        if n_rho_max < 0:
+            raise DomainError(f"n_rho_max must be >= 0, got {n_rho_max}")
+        return [(n_rho, *self.level(n_rho)) for n_rho in range(n_rho_max + 1)]
+
+    def wall(self, rho_max: float | None) -> float:
+        return self.default_wall() if rho_max is None else rho_max
+
+
+def coulomb_lambda(b: float, n_rho: int) -> float:
+    """lambda = (b - n_rho - 1/2)^2 - 1, defined for b > n_rho + 1/2.
+
+    This is the paper's b = n_rho + l + 1 with l(l+1) = 3/4 + lambda, i.e.
+    lambda = l(l+1) - 3/4 with l = b - n_rho - 1; the radial order of the
+    operator is ell = sqrt(1 + lambda) = l + 1/2 = b - n_rho - 1/2 > 0.
+    """
+    if n_rho < 0:
+        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
+    if not b > n_rho + 0.5:
+        raise DomainError(f"need b > n_rho + 1/2, got b = {b}, n_rho = {n_rho}")
+    t = b - n_rho - 0.5
+    return t * t - 1.0
+
+
+def oscillator_lambda(a_param: float, d: float, n_rho: int) -> float:
+    """lambda = (d/a - 2 n_rho - 1)^2 - 1, defined for d/a > 2 n_rho + 1."""
+    if n_rho < 0:
+        raise DomainError(f"n_rho must be >= 0, got {n_rho}")
+    if not a_param > 0:
+        raise DomainError(f"need a > 0, got {a_param}")
+    ratio = d / a_param
+    if not ratio > 2 * n_rho + 1:
+        raise DomainError(f"need d/a > 2 n_rho + 1, got d/a = {ratio}, n_rho = {n_rho}")
+    t = ratio - 2.0 * n_rho - 1.0
+    return t * t - 1.0
+
+
+def coulomb_rho_max(nu: float) -> float:
+    """Default outer wall 2 nu^2 + 20 nu for Coulomb-like levels of index nu.
+
+    A level eps = -1/nu^2, nu = n_rho + ell + 1/2, has its outer turning
+    point at 2 nu^2 and decays like exp(-rho/nu) beyond it; 20 decay lengths
+    past the turning point leave a tail far below the solver's accuracy.
+    """
+    return 2.0 * nu * nu + 20.0 * nu
+
+
+def _laguerre_state(n_rho: int, alpha: float, ell: float, x_of, log_norm_sq: float, rho):
+    """(-1)^n_rho rho^(ell+1/2) exp(-x/2) L_n_rho^(alpha)(x) / sqrt(norm) at x = x_of(rho).
+
+    ``log_norm_sq`` is the log of the integral of the unsigned state squared.
+    The weight is taken in logs, so a large ell does not overflow; where x
+    overflows far out, the weight underflows and the sample is 0.0.
+    """
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x = x_of(rho)
+        weight = np.exp((ell + 0.5) * np.log(rho) - 0.5 * x - 0.5 * log_norm_sq)
+        u = (-1.0) ** n_rho * weight * laguerre_assoc(n_rho, alpha, x)
+    return np.where(weight > 0.0, u, 0.0)
+
+
 @dataclass(frozen=True)
-class CoulombLike:
-    """v(rho) = omega^2 rho^2 / 2 - rho, omega > 0."""
+class CoulombLike(ExactRadial):
+    """v(rho) = omega^2 rho^2 / 2 - rho, omega > 0; b = 1/omega quantizes it."""
 
     omega: float
     kind = "coulomb_like"
+    note = "radial spectral value eps = -omega^2; independent of m"
 
     def __post_init__(self):
         if not self.omega > 0:
@@ -198,14 +294,39 @@ class CoulombLike:
     def tilde_v(self, rho):
         return 0.5 * _square(self.omega) * (rho * rho) - rho
 
+    def lam(self, n_rho: int) -> float:
+        return coulomb_lambda(self.b, n_rho)
+
+    def w(self, rho):
+        return -2.0 / rho
+
+    def closed(self, n_rho: int, ell: float) -> float:
+        return -1.0 / (self.b * self.b)
+
+    def state(self, n_rho: int, ell: float, rho):
+        """rho^(ell+1/2) exp(-rho/b) L_n^(2 ell)(2 rho/b), the 3D hydrogen state at
+        l = ell - 1/2; its square integrates to
+        (b/2)^(2 ell+2) Gamma(n+2 ell+1) (2n+2 ell+1)/n!."""
+        b = self.b
+        log_norm_sq = ((2.0 * ell + 2.0) * math.log(0.5 * b) + math.lgamma(n_rho + 2.0 * ell + 1.0)
+                       + math.log(2.0 * n_rho + 2.0 * ell + 1.0) - math.lgamma(n_rho + 1.0))
+        return _laguerre_state(n_rho, 2.0 * ell, ell, lambda r: 2.0 * r / b, log_norm_sq, rho)
+
+    def default_wall(self) -> float:
+        return coulomb_rho_max(self.b)
+
+    def header(self) -> dict:
+        return {"model_kind": self.kind, "b": self.b}
+
 
 @dataclass(frozen=True)
-class OscillatorLike:
+class OscillatorLike(ExactRadial):
     """v(rho) = a^2 rho^4 / 8 - d rho^2 / 2, a > 0."""
 
     a: float
     d: float
     kind = "oscillator_like"
+    note = "radial spectral value d; independent of m"
 
     def __post_init__(self):
         if not self.a > 0:
@@ -213,6 +334,30 @@ class OscillatorLike:
 
     def tilde_v(self, rho):
         return _square(self.a) * rho**4 / 8.0 - 0.5 * self.d * (rho * rho)
+
+    def lam(self, n_rho: int) -> float:
+        return oscillator_lambda(self.a, self.d, n_rho)
+
+    def w(self, rho):
+        return 0.25 * _square(self.a) * (rho * rho)
+
+    def closed(self, n_rho: int, ell: float) -> float:
+        return self.a * (2.0 * n_rho + ell + 1.0)
+
+    def state(self, n_rho: int, ell: float, rho):
+        """rho^(ell+1/2) exp(-a rho^2/4) L_n^(ell)(a rho^2/2), the 3D oscillator
+        state at l = ell - 1/2; its square integrates to
+        (2/a)^(ell+1) Gamma(n+ell+1)/(2 n!) (Abramowitz & Stegun 22.2.12)."""
+        log_norm_sq = ((ell + 1.0) * math.log(2.0 / self.a) + math.lgamma(n_rho + ell + 1.0)
+                       - math.log(2.0) - math.lgamma(n_rho + 1.0))
+        return _laguerre_state(n_rho, ell, ell, lambda r: 0.5 * self.a * r**2, log_norm_sq, rho)
+
+    def default_wall(self) -> float:
+        # five lengths 1/sqrt(a) past the outer turning point 2 sqrt(d)/a, at least 12/sqrt(a)
+        return max(12.0, 2.0 * math.sqrt(self.d / self.a) + 5.0) / math.sqrt(self.a)
+
+    def header(self) -> dict:
+        return {"model_kind": self.kind, "a": self.a, "d": self.d}
 
 
 @dataclass(frozen=True)

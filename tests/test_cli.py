@@ -377,7 +377,6 @@ def test_wavefunction_numeric_coulomb_ground_state_nodeless(coulomb_model_file):
 
 def test_radial_wavefunction_prints_the_closed_state(oscillator_model_file, capsys):
     from pdm_polar import cli
-    from pdm_polar import models as md
     from pdm_polar import separation as sp
 
     code = cli.main(["wavefunction", "--model", str(oscillator_model_file),
@@ -385,12 +384,10 @@ def test_radial_wavefunction_prints_the_closed_state(oscillator_model_file, caps
     assert code == 0
     samples = json.loads(capsys.readouterr().out)["samples"]
     # the family's closed state at the requested points, bit for bit
-    model = sp.load_model(oscillator_model_file)
-    family = md.RADIAL_FAMILIES[type(model.v)]
-    params = family.params(model.v)
-    ell = math.sqrt(family.lam(*params, 1) + 1.0)
+    v = sp.load_model(oscillator_model_file).v
+    ell = math.sqrt(v.lam(1) + 1.0)
     coords = np.linspace(0.5, 6.0, 7)
-    expected = sp.radial_to_R(coords, family.state(*params, 1, ell, coords))
+    expected = sp.radial_to_R(coords, v.state(1, ell, coords))
     assert [row["value"] for row in samples] == expected.tolist()
 
 
@@ -527,17 +524,13 @@ def test_sample_counts_above_their_bound_rejected(cos2_model_file, coulomb_model
                          ids=["just-above", "both-at-their-bounds"])
 def test_radial_dump_is_refused_before_any_sampling(tmp_path, monkeypatch, capsys, n_rho, samples):
     # (n_rho + 1) * samples above 1e9 is refused before any point or state is sampled
-    import dataclasses
-
-    from pdm_polar import models as md
     from pdm_polar import separation as sp
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the bound was checked")
 
     monkeypatch.setattr(cli, "_linspace", no_sampling)
-    monkeypatch.setitem(md.RADIAL_FAMILIES, sp.OscillatorLike,
-                        dataclasses.replace(md.OSCILLATOR, state=no_sampling))
+    monkeypatch.setattr(sp.OscillatorLike, "state", no_sampling)
     model = write_model(tmp_path, "deep.json",
                         {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e5}},
                          "ordering": "bendaniel-duke"})
@@ -725,10 +718,12 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
     ["scan", "--model", "COS2", "--energy=-inf", "--lambda-range=-1,0"],
     ["scan", "--model", "COS2", "--energy=nan", "--lambda-range=-1,0"],
     ["scan", "--model", "COS2", "--energy", "0.5", "--lambda-range=nan,0"],
+    # a^2 passes the float range: the operator's w = a^2 rho^2/4 is refused as non-finite
+    ["verify", "--model", "HUGE_A", "--n-rho-max", "0"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
         "toy-fractional-k", "angular-flat-huge-m", "angular-cos2-huge-m",
         "angular-flat-infinite-phase", "scan-infinite-energy", "scan-nan-energy",
-        "scan-nan-lambda-range"])
+        "scan-nan-lambda-range", "verify-oscillator-a-squared-overflow"])
 def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb_model_file,
                                                         flat_model_file, tmp_path, argv):
     wide = write_model(tmp_path, "wide.json",
@@ -737,10 +732,35 @@ def test_out_of_range_input_exits_3_with_one_json_error(cos2_model_file, coulomb
     half_k = write_model(tmp_path, "half_k.json",
                          {"f": "cos2", "potential": {"power_well": {"v0": 1.0, "k": 1.5}},
                           "ordering": "mustafa-mazharimousavi"})
+    huge_a = write_model(tmp_path, "huge_a.json",
+                         {"f": "flat", "potential": {"oscillator_like": {"a": 1e200, "d": 1e201}},
+                          "ordering": "bendaniel-duke"})
     files = {"COS2": cos2_model_file, "COULOMB": coulomb_model_file, "FLAT": flat_model_file,
-             "WIDE": wide, "HALF_K": half_k}
+             "WIDE": wide, "HALF_K": half_k, "HUGE_A": huge_a}
     result = run_cli([str(files.get(token, token)) for token in argv])
     assert one_json_error(result, 3)["code"] == "domain"
+
+
+@pytest.mark.parametrize("potential", [
+    {"oscillator_like": {"a": 1.0, "d": 1e300}},
+    {"coulomb_like": {"omega": 1e-200}},
+], ids=["oscillator-huge-d", "coulomb-tiny-omega"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["verify", "--n-rho-max", "0"],
+    ["wavefunction", "--state", "radial:n_rho=0", "--range", "0.5,6", "--samples", "3"],
+], ids=["spectrum", "verify", "wavefunction"])
+def test_overflowing_quantization_exits_3_before_any_output(tmp_path, capsys, potential, argv):
+    # lambda = t^2 - 1 passes the float range, so ell = inf; the level is refused
+    # where ell is computed, not printed as inf or as an all-zero closed state
+    model = write_model(tmp_path, "model.json",
+                        {"f": "flat", "potential": potential, "ordering": "bendaniel-duke"})
+    assert main([argv[0], "--model", str(model), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain"
+    assert error["message"] == "lambda(0) = inf passes the float range"
 
 
 @pytest.mark.parametrize("lo", ["0", "-1"])

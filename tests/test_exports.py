@@ -17,15 +17,15 @@ EXPORTS = {
     "eigensolve": ["DIRICHLET", "PERIODIC", "DiscretizedOperator", "EigenResult", "Grid",
                    "discretize", "eigen_lowest", "observed_order", "refine"],
     "models": ["QuantumNumbers", "SpectrumRecord", "all_within", "coulomb_energy",
-               "coulomb_lambda", "coulomb_numeric_level", "degeneracy_report", "flat_energy",
-               "heun_regime_scan", "oscillator_energy", "oscillator_lambda",
-               "oscillator_numeric_level", "scan_curve", "toy_radial_solution",
-               "verify_coulomb", "verify_oscillator"],
-    "separation": ["AngularProblem", "CosSquaredProfile", "CoulombLike", "FlatProfile",
-                   "OscillatorLike", "PowerWell", "RadialProblem", "SeparableModel",
+               "coulomb_numeric_level", "degeneracy_report", "flat_energy", "heun_regime_scan",
+               "oscillator_energy", "oscillator_numeric_level", "scan_curve",
+               "toy_radial_solution", "verify_coulomb", "verify_oscillator"],
+    "separation": ["AngularProblem", "CosSquaredProfile", "CoulombLike", "ExactRadial",
+                   "FlatProfile", "OscillatorLike", "PowerWell", "RadialProblem", "SeparableModel",
                    "TabulatedProfile", "angular_problem", "angular_wavefunction_recompose",
-                   "load_model", "model_from_dict", "pct_map", "radial_problem", "radial_to_R",
-                   "w_eff", "w_tilde", "zeta_coefficients"],
+                   "coulomb_lambda", "load_model", "model_from_dict", "oscillator_lambda",
+                   "pct_map", "radial_problem", "radial_to_R", "w_eff", "w_tilde",
+                   "zeta_coefficients"],
     "specfun": ["BesselOrder", "bessel_j", "laguerre_assoc"],
 }
 
@@ -36,6 +36,14 @@ def test_exports_are_their_defining_modules_objects(module):
     for name in EXPORTS[module]:
         assert getattr(pdm_polar, name) is getattr(defining, name), name
         assert name in dir(pdm_polar), name
+
+
+def test_models_reads_the_radial_closed_forms_of_separation():
+    # callers that reach them through models get the one definition
+    from pdm_polar import models, separation
+
+    for name in ("coulomb_lambda", "oscillator_lambda", "coulomb_rho_max"):
+        assert getattr(models, name) is getattr(separation, name), name
 
 
 def test_numpy_is_bound_on_the_first_array_read_of_each_module():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from pdm_polar import (
     CosSquaredProfile,
+    CoulombLike,
     Ordering,
+    OscillatorLike,
     QuantumNumbers,
     SpectrumRecord,
     all_within,
@@ -39,8 +41,6 @@ from pdm_polar import (
 from pdm_polar import cli
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
-    COULOMB,
-    OSCILLATOR,
     angular_confined_levels,
     scan_level,
     verify_family,
@@ -245,19 +245,19 @@ def test_coulomb_energy_is_an_eigenvalue_of_the_von_roos_hamiltonian(ordering, b
             assert abs(ratio.imag) <= 1e-12, (rho, phi)
 
 
-def _closed_radial(family, params, n_rho):
+def _closed_radial(potential, n_rho):
     """The oracle's own radial state U and potential v of a family, as mpmath
     functions: the unnormalized 3D hydrogen or oscillator state at
-    l = ell - 1/2, with ell read from the family's parameters."""
+    l = ell - 1/2, with ell read from the potential's parameters."""
     import mpmath
 
-    if family is COULOMB:
-        b = mpmath.mpf(params[0])
+    if isinstance(potential, CoulombLike):
+        b = mpmath.mpf(potential.b)
         ell = b - n_rho - mpmath.mpf(1) / 2
         return (lambda r: r ** (ell + 0.5) * mpmath.exp(-r / b)
                 * mpmath.laguerre(n_rho, 2 * ell, 2 * r / b),
                 lambda r: r**2 / (2 * b**2) - r)
-    a, d = (mpmath.mpf(x) for x in params)
+    a, d = mpmath.mpf(potential.a), mpmath.mpf(potential.d)
     ell = d / a - 2 * n_rho - 1
     return (lambda r: r ** (ell + 0.5) * mpmath.exp(-a * r**2 / 4)
             * mpmath.laguerre(n_rho, ell, a * r**2 / 2),
@@ -270,16 +270,16 @@ def von_roos_cases(draw):
     ell >= 0.3, and a point (rho, phi) away from rho = 0 and the cos^2 mass zeros."""
     alpha = draw(st.floats(-2.0, 2.0), label="alpha")
     gamma = draw(st.floats(-2.0, 2.0), label="gamma")
-    family = draw(st.sampled_from([COULOMB, OSCILLATOR]), label="family")
+    family = draw(st.sampled_from([CoulombLike, OscillatorLike]), label="family")
     n_rho = draw(st.integers(0, 2), label="n_rho")
     ell = draw(st.floats(0.3, 3.0), label="nominal ell")
-    if family is COULOMB:
-        params = (n_rho + 0.5 + ell,)
+    if family is CoulombLike:
+        potential = CoulombLike(1.0 / (n_rho + 0.5 + ell))
     else:
         a_param = draw(st.floats(0.5, 2.0), label="a")
-        params = (a_param, a_param * (2 * n_rho + 1 + ell))
+        potential = OscillatorLike(a_param, a_param * (2 * n_rho + 1 + ell))
     rho = draw(st.floats(0.5, 5.0), label="rho")
-    return alpha, gamma, family, params, n_rho, rho
+    return alpha, gamma, potential, n_rho, rho
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -288,12 +288,12 @@ def test_printed_energy_and_w_eff_satisfy_the_von_roos_hamiltonian(case, profile
     # flat: H psi / psi is the printed energy; cos^2: H[R f^(1/4) chi(q)] / (R f^(1/4))
     # is -(1/2) chi'' + W_eff chi, with the package's float w_eff
     mpmath = pytest.importorskip("mpmath")
-    alpha, gamma, family, params, n_rho, rho = case
+    alpha, gamma, potential, n_rho, rho = case
     triple = (Fraction(alpha), -1 - Fraction(alpha) - Fraction(gamma), Fraction(gamma))
     ordering = make_ambiguity(alpha, float(triple[1]), gamma)
-    lam = family.lam(*params, n_rho)
+    lam = potential.lam(n_rho)
     with mpmath.workdps(30):
-        u, v = _closed_radial(family, params, n_rho)
+        u, v = _closed_radial(potential, n_rho)
         if profile == "flat":
             m = data.draw(st.integers(-3, 3), label="m")
             phi = data.draw(st.floats(0.0, 2.0 * math.pi), label="phi")
@@ -378,7 +378,7 @@ def test_verify_oscillator_default_wall_holds_a_deep_well(a_param, d, n_rho_max)
 
 @pytest.mark.parametrize("a_param", [0.5, 1.0, 2.0])
 def test_oscillator_default_wall_keeps_its_floor(a_param):
-    assert OSCILLATOR.default_wall(a_param, 12.0 * a_param) == 12.0 / math.sqrt(a_param)
+    assert OscillatorLike(a_param, 12.0 * a_param).default_wall() == 12.0 / math.sqrt(a_param)
 
 
 def test_verify_oscillator_domain_guard():
@@ -414,6 +414,9 @@ def test_verify_coulomb_domain_guard():
         verify_coulomb(1.5, 1, 1e-4)
     with pytest.raises(DomainError):
         verify_coulomb(3.0, -1, 1e-4)
+    # omega = 1/b has no value at b = 0
+    with pytest.raises(DomainError):
+        verify_coulomb(0.0, 0, 1e-4)
 
 
 @pytest.mark.parametrize("call", [
@@ -467,35 +470,35 @@ def test_zero_zeta_levels_resolve_the_last_index_below_a_quarter_of_the_ring():
 # closed radial states
 
 
-def family_params(family, n_rho, ell, a_param=0.7):
-    """The family's parameters whose level n_rho has radial order ell, and that ell."""
-    if family is COULOMB:
-        params = (n_rho + ell + 0.5,)
+def family_potential(family, n_rho, ell, a_param=0.7):
+    """The family's potential whose level n_rho has radial order ell, and that ell."""
+    if family is CoulombLike:
+        v = CoulombLike(1.0 / (n_rho + ell + 0.5))
     else:
-        params = (a_param, a_param * (2 * n_rho + ell + 1))
-    return params, math.sqrt(family.lam(*params, n_rho) + 1.0)
+        v = OscillatorLike(a_param, a_param * (2 * n_rho + ell + 1))
+    return v, math.sqrt(v.lam(n_rho) + 1.0)
 
 
-@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+@pytest.mark.parametrize("family", [CoulombLike, OscillatorLike], ids=["coulomb", "oscillator"])
 def test_closed_state_matches_an_mpmath_laguerre_state(family):
     mpmath = pytest.importorskip("mpmath")
     for n_rho in range(4):
         for nominal_ell in (0.2, 0.6, 1.17, 2.5, 8.0):
-            params, ell = family_params(family, n_rho, nominal_ell)
-            if family is COULOMB:
-                (b,) = params
+            v, ell = family_potential(family, n_rho, nominal_ell)
+            if family is CoulombLike:
+                b = v.b
 
                 def u(r):
                     return (r ** (ell + 0.5) * mpmath.exp(-r / b)
                             * mpmath.laguerre(n_rho, 2 * ell, 2 * r / b))
             else:
-                a_param = params[0]
+                a_param = v.a
 
                 def u(r):
                     return (r ** (ell + 0.5) * mpmath.exp(-a_param * r * r / 4)
                             * mpmath.laguerre(n_rho, ell, a_param * r * r / 2))
 
-            wall = family.default_wall(*params)
+            wall = v.default_wall()
             rho = np.linspace(wall / 400, wall, 30)
             with mpmath.workdps(20):
                 norm = mpmath.sqrt(mpmath.quad(lambda r: u(r) ** 2,
@@ -503,49 +506,49 @@ def test_closed_state_matches_an_mpmath_laguerre_state(family):
                 ref = np.array([float(u(mpmath.mpf(r)) / norm) for r in rho])
             # an independent sign: the largest sample is positive
             ref *= np.sign(ref[np.argmax(np.abs(ref))])
-            got = family.state(*params, n_rho, ell, rho)
+            got = v.state(n_rho, ell, rho)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (n_rho, nominal_ell)
 
 
-@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+@pytest.mark.parametrize("family", [CoulombLike, OscillatorLike], ids=["coulomb", "oscillator"])
 def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(family):
     # 500, 1001 and 2003 points: each grid halves the spacing of the one before
     for n_rho in range(3):
         for nominal_ell in (1.0, 1.17, 2.5, 8.0):
-            params, _ = family_params(family, n_rho, nominal_ell, a_param=1.0)
-            errors = [sweep_state_errors(family, params, n_rho, n_points=n)[n_rho]
+            v, _ = family_potential(family, n_rho, nominal_ell, a_param=1.0)
+            errors = [sweep_state_errors(v, n_rho, n_points=n)[n_rho]
                       for n in (500, 1001, 2003)]
             for coarse, fine in zip(errors, errors[1:]):
                 assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.3), (n_rho, nominal_ell)
 
 
-@pytest.mark.parametrize("family", [COULOMB, OSCILLATOR], ids=["coulomb", "oscillator"])
+@pytest.mark.parametrize("family", [CoulombLike, OscillatorLike], ids=["coulomb", "oscillator"])
 def test_closed_state_largest_lobe_is_positive(family):
     for n_rho in range(12):
         for nominal_ell in (0.02, 0.1, 0.2, 0.5, 0.6, 1.0, 1.17, 2.5, 8.0, 20.0, 40.0):
-            params, ell = family_params(family, n_rho, nominal_ell)
-            reach = (family.default_wall(*params) if family is COULOMB
-                     else 4.0 * math.sqrt(params[1]) / params[0] + 10.0)
-            u = family.state(*params, n_rho, ell, np.linspace(reach / 20000, reach, 20000))
+            v, ell = family_potential(family, n_rho, nominal_ell)
+            reach = (v.default_wall() if family is CoulombLike
+                     else 4.0 * math.sqrt(v.d) / v.a + 10.0)
+            u = v.state(n_rho, ell, np.linspace(reach / 20000, reach, 20000))
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
 
 
-def sweep_state_errors(family, params, n_rho_max, **kwargs):
+def sweep_state_errors(v, n_rho_max, **kwargs):
     """The state errors of :func:`verify_sweep`, one per level."""
-    return [error for _, error in verify_sweep(family, params, n_rho_max, **kwargs)]
+    return [error for _, error in verify_sweep(v, n_rho_max, **kwargs)]
 
 
-def reference_state_errors(family, params, n_rho_max, n_points):
+def reference_state_errors(v, n_rho_max, n_points):
     """Each level's closed state against the eigenvector of its operator on
     the default wall grid, built here from the solver's primitives."""
-    grid = Grid(0.0, family.default_wall(*params), n_points, DIRICHLET)
+    grid = Grid(0.0, v.default_wall(), n_points, DIRICHLET)
     errors = []
-    for n_rho, _, ell in family.levels(params, n_rho_max):
+    for n_rho, _, ell in v.levels(n_rho_max):
         c = ell * ell - 0.25
-        op = discretize(lambda r: c / r**2 + family.w(*params, r), grid)
+        op = discretize(lambda r: c / r**2 + v.w(r), grid)
         numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
-        closed = family.state(*params, n_rho, ell, grid.points)
+        closed = v.state(n_rho, ell, grid.points)
         numeric = math.copysign(1.0, numeric @ closed) * numeric
         errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
     return errors
@@ -562,51 +565,60 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
     # the sweep's guards hold before either check solves
     with pytest.raises(DomainError,
                        match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 1000"):
-        verify_sweep(OSCILLATOR, (1.0, 4001.0), 1000, n_points=4000)
+        verify_sweep(OscillatorLike(1.0, 4001.0), 1000, n_points=4000)
     with pytest.raises(DomainError, match="n_rho_max must be >= 0"):
-        verify_sweep(OSCILLATOR, (1.0, 4.0), -1)
+        verify_sweep(OscillatorLike(1.0, 4.0), -1)
     with pytest.raises(DomainError, match="at least 16 points"):
-        verify_sweep(COULOMB, (3.0,), 0, n_points=8)
+        verify_sweep(CoulombLike(1.0 / 3.0), 0, n_points=8)
 
 
-@pytest.mark.parametrize("family, params", [
-    (COULOMB, (3.0,)), (COULOMB, (5.3,)), (OSCILLATOR, (1.0, 8.0)), (OSCILLATOR, (0.7, 9.0)),
+@pytest.mark.parametrize("v", [
+    CoulombLike(1.0 / 3.0), CoulombLike(1.0 / 5.3), OscillatorLike(1.0, 8.0), OscillatorLike(0.7, 9.0),
 ], ids=["coulomb-3", "coulomb-5.3", "oscillator-8", "oscillator-0.7-9"])
-def test_verify_sweep_is_verify_family_and_state_errors(family, params):
+def test_verify_sweep_is_verify_family_and_state_errors(v):
     # the one sweep of the verify command gives both checks' values bit for bit
-    pairs = verify_sweep(family, params, 2, n_points=1024)
-    assert [record for record, _ in pairs] == verify_family(family, params, 2, n_points=1024)
-    assert [error for _, error in pairs] == reference_state_errors(family, params, 2, 1024)
+    pairs = verify_sweep(v, 2, n_points=1024)
+    assert [record for record, _ in pairs] == verify_family(v, 2, n_points=1024)
+    assert [error for _, error in pairs] == reference_state_errors(v, 2, 1024)
 
 
 @pytest.mark.parametrize("sweep", [verify_family, verify_sweep], ids=["verify", "both"])
-def test_sweep_refuses_an_unresolved_index_before_any_level(sweep):
+def test_sweep_refuses_an_unresolved_index_before_any_level(sweep, monkeypatch):
     # an index far past the grid is refused before a list of 3e6 levels is built
     calls = {"lam": 0}
+    lam = CoulombLike.lam
 
-    def lam(*args):
+    def counted(self, n_rho):
         calls["lam"] += 1
-        return COULOMB.lam(*args)
+        return lam(self, n_rho)
 
-    counted = dataclasses.replace(COULOMB, lam=lam)
+    monkeypatch.setattr(CoulombLike, "lam", counted)
     with pytest.raises(DomainError,
                        match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 3000000"):
-        sweep(counted, (1e9,), 3_000_000)
+        sweep(CoulombLike(1e-9), 3_000_000)
     assert calls["lam"] == 0
 
 
-@pytest.mark.parametrize("family, params", [(COULOMB, (3.0,)), (OSCILLATOR, (1.0, 6.0))],
+@pytest.mark.parametrize("v", [CoulombLike(1.0 / 3.0), OscillatorLike(1.0, 6.0)],
                          ids=["coulomb", "oscillator"])
-def test_state_errors_flag_a_wrong_state(family, params):
-    assert max(sweep_state_errors(family, params, 2)) < 1e-4
+def test_state_errors_flag_a_wrong_state(v):
+    family = type(v)
+
+    class Shifted(family):
+        def state(self, n_rho, ell, rho):
+            return family.state(self, n_rho + 1, ell, rho)
+
+    class Flipped(family):
+        def state(self, n_rho, ell, rho):
+            return -family.state(self, n_rho, ell, rho)
+
+    params = dataclasses.astuple(v)
+    assert max(sweep_state_errors(v, 2)) < 1e-4
     # each eigenvector is far from the closed state of the next level
-    shifted = dataclasses.replace(
-        family, state=lambda *args: family.state(*args[:-3], args[-3] + 1, *args[-2:]))
-    assert min(sweep_state_errors(shifted, params, 2, n_points=1000)) > 0.5
+    assert min(sweep_state_errors(Shifted(*params), 2, n_points=1000)) > 0.5
     # the eigenvector's sign is arbitrary, so the check aligns it
-    flipped = dataclasses.replace(family, state=lambda *args: -family.state(*args))
-    assert (sweep_state_errors(flipped, params, 2, n_points=1000)
-            == sweep_state_errors(family, params, 2, n_points=1000))
+    assert (sweep_state_errors(Flipped(*params), 2, n_points=1000)
+            == sweep_state_errors(v, 2, n_points=1000))
 
 
 # ---------------------------------------------------------------------------
