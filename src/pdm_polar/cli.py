@@ -164,7 +164,7 @@ def cmd_verify(args):
     # resolved after the sweep refused a model without levels, whose default wall may not exist
     rho_max = v.wall(args.rho_max)
 
-    ok = md.all_within([r for r, _ in levels], args.tol)
+    ok = md.sweep_passes(levels, args.tol)
     payload = {
         "command": "verify",
         "model": v.header(),

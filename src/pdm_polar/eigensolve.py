@@ -26,19 +26,18 @@ request from its compiled LAPACK extension ``scipy/linalg/_flapack``
 process several times what the solves of one command do.  Code that never
 solves does not load the extension either.
 
-The boundary is decided once, in ``_sectors``: a Dirichlet operator is one
-symmetric tridiagonal, and a ring splits into its even and odd
-reflection-parity sectors, each again a plain symmetric tridiagonal.  The
-split keeps the kernel purely tridiagonal and makes the double degeneracy
-of travelling-wave pairs explicit.  It requires the diagonal and the
-off-diagonal to be reflection symmetric about x_min, which holds for every
-ring this package builds.  It is made once per operator and kept on it
-(``DiscretizedOperator.sectors``), so the counts, windows and index
-searches of one solve share it.  The requests by value and by index run
-over the sectors and merge what they return.  Eigenpairs are returned on
-Dirichlet grids only, so :func:`eigen_lowest` refuses a ring; a ring's
-vector is computed only inside :func:`eigenvalue_slope`, on the one sector
-that holds the level (``_sector_nodes``).
+The operator owns what every request reads, made once and kept on it:
+``inf_norm``, the bisection ``floor`` and the ``sectors``, where the
+boundary is decided.  A Dirichlet operator is one symmetric tridiagonal on
+every node; a ring splits into its even and odd reflection-parity sectors,
+each a plain symmetric tridiagonal on its own nodes.  The split keeps the
+kernel purely tridiagonal and makes the double degeneracy of travelling-wave
+pairs explicit.  It requires the diagonal and the off-diagonal to be
+reflection symmetric about x_min, which holds for every ring this package
+builds.  The requests by value and by index run over the sectors and merge
+what they return.  Eigenpairs are returned on Dirichlet grids only, so
+:func:`eigen_lowest` refuses a ring; a ring's vector is computed only inside
+:func:`eigenvalue_slope`, on the one sector that holds the level.
 
 :func:`eigenvalue` searches the whole spectrum for its index, from the
 Gershgorin interval, in every sector.  Given a guess and a width, it first
@@ -84,8 +83,7 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 # refine_eigenvalue bisects its level at h, and the lambda scan the level at
 # its root, within COARSE_WINDOW * |guess| of the guess, and no window is
-# narrower than _WINDOW_FLOOR * eps * ||T||inf (or the smallest normal float,
-# for a zero operator)
+# narrower than the operator's floor, _WINDOW_FLOOR eps ||T||inf
 COARSE_WINDOW = 2e-2
 _WINDOW_FLOOR = 4.0
 
@@ -140,7 +138,9 @@ class Grid:
 class DiscretizedOperator:
     """Symmetric tridiagonal matrix for -c u'' + V u; on a ring the corner
     entries that close it equal ``off_diagonal[0]``, their mirror image under
-    the reflection about node 0 that the parity split requires."""
+    the reflection about node 0 that the parity split requires.  Its norm,
+    floor and sectors are made on first use and kept, so the requests of one
+    solve share them."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
@@ -150,7 +150,9 @@ class DiscretizedOperator:
     def n(self) -> int:
         return self.diagonal.shape[0]
 
+    @functools.cached_property
     def inf_norm(self) -> float:
+        """||T||inf, the largest absolute row sum, ring corners included."""
         row = np.abs(self.diagonal).copy()
         row[:-1] += np.abs(self.off_diagonal)
         row[1:] += np.abs(self.off_diagonal)
@@ -160,10 +162,19 @@ class DiscretizedOperator:
         return float(np.max(row))
 
     @functools.cached_property
+    def floor(self) -> float:
+        """Half-width of the narrowest window bisected by value: the bisection
+        tolerance, or the smallest normal float for a zero operator."""
+        return max(_WINDOW_FLOOR * _EPS * self.inf_norm, _TINY)
+
+    @functools.cached_property
     def sectors(self):
-        """The operator split by ``_sectors``, made on first use and kept, so
-        the requests on one operator share one split."""
-        return _sectors(self)
+        """(diagonal, off-diagonal, nodes) of each symmetric tridiagonal whose
+        spectra together are the operator's: one on every node of a Dirichlet
+        operator, a ring's two parity sectors (:func:`_parity_sectors`)."""
+        if self.grid.boundary == PERIODIC:
+            return _parity_sectors(self)
+        return ((self.diagonal, self.off_diagonal, slice(None)),)
 
 
 @dataclass(frozen=True)
@@ -240,14 +251,6 @@ def _flapack():
     return module
 
 
-def _routines():
-    """LAPACK's double-precision ``?stebz`` and ``?stein``: the ``dstebz`` and
-    ``dstein`` of :func:`_flapack`, the objects that
-    ``scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=float64)`` returns."""
-    flapack = _flapack()
-    return flapack.dstebz, flapack.dstein
-
-
 def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
             vectors: bool = False, tol: float = 0.0):
     """The one LAPACK call site: ascending eigenvalues of one symmetric
@@ -258,19 +261,18 @@ def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
     the same request (1-based indices; vectors by inverse iteration on the
     block-ordered values, then sorted), without its per-call validation.
     """
-    stebz, stein = _routines()
     lo, hi = select_range
     if select == "i":
         bounds = (2, 0.0, 1.0, lo + 1, hi + 1)
     else:
         bounds = (1, lo, hi, 1, 1)
-    m, w, block, split, info = stebz(diag, off, *bounds, tol, "B" if vectors else "E")
+    m, w, block, split, info = _flapack().dstebz(diag, off, *bounds, tol, "B" if vectors else "E")
     if info != 0:  # pragma: no cover - degenerate cluster
         raise DomainError(f"?stebz failed (LAPACK info = {info})")
     w = w[:m]
     if not vectors:
         return w
-    v, info = stein(diag, off, w, block, split)
+    v, info = _flapack().dstein(diag, off, w, block, split)
     if info != 0:  # pragma: no cover - degenerate cluster
         raise DomainError(f"?stein: {info} eigenvectors failed to converge")
     order = np.argsort(w)
@@ -288,7 +290,7 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
 
 
 def _parity_sectors(op: DiscretizedOperator):
-    """(diagonal, off-diagonal) of the even and the odd reflection-parity sector.
+    """(diagonal, off-diagonal, nodes) of the even and the odd reflection-parity sector.
 
     The even sector holds nodes 0..m (m = n/2), the odd one nodes 1..m-1, so
     both have more than n/4 rows and any index below n/4 exists in each.
@@ -296,6 +298,11 @@ def _parity_sectors(op: DiscretizedOperator):
     scaled by sqrt(2).  The diagonal is symmetrized about node 0 first; a
     diagonal or off-diagonal that is not reflection symmetric there (node i
     mirrors node n - i) raises DomainError.
+
+    A sector's unit eigenvector y is the ring's unit eigenvector u on the
+    sector's nodes, with u_i = y_i / sqrt(2) off nodes 0 and m and u_(n-i) =
+    +u_i (even) or -u_i (odd); so sum(r[nodes] * y**2) = <u| r |u> for a
+    reflection-symmetric r.
     """
     m = op.n // 2
     tail, off = op.diagonal[1:], op.off_diagonal
@@ -310,30 +317,8 @@ def _parity_sectors(op: DiscretizedOperator):
     diag[1:] = 0.5 * tail + 0.5 * tail[::-1]
     e_even = off[:m].copy()
     e_even[[0, -1]] *= math.sqrt(2.0)
-    even, odd = _sector_nodes(op)
-    return (diag[even], e_even), (diag[odd], off[1 : m - 1])
-
-
-def _sectors(op: DiscretizedOperator):
-    """The symmetric tridiagonals whose spectra together are the operator's.
-
-    The one place the boundary is decided: a Dirichlet operator is its own
-    single sector, a ring its two reflection-parity sectors.  Solves read it
-    through :attr:`DiscretizedOperator.sectors`, which splits once per operator.
-    """
-    if op.grid.boundary == PERIODIC:
-        return _parity_sectors(op)
-    return ((op.diagonal, op.off_diagonal),)
-
-
-def _sector_nodes(op: DiscretizedOperator):
-    """The grid nodes of each sector of :func:`_sectors`, as slices: every
-    node of a Dirichlet operator; nodes 0..m and 1..m-1 (m = n/2) of a ring's
-    even and odd sector, whose unit vectors have these nodes' weights."""
-    if op.grid.boundary == PERIODIC:
-        m = op.n // 2
-        return slice(0, m + 1), slice(1, m)
-    return (slice(None),)
+    even, odd = slice(0, m + 1), slice(1, m)
+    return (diag[even], e_even, even), (diag[odd], off[1 : m - 1], odd)
 
 
 def eigen_lowest(op: DiscretizedOperator, k: int) -> EigenResult:
@@ -379,7 +364,7 @@ def _by_index(op: DiscretizedOperator, index: int) -> tuple[float, int]:
     sectors = op.sectors
     # a lone sector is asked for the index alone, several for their lowest index + 1
     first = index if len(sectors) == 1 else 0
-    levels = [(float(w), s) for s, (diag, off) in enumerate(sectors)
+    levels = [(float(w), s) for s, (diag, off, _) in enumerate(sectors)
               for w in _lapack(diag, off, "i", (first, index))]
     return sorted(levels)[index - first]
 
@@ -393,17 +378,17 @@ def eigenvalue_slope(op: DiscretizedOperator, index: int, rate: np.ndarray) -> t
     sector that holds it: the Hellmann-Feynman theorem, dE/dt = <psi| dT/dt
     |psi> (R. P. Feynman, Phys. Rev. 56, 340 (1939)).  psi comes from one
     more request, by value, on that sector alone, in the window of
-    half-width ``_WINDOW_FLOOR * eps * ||T||inf`` that holds the level at the
-    bisection tolerance.  ``rate`` has one entry per grid point and, on a
-    ring, the reflection symmetry about node 0 that the potential has.
+    half-width ``op.floor`` that holds the level at the bisection tolerance.
+    ``rate`` has one entry per grid point and, on a ring, the reflection
+    symmetry about node 0 that the potential has.
     """
     op.grid.check_index(index)
     value, sector = _by_index(op, index)
-    diag, off = op.sectors[sector]
-    w = max(_WINDOW_FLOOR * _EPS * op.inf_norm(), _TINY)
+    diag, off, nodes = op.sectors[sector]
+    w = op.floor
     values, vectors = _lapack(diag, off, "v", (value - w, value + w), vectors=True)
     psi = vectors[:, int(np.argmin(np.abs(values - value)))]
-    return value, float(rate[_sector_nodes(op)[sector]] @ psi**2)
+    return value, float(rate[nodes] @ psi**2)
 
 
 def count_below(op: DiscretizedOperator, x: float) -> int:
@@ -413,30 +398,29 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
     eigenvalue of a given index lies above x exactly when the count is at
     most that index.
     """
-    return sum(_count(diag, off, x) for diag, off in op.sectors)
+    return sum(_count(diag, off, x) for diag, off, _ in op.sectors)
 
 
 def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
     """The level of the given index if one Sturm-certified window holds it, else None.
 
-    The window is (guess - w, guess + w], w = |width| floored by
-    ``_WINDOW_FLOOR * eps * ||T||inf`` (the smallest normal float for a zero
-    operator); a guess outside [-||T||inf, ||T||inf] is moved to its nearer
-    end.  It holds the level when at most ``index`` eigenvalues lie at or
-    below guess - w (:func:`count_below`) and the window holds the rest up
-    to ``index``; a window that the count already rules out is not bisected.
+    The window is (guess - w, guess + w], w = |width| floored by ``op.floor``;
+    a guess outside [-||T||inf, ||T||inf] is moved to its nearer end.  It
+    holds the level when at most ``index`` eigenvalues lie at or below
+    guess - w (:func:`count_below`) and the window holds the rest up to
+    ``index``; a window that the count already rules out is not bisected.
     """
     if not (math.isfinite(guess) and math.isfinite(width)):
         raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
-    norm = op.inf_norm()
+    norm = op.inf_norm
     guess = min(max(guess, -norm), norm)
-    w = max(abs(width), _WINDOW_FLOOR * _EPS * norm, _TINY)
+    w = max(abs(width), op.floor)
     lo, hi = guess - w, guess + w
     below = count_below(op, lo)
     if below > index:
         return None
     inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
-                                     for diag, off in op.sectors]))
+                                     for diag, off, _ in op.sectors]))
     return float(inside[index - below]) if index < below + len(inside) else None
 
 

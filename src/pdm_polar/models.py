@@ -97,6 +97,7 @@ class SpectrumRecord:
 
     ``provenance`` is "closed-form", "numeric", or "both"; ``delta`` is the
     absolute closed-versus-numeric difference when both sides exist.
+    ``energy`` is what the solver found when it ran, else the closed value.
     """
 
     qn: QuantumNumbers
@@ -111,7 +112,7 @@ class SpectrumRecord:
 
     @property
     def energy(self) -> float:
-        return self.energy_closed if self.energy_closed is not None else self.energy_numeric
+        return self.energy_numeric if self.energy_numeric is not None else self.energy_closed
 
 
 @dataclass(frozen=True)
@@ -175,24 +176,18 @@ def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None)
         yield n_rho, lam, ell, _operator(v, ell, grid)
 
 
-def _numeric_level(v: ExactRadial, ell: float, n_rho: int, op: DiscretizedOperator,
-                   closed: float) -> tuple[float, float]:
-    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
-    one Richardson refinement of the operator op, bisected around the closed
-    value."""
-    return refine_eigenvalue(op, functools.partial(_operator, v, ell), n_rho, closed)
-
-
 def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
                 rho_max: float | None) -> tuple[float, float]:
-    """:func:`_numeric_level` on the level's own wall grid.  ell and n_rho are
-    checked first, and only then is ``potential()`` built, since a bad ell or
-    n_rho can empty the level's own b."""
+    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
+    one Richardson refinement on the level's own wall grid, bisected around
+    the closed value.  ell and n_rho are checked first, and only then is
+    ``potential()`` built, since a bad ell or n_rho can empty the level's own b."""
     _check_order(ell)
     _check_index(n_points, n_rho)
     v = potential()
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
-    return _numeric_level(v, ell, n_rho, _operator(v, ell, grid), v.closed(n_rho, ell))
+    return refine_eigenvalue(_operator(v, ell, grid), functools.partial(_operator, v, ell),
+                             n_rho, v.closed(n_rho, ell))
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -219,9 +214,10 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 
 def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
             op: DiscretizedOperator) -> SpectrumRecord:
-    """The closed spectral value of one sweep level against its numeric one."""
+    """The closed spectral value of one sweep level against its numeric one,
+    refined from the level's operator op around the closed value."""
     closed = v.closed(n_rho, ell)
-    numeric, conv = _numeric_level(v, ell, n_rho, op, closed)
+    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, ell), n_rho, closed)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
         lam=lam,
@@ -304,6 +300,14 @@ def all_within(records, tol: float) -> bool:
     return all(r.delta is None or r.delta <= tol for r in records)
 
 
+def sweep_passes(levels, tol: float) -> bool:
+    """True when every (record, state error) of :func:`verify_sweep` is within
+    tol and its state error is below 1/2, half the distance of the zero function
+    from a unit eigenvector: a grid or wall that does not hold the closed state
+    checked nothing, however small its delta (resolved grids measure <= 0.2)."""
+    return all_within([r for r, _ in levels], tol) and all(e < 0.5 for _, e in levels)
+
+
 # ---------------------------------------------------------------------------
 # cos^2 toy system
 
@@ -332,26 +336,22 @@ def _ring_factors(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return factors
 
 
-def _scan_potential(a: AmbiguitySet, lam: float, grid: Grid):
-    """cos^2-profile effective potential (z1 sin^2 x - z2)/cos^4 x on the ring.
-
-    :func:`discretize` calls it on ``grid.points``, where the factors were
-    sampled; the operations and their order are those of the closed expression.
-    """
-    z1, z2 = zeta_coefficients(a, lam)
-    s2, c4, _ = _ring_factors(grid)
-    return lambda x: (z1 * s2 - z2) / c4
-
-
 def _scan_operator(a: AmbiguitySet, lam: float, state_index: int, n_points: int):
-    """The discretized ring of :func:`scan_level`, built after its guards."""
+    """The discretized ring of :func:`scan_level`, built after its guards.
+
+    Its potential is the cos^2-profile (z1 sin^2 x - z2)/cos^4 x, formed from
+    the ring's sampled factors (:func:`discretize` calls it on the points
+    where they were sampled), the operations in the closed expression's order.
+    """
     if n_points % 4 != 2:
         raise DomainError(
             f"scan rings need n_points % 4 == 2 to keep nodes off the mass zeros, got {n_points}"
         )
     grid = Grid(0.0, 2.0 * math.pi, n_points, PERIODIC)
     grid.check_index(state_index, "state_index")
-    return discretize(_scan_potential(a, lam, grid), grid, prefactor=0.5)
+    z1, z2 = zeta_coefficients(a, lam)
+    s2, c4, _ = _ring_factors(grid)
+    return discretize(lambda x: (z1 * s2 - z2) / c4, grid, prefactor=0.5)
 
 
 def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,

@@ -195,6 +195,26 @@ def test_verify_coulomb_reports_closed_form_mismatch(coulomb_model_file):
         assert row["energy_closed"] == pytest.approx(-1.0 / 9.0, rel=1e-12)
 
 
+def test_verify_fails_where_the_grid_cannot_hold_a_closed_state(tmp_path, capsys):
+    # omega = 1e-20 puts the default wall at 2e40 on 4000 points: every delta
+    # is within the tolerance, but the closed state samples to zeros, at state
+    # error 1 from the unit eigenvector, so the sweep checked nothing
+    path = write_model(tmp_path, "vacuous.json", {
+        "f": "flat", "potential": {"coulomb_like": {"omega": 1e-20}}, "ordering": "bendaniel-duke"})
+    assert main(["verify", "--model", str(path)]) == 4
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["all_within_tol"] is False
+    assert all(row["delta"] <= payload["tol"] and row["state_error"] == 1.0
+               for row in payload["records"])
+    assert json.loads(err)["error"]["exit_code"] == 4
+    # a resolved sweep still passes
+    assert main(["verify", "--model", str(GOLDEN / "coulomb.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_within_tol"] is True
+    assert max(row["state_error"] for row in payload["records"]) < 0.5
+
+
 def test_verify_rejects_empty_sweep(oscillator_model_file):
     # no level to check must not read as a pass
     result = run_cli(["verify", "--model", str(oscillator_model_file), "--n-rho-max=-1"])
@@ -898,7 +918,7 @@ def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_fil
 
     def spy(op, index, **kwargs):
         # the operator at h/2 has the larger norm of the two a level is solved on
-        norms[index] = max(norms.get(index, 0.0), op.inf_norm())
+        norms[index] = max(norms.get(index, 0.0), op.inf_norm)
         return eigenvalue(op, index, **kwargs)
 
     monkeypatch.setattr(eigensolve, "eigenvalue", spy)

@@ -22,7 +22,6 @@ from pdm_polar.eigensolve import (
     DiscretizedOperator,
     Grid,
     _count,
-    _sectors,
     count_below,
     discretize,
     eigen_lowest,
@@ -263,12 +262,12 @@ def test_eigenvalue_matches_eigen_lowest(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
     op = discretize(potential, grid, prefactor=prefactor)
     lowest = reference_lowest(op, k)
-    bound = 4.0 * EPS * op.inf_norm()
+    bound = 4.0 * EPS * op.inf_norm
     for j in range(k):
         value = eigenvalue(op, j)
         assert abs(value - lowest[j]) <= bound
         if grid.boundary == DIRICHLET:
-            tol = 1e-9 * op.inf_norm()
+            tol = 1e-9 * op.inf_norm
             assert sturm_count_below(op.diagonal, op.off_diagonal, value - tol) == j
             assert sturm_count_below(op.diagonal, op.off_diagonal, value + tol) == j + 1
 
@@ -309,7 +308,7 @@ def test_count_below_matches_references(case):
     grid, potential, prefactor, k = SOLVE_CASES[case]
     op = discretize(potential, grid, prefactor=prefactor)
     lowest = reference_lowest(op, k)
-    bound = 4.0 * EPS * op.inf_norm()
+    bound = 4.0 * EPS * op.inf_norm
     # below the spectrum, and midway in every gap between the lowest levels
     # that is wide enough to keep the target clear of both ends
     targets = [lowest[0] - 1.0] + [
@@ -317,15 +316,15 @@ def test_count_below_matches_references(case):
         if above - below > 8.0 * bound
     ]
     assert len(targets) >= 3
-    sectors = _sectors(op)
+    sectors = op.sectors
     for x in targets:
         assert np.min(np.abs(lowest - x)) > bound
         expected = int(np.sum(lowest <= x))
         assert count_below(op, x) == expected
-        for diag, off in sectors:
+        for diag, off, _ in sectors:
             assert _count(diag, off, x) == sturm_count_below(diag, off, x)
     # a target above the Gershgorin interval counts every eigenvalue
-    assert count_below(op, 2.0 * op.inf_norm()) == op.n
+    assert count_below(op, 2.0 * op.inf_norm) == op.n
 
 
 def test_ring_is_split_once_per_operator(monkeypatch):
@@ -340,8 +339,8 @@ def test_ring_is_split_once_per_operator(monkeypatch):
     op = case_operator("cos ring")
     level = eigenvalue(op, 2)
     # a window far from the level misses: count, window and index search in turn
-    assert eigenvalue(op, 2, near=(-10.0 * op.inf_norm(), 0.0)) == level
-    assert count_below(op, 2.0 * op.inf_norm()) == op.n
+    assert eigenvalue(op, 2, near=(-10.0 * op.inf_norm, 0.0)) == level
+    assert count_below(op, 2.0 * op.inf_norm) == op.n
     assert len(splits) == 1 and splits[0] is op
 
 
@@ -349,7 +348,7 @@ def test_eigenvector_normalization_and_residual():
     g = Grid(-8.0, 8.0, 1500, DIRICHLET)
     op = discretize(harmonic, g, prefactor=0.5)
     result = eigen_lowest(op, 4)
-    bound = 1e-8 * op.inf_norm()
+    bound = 1e-8 * op.inf_norm
     for j in range(4):
         v = result.eigenvectors[:, j]
         assert g.h * np.sum(v**2) == pytest.approx(1.0, abs=1e-10)
@@ -396,7 +395,7 @@ def test_ring_with_mirrored_couplings_matches_the_dense_matrix(rng):
     dense[0, -1] = dense[-1, 0] = op.off_diagonal[0]
     reference = np.linalg.eigvalsh(dense)
     # the bisection's floor of 4 eps ||T||inf, and as much again for the dense solve
-    bound = 8.0 * EPS * op.inf_norm()
+    bound = 8.0 * EPS * op.inf_norm
     for j in range(n // 4):
         assert abs(eigenvalue(op, j) - reference[j]) <= bound
     gaps = [0.5 * (below + above) for below, above in zip(reference, reference[1:])
@@ -406,6 +405,24 @@ def test_ring_with_mirrored_couplings_matches_the_dense_matrix(rng):
         assert count_below(op, x) == int(np.sum(reference <= x))
     # the reference product closes the ring with the same corners
     assert np.array_equal(np.column_stack([matvec(op, e) for e in np.eye(n)]), dense)
+
+
+@pytest.mark.parametrize("ring", ["free ring", "cos ring", "mirrored ring"])
+def test_sector_vectors_on_their_nodes_are_eigenvectors_of_the_ring(rng, ring):
+    op = _mirrored_ring(rng, 64) if ring == "mirrored ring" else case_operator(ring)
+    m = op.n // 2
+    # the floor of the vector's own solve, and as much again for the product
+    bound = 8.0 * EPS * op.inf_norm
+    for parity, (diag, off, nodes) in zip((1.0, -1.0), op.sectors):
+        values, vectors = eigensolve._lapack(diag, off, "i", (0, 3), vectors=True)
+        for value, psi in zip(values, vectors.T):
+            u = np.zeros(op.n)
+            u[nodes] = psi / math.sqrt(2.0)
+            # nodes 0 and m are their own mirror images
+            u[[0, m]] *= math.sqrt(2.0)
+            u[m + 1:] = parity * u[m - 1:0:-1]
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(matvec(op, u) - value * u) <= bound
 
 
 def test_ring_with_asymmetric_couplings_is_refused(rng):
@@ -486,7 +503,7 @@ def test_refine_eigenvalue_matches_refine(case):
         np.testing.assert_array_equal(full.convergence_estimate, expected_estimate)
     # (4 fine - coarse) / 3 carries at most 5/3 of the per-solve difference,
     # and |extrapolated - fine| one per-solve difference more
-    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm()
+    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm
     for rule, guess_of in GUESS_RULES.items():
         for j in range(k):
             value, estimate = refine_eigenvalue(factory(grid), factory, j,
@@ -532,7 +549,7 @@ GUESSES = ("zero", "level", "other level", "above", "below", "random")
 )
 def test_window_matches_index_search(op, data, guess_kind):
     index = data.draw(st.integers(0, op.n // 4 - 1), label="index")
-    norm = op.inf_norm()
+    norm = op.inf_norm
     width = data.draw(st.sampled_from([0.0, 1e300])
                       | st.floats(-16.0, 0.5).map(lambda k: norm * 10.0**k), label="width")
     level = eigenvalue(op, index)
@@ -551,7 +568,7 @@ def test_window_matches_index_search(op, data, guess_kind):
 def test_window_splits_the_free_ring_pairs():
     # +/-m pairs are doubly degenerate: each index of a pair returns the pair's value
     op = case_operator("free ring")
-    bound = 4.0 * EPS * op.inf_norm()
+    bound = 4.0 * EPS * op.inf_norm
     for index in range(7):
         level = eigenvalue(op, index)
         for guess in (0.0, level, eigenvalue(op, 6 - index)):
@@ -690,7 +707,7 @@ def test_operator_symmetry_is_structural():
 FRESH_SOLVES = """
 import json, sys
 
-from pdm_polar.eigensolve import (DIRICHLET, Grid, _flapack, _routines, count_below, discretize,
+from pdm_polar.eigensolve import (DIRICHLET, Grid, _flapack, count_below, discretize,
                                   eigen_lowest, eigenvalue)
 
 op = discretize(lambda x: 0.5 * x**2, Grid(-8.0, 8.0, 600, DIRICHLET), prefactor=0.5)
@@ -702,8 +719,8 @@ unloaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 import scipy.linalg
 
 shared = [_flapack().__file__ == scipy.linalg._flapack.__file__,
-          _routines()[0] is scipy.linalg._flapack.dstebz,
-          _routines()[1] is scipy.linalg._flapack.dstein]
+          _flapack().dstebz is scipy.linalg._flapack.dstebz,
+          _flapack().dstein is scipy.linalg._flapack.dstein]
 print(json.dumps([solved, unloaded, shared]))
 """
 
@@ -728,7 +745,7 @@ def test_routines_are_scipys_own():
 
     assert eigensolve._flapack().__file__ == _flapack.__file__
     stebz, stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
-    assert eigensolve._routines()[0] is stebz and eigensolve._routines()[1] is stein
+    assert eigensolve._flapack().dstebz is stebz and eigensolve._flapack().dstein is stein
 
 
 def test_missing_extension_names_the_directories_searched(monkeypatch, tmp_path):
@@ -744,7 +761,10 @@ def test_missing_extension_names_the_directories_searched(monkeypatch, tmp_path)
         finally:
             monkeypatch.undo()
             eigensolve._flapack.cache_clear()
-    assert eigensolve._flapack().dstebz is eigensolve._routines()[0]
+    # the cache cleared of the failures loads scipy's own routines again
+    from scipy.linalg import _flapack
+
+    assert eigensolve._flapack().dstebz is _flapack.dstebz
 
 
 @settings(max_examples=40, deadline=None)
@@ -756,7 +776,7 @@ def test_lapack_requests_match_eigh_tridiagonal(op, data):
     # eigh_tridiagonal's stebz driver fetches its routines through get_lapack_funcs
     from scipy.linalg import eigh_tridiagonal
 
-    for diag, off in op.sectors:
+    for diag, off, _ in op.sectors:
         n = len(diag)
         lo = data.draw(st.integers(0, n - 1), label="lo")
         hi = data.draw(st.integers(lo, min(n - 1, lo + 8)), label="hi")

@@ -86,8 +86,7 @@ def test_verify_payload_matches_library(capsys, model):
         rho_max = 12.0 / v.a**0.5
         header = {"model_kind": "oscillator_like", "a": v.a, "d": v.d}
     levels = md.verify_sweep(v, 1, n_points=1024, rho_max=rho_max)
-    records = [record for record, _ in levels]
-    ok = md.all_within(records, 1e-4)
+    ok = md.sweep_passes(levels, 1e-4)
     assert code == (0 if ok else 4)
     raw_token = json.loads((GOLDEN / f"{model}.json").read_text(encoding="utf-8"))["ordering"]
     assert payload == {

@@ -809,7 +809,7 @@ def test_bracketed_gate_scan_solves_once_and_matches_value_bisection(monkeypatch
     # the root is one eigenvalue of the congruent ring; the residual at lambda* is the one
     # solve, bisected about the target, and the index search's level within its tolerance
     assert solved == [lam_star]
-    bound = 4.0 * float(np.finfo(float).eps) * md._scan_operator(MM, lam_star, 1, n_points).inf_norm()
+    bound = 4.0 * float(np.finfo(float).eps) * md._scan_operator(MM, lam_star, 1, n_points).inf_norm
     index_residual = abs(scan_level(MM, lam_star, state_index=1, n_points=n_points) - 0.5)
     assert abs(residual - index_residual) <= bound
     lo, hi = _value_bisection(MM, 0.5, -1.0, 0.0, state_index=1, n_points=n_points)
@@ -976,7 +976,7 @@ def _assert_curve_is_the_index_search(a, lambda_range, samples, state_index, n_p
     assert [lam for lam, _ in curve] == [float(x) for x in np.linspace(*lambda_range, samples)]
     eps = float(np.finfo(float).eps)
     for lam, energy in curve:
-        bound = 4.0 * eps * md._scan_operator(a, lam, state_index, n_points).inf_norm()
+        bound = 4.0 * eps * md._scan_operator(a, lam, state_index, n_points).inf_norm
         level = scan_level(a, lam, state_index=state_index, n_points=n_points)
         assert abs(energy - level) <= bound, (lam, energy, level)
 
@@ -1190,14 +1190,30 @@ def test_degeneracy_report_alpha_gamma_swap():
 
 
 def test_degeneracy_report_zero_zeta_pairs():
-    # numeric energies alone: +m and -m are two levels of the ring
-    records = [dataclasses.replace(r, energy_closed=None) for r in zero_zeta_records(2, n_points=2050)]
+    # checked records group by their numeric energies: +m and -m are two levels of the ring
+    records = zero_zeta_records(2, n_points=2050)
     groups = degeneracy_report(records)
     multi = [g for g in groups if len(g.records) > 1]
     assert {e for g in multi for e in g.explanations} == {
         "magnetic pair m = +/-1",
         "magnetic pair m = +/-2",
     }
+
+
+def test_degeneracy_report_groups_checked_records_by_their_numeric_energy():
+    # equal closed values, numeric values a relative 1e-6 apart: what the solver
+    # found splits them, where grouping by the closed values would merge them
+    closed = _closed_record(BDD, 4.0, 0, 1)
+    checked = [dataclasses.replace(closed, energy_numeric=closed.energy_closed * (1.0 + s),
+                                   provenance="both", qn=QuantumNumbers(0, m))
+               for s, m in ((0.0, 1), (1e-6, -1))]
+    assert checked[0].energy_closed == checked[1].energy_closed
+    assert [r.energy for r in checked] == [r.energy_numeric for r in checked]
+    groups = degeneracy_report(checked)
+    assert len(groups) == 2 and all(len(g.records) == 1 for g in groups)
+    # closed-only records still group by their closed values
+    merged = degeneracy_report([closed, dataclasses.replace(closed, qn=QuantumNumbers(0, -1))])
+    assert len(merged) == 1 and merged[0].explanations == ("magnetic pair m = +/-1",)
 
 
 def test_degeneracy_report_rejects_empty():
