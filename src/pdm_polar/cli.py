@@ -160,11 +160,11 @@ def cmd_verify(args):
     v = model.v
     if not isinstance(v, sp.ExactRadial):
         raise ConfigError("verification sweeps need a coulomb-like or oscillator-like model")
-    levels = md.verify_sweep(v, args.n_rho_max, n_points=args.n_points, rho_max=args.rho_max)
+    records = md.verify_sweep(v, args.n_rho_max, n_points=args.n_points, rho_max=args.rho_max)
     # resolved after the sweep refused a model without levels, whose default wall may not exist
     rho_max = v.wall(args.rho_max)
 
-    ok = md.sweep_passes(levels, args.tol)
+    ok = md.all_within(records, args.tol)
     payload = {
         "command": "verify",
         "model": v.header(),
@@ -172,7 +172,7 @@ def cmd_verify(args):
         "tol": args.tol,
         "n_points": args.n_points,
         "rho_max": rho_max,
-        "records": [{**md.record_to_row(r), "state_error": e} for r, e in levels],
+        "records": [md.record_to_row(r) for r in records],
         "all_within_tol": ok,
     }
     return _table_output(EXIT_OK if ok else EXIT_TOLERANCE, payload)

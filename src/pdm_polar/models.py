@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ._lazy import LazyNumpy
@@ -93,12 +93,11 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """One spectrum entry, optionally carrying both provenances.
-
-    ``provenance`` is "closed-form", "numeric", or "both"; ``delta`` is the
-    absolute closed-versus-numeric difference when both sides exist.
-    ``energy`` is what the solver found when it ran, else the closed value.
-    """
+    """One spectrum entry, closed or checked: ``provenance`` is "closed-form"
+    or "both"; ``delta`` is the absolute closed-versus-numeric difference
+    when both sides exist; ``state_error`` is None unless the level's state
+    was checked (:func:`verify_sweep`).  ``energy`` is what the solver found
+    when it ran, else the closed value."""
 
     qn: QuantumNumbers
     lam: float
@@ -109,6 +108,7 @@ class SpectrumRecord:
     convergence_estimate: float | None = None
     ordering: AmbiguitySet | None = None
     note: str = ""
+    state_error: float | None = None
 
     @property
     def energy(self) -> float:
@@ -179,15 +179,15 @@ def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None)
 def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
                 rho_max: float | None) -> tuple[float, float]:
     """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
-    one Richardson refinement on the level's own wall grid, bisected around
-    the closed value.  ell and n_rho are checked first, and only then is
-    ``potential()`` built, since a bad ell or n_rho can empty the level's own b."""
+    :func:`_record`'s on the level's own wall grid.  ell and n_rho are
+    checked first, and only then is ``potential()`` built, since a bad ell
+    or n_rho can empty the level's own b."""
     _check_order(ell)
     _check_index(n_points, n_rho)
     v = potential()
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
-    return refine_eigenvalue(_operator(v, ell, grid), functools.partial(_operator, v, ell),
-                             n_rho, v.closed(n_rho, ell))
+    record = _record(v, n_rho, ell * ell - 1.0, ell, _operator(v, ell, grid))
+    return record.energy_numeric, record.convergence_estimate
 
 
 def coulomb_numeric_level(ell: float, n_rho: int, *, n_points: int = RADIAL_N_POINTS,
@@ -214,7 +214,7 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 
 def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
             op: DiscretizedOperator) -> SpectrumRecord:
-    """The closed spectral value of one sweep level against its numeric one,
+    """The closed spectral value of one level against its numeric one,
     refined from the level's operator op around the closed value."""
     closed = v.closed(n_rho, ell)
     numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, ell), n_rho, closed)
@@ -257,14 +257,13 @@ def verify_family(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_PO
 
 
 def verify_sweep(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POINTS,
-                 rho_max: float | None = None) -> list[tuple[SpectrumRecord, float]]:
-    """(record, state error) per level: the record is :func:`verify_family`'s,
-    bit for bit, and so are the refusals.  The state error is the h-weighted
-    L2 distance of the level's unit-norm closed state and the index-n_rho
-    eigenvector of its unrefined operator, signed to agree with it: near 0
-    when they agree, near 1 or above when the grid or the wall does not hold
-    the state.  Each level and its unrefined operator serve both checks."""
-    return [(_record(v, *level), _state_error(v, *level))
+                 rho_max: float | None = None) -> list[SpectrumRecord]:
+    """:func:`verify_family`'s records and refusals, bit for bit, each record
+    with its ``state_error``: the h-weighted L2 distance of the level's
+    unit-norm closed state and the index-n_rho eigenvector of its unrefined
+    operator, signed to agree with it (near 1 or above where the grid or the
+    wall does not hold the state).  One operator per level serves both."""
+    return [replace(_record(v, *level), state_error=_state_error(v, *level))
             for level in _sweep(v, n_rho_max, n_points, rho_max)]
 
 
@@ -296,16 +295,12 @@ def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
 
 
 def all_within(records, tol: float) -> bool:
-    """True when every record with a delta satisfies |delta| <= tol."""
-    return all(r.delta is None or r.delta <= tol for r in records)
-
-
-def sweep_passes(levels, tol: float) -> bool:
-    """True when every (record, state error) of :func:`verify_sweep` is within
-    tol and its state error is below 1/2, half the distance of the zero function
-    from a unit eigenvector: a grid or wall that does not hold the closed state
-    checked nothing, however small its delta (resolved grids measure <= 0.2)."""
-    return all_within([r for r, _ in levels], tol) and all(e < 0.5 for _, e in levels)
+    """True when every delta present is <= tol and every state error present
+    is below 1/2, half the distance of the zero function from a unit
+    eigenvector: a grid or wall that does not hold the closed state checked
+    nothing, however small its delta (resolved grids measure <= 0.2)."""
+    return all((r.delta is None or r.delta <= tol)
+               and (r.state_error is None or r.state_error < 0.5) for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +360,9 @@ def scan_level(a: AmbiguitySet, lam: float, *, state_index: int = 1,
     zeros at pi/2 and 3pi/2; that holds exactly when n_points % 4 == 2 (a
     multiple of 4 puts a node on a zero, an odd count breaks the parity
     split), so any other count raises DomainError, as do fewer than 16
-    points and a state_index that :meth:`Grid.check_index` refuses.
+    points and a state_index that :meth:`Grid.check_index` refuses.  At the
+    gate a level m^2/2 reads the ring's (1 - cos mh)/h^2, low by
+    1 - (sin(mh/2)/(mh/2))^2: 5.0% at the top admitted index.
 
     ``near=(guess, width)`` bisects the level by value in one window about
     the guess, certified by a Sturm count, before any search by index (see
@@ -603,6 +600,8 @@ def record_to_row(record: SpectrumRecord) -> dict:
         row["convergence_estimate"] = record.convergence_estimate
     if record.note:
         row["note"] = record.note
+    if record.state_error is not None:
+        row["state_error"] = record.state_error
     return row
 
 

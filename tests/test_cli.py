@@ -215,6 +215,26 @@ def test_verify_fails_where_the_grid_cannot_hold_a_closed_state(tmp_path, capsys
     assert max(row["state_error"] for row in payload["records"]) < 0.5
 
 
+def test_verify_json_records_keep_their_key_order(capsys):
+    assert main(["verify", "--model", str(GOLDEN / "coulomb.json")]) == 0
+    rows = json.loads(capsys.readouterr().out)["records"]
+    assert rows and all(list(row) == [
+        "n_rho", "m", "lambda", "energy_closed", "energy_numeric", "delta", "provenance",
+        "convergence_estimate", "note", "state_error"] for row in rows)
+
+
+def test_verify_checks_the_radial_family_only(tmp_path, capsys):
+    # the sweep reads the model's potential alone, so a cos^2 profile's angular
+    # side goes unchecked and the model prints the bytes of its flat twin
+    runs = []
+    for f in ("cos2", "flat"):
+        path = write_model(tmp_path, f"{f}.json", {
+            "f": f, "potential": {"coulomb_like": {"omega": 0.3}}, "ordering": "li-kuhn"})
+        runs.append((main(["verify", "--model", str(path)]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+
+
 def test_verify_rejects_empty_sweep(oscillator_model_file):
     # no level to check must not read as a pass
     result = run_cli(["verify", "--model", str(oscillator_model_file), "--n-rho-max=-1"])

@@ -85,8 +85,8 @@ def test_verify_payload_matches_library(capsys, model):
     else:
         rho_max = 12.0 / v.a**0.5
         header = {"model_kind": "oscillator_like", "a": v.a, "d": v.d}
-    levels = md.verify_sweep(v, 1, n_points=1024, rho_max=rho_max)
-    ok = md.sweep_passes(levels, 1e-4)
+    records = md.verify_sweep(v, 1, n_points=1024, rho_max=rho_max)
+    ok = md.all_within(records, 1e-4)
     assert code == (0 if ok else 4)
     raw_token = json.loads((GOLDEN / f"{model}.json").read_text(encoding="utf-8"))["ordering"]
     assert payload == {
@@ -96,7 +96,7 @@ def test_verify_payload_matches_library(capsys, model):
         "tol": 1e-4,
         "n_points": 1024,
         "rho_max": rho_max,
-        "records": [{**md.record_to_row(r), "state_error": e} for r, e in levels],
+        "records": [md.record_to_row(r) for r in records],
         "all_within_tol": ok,
     }
 

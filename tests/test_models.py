@@ -409,6 +409,35 @@ def test_verify_coulomb_structure_and_honest_deltas():
     assert all_within(records, 1e-4)
 
 
+@pytest.mark.parametrize("delta", [None, 0.0, 1e-5, 1.0])
+@pytest.mark.parametrize("state_error", [0.5, 0.75, 1.0])
+def test_all_within_fails_a_state_error_of_one_half_or_more(delta, state_error):
+    record = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, delta=delta,
+                            provenance="both", state_error=state_error)
+    assert not all_within([record], 1e-4)
+
+
+def test_all_within_passes_a_state_error_below_one_half_within_tol():
+    record = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, delta=1e-5,
+                            provenance="both", state_error=0.49)
+    assert all_within([record], 1e-4)
+    assert not all_within([record], 1e-6)
+
+
+def test_all_within_reads_records_without_a_state_error_by_their_deltas():
+    # a spectrum table's closed records carry no delta: they pass at any tol
+    table = [_closed_record(BDD, 3.0, n_rho, m) for n_rho in range(2) for m in (-1, 0, 1)]
+    assert all(r.delta is None and r.state_error is None for r in table)
+    assert all_within(table, 0.0)
+    # verify_family's records pass exactly up to their largest delta
+    records = verify_family(OscillatorLike(1.0, 4.0), 1, n_points=1024)
+    assert all(r.state_error is None for r in records)
+    worst = max(r.delta for r in records)
+    assert all_within(records, worst)
+    assert not all_within(records, math.nextafter(worst, 0.0))
+    assert all_within(table + records, worst)
+
+
 def test_verify_coulomb_domain_guard():
     with pytest.raises(DomainError):
         verify_coulomb(1.5, 1, 1e-4)
@@ -459,11 +488,20 @@ def test_negative_n_rho_is_refused_by_the_index_rule(call):
 
 
 def test_zero_zeta_levels_resolve_the_last_index_below_a_quarter_of_the_ring():
-    # 66 / 4 = 16.5: index 15, m = 8, is the last one resolved; on the free
-    # ring of spacing h its level is (1 - cos 8h)/h^2
-    h = 2.0 * math.pi / 66
-    value = scan_level(MM, -0.75, state_index=15, n_points=66)
-    assert value == pytest.approx((1.0 - math.cos(8 * h)) / h**2, rel=1e-3)
+    # 66 / 4 = 16.5: index 15, m = 8, is the last one resolved (511, m = 256,
+    # at 2050 points); on the free ring of spacing h its level is
+    # (1 - cos mh)/h^2 = (m^2/2) (sin(mh/2)/(mh/2))^2, about 5% below m^2/2
+    import pdm_polar.models as md
+
+    for n_points, index, m in ((66, 15, 8), (2050, 511, 256)):
+        op = md._scan_operator(MM, -0.75, index, n_points)
+        h = op.grid.h
+        value = scan_level(MM, -0.75, state_index=index, n_points=n_points)
+        bound = 4.0 * float(np.finfo(float).eps) * op.inf_norm
+        assert abs(value - (1.0 - math.cos(m * h)) / h**2) <= bound, n_points
+        bias = 1.0 - (math.sin(m * h / 2) / (m * h / 2)) ** 2
+        assert 1.0 - value / (m * m / 2) == pytest.approx(bias, rel=1e-9)
+        assert 0.047 < bias < 0.051
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +555,7 @@ def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(famil
     for n_rho in range(3):
         for nominal_ell in (1.0, 1.17, 2.5, 8.0):
             v, _ = family_potential(family, n_rho, nominal_ell, a_param=1.0)
-            errors = [sweep_state_errors(v, n_rho, n_points=n)[n_rho]
+            errors = [verify_sweep(v, n_rho, n_points=n)[n_rho].state_error
                       for n in (500, 1001, 2003)]
             for coarse, fine in zip(errors, errors[1:]):
                 assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.3), (n_rho, nominal_ell)
@@ -532,11 +570,6 @@ def test_closed_state_largest_lobe_is_positive(family):
                      else 4.0 * math.sqrt(v.d) / v.a + 10.0)
             u = v.state(n_rho, ell, np.linspace(reach / 20000, reach, 20000))
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
-
-
-def sweep_state_errors(v, n_rho_max, **kwargs):
-    """The state errors of :func:`verify_sweep`, one per level."""
-    return [error for _, error in verify_sweep(v, n_rho_max, **kwargs)]
 
 
 def reference_state_errors(v, n_rho_max, n_points):
@@ -577,9 +610,10 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
 ], ids=["coulomb-3", "coulomb-5.3", "oscillator-8", "oscillator-0.7-9"])
 def test_verify_sweep_is_verify_family_and_state_errors(v):
     # the one sweep of the verify command gives both checks' values bit for bit
-    pairs = verify_sweep(v, 2, n_points=1024)
-    assert [record for record, _ in pairs] == verify_family(v, 2, n_points=1024)
-    assert [error for _, error in pairs] == reference_state_errors(v, 2, 1024)
+    records = verify_sweep(v, 2, n_points=1024)
+    assert ([dataclasses.replace(r, state_error=None) for r in records]
+            == verify_family(v, 2, n_points=1024))
+    assert [r.state_error for r in records] == reference_state_errors(v, 2, 1024)
 
 
 @pytest.mark.parametrize("sweep", [verify_family, verify_sweep], ids=["verify", "both"])
@@ -612,13 +646,15 @@ def test_state_errors_flag_a_wrong_state(v):
         def state(self, n_rho, ell, rho):
             return -family.state(self, n_rho, ell, rho)
 
+    def state_errors(potential, **kwargs):
+        return [r.state_error for r in verify_sweep(potential, 2, **kwargs)]
+
     params = dataclasses.astuple(v)
-    assert max(sweep_state_errors(v, 2)) < 1e-4
+    assert max(state_errors(v)) < 1e-4
     # each eigenvector is far from the closed state of the next level
-    assert min(sweep_state_errors(Shifted(*params), 2, n_points=1000)) > 0.5
+    assert min(state_errors(Shifted(*params), n_points=1000)) > 0.5
     # the eigenvector's sign is arbitrary, so the check aligns it
-    assert (sweep_state_errors(Flipped(*params), 2, n_points=1000)
-            == sweep_state_errors(v, 2, n_points=1000))
+    assert state_errors(Flipped(*params), n_points=1000) == state_errors(v, n_points=1000)
 
 
 # ---------------------------------------------------------------------------
