@@ -13,11 +13,11 @@ one closed energy is the flat-profile one, E = (m^2 - lambda)/2 - bracket
   lambda = (d/a - 2 n_rho - 1)^2 - 1.
 
 The two radial families are declared once each, on their potential classes
-(:class:`.separation.ExactRadial`: quantization, potential w(rho), closed
-spectral value, closed state, default wall); the spectrum tables, the verify
-sweeps and the radial wavefunction all read the potential object.  The closed
-states are the 3D hydrogen and isotropic-oscillator states at
-l = ell - 1/2, Laguerre polynomials normalized in closed form.
+(:class:`.separation.ExactRadial`); the spectrum tables, the verify sweeps
+(of the radial equation that ``effpot`` prints) and the radial wavefunction
+all read the potential object.  The closed states are the 3D hydrogen and
+isotropic-oscillator states at l = ell - 1/2, Laguerre polynomials
+normalized in closed form.
 
 Every closed spectral value is cross-checked against the finite-difference
 solver, which plays the independent-oracle role, and so is every closed
@@ -65,6 +65,7 @@ from .separation import (
     coulomb_lambda,
     coulomb_rho_max,
     oscillator_lambda,
+    radial_potential,
     zeta_coefficients,
 )
 from .specfun import bessel_j
@@ -93,25 +94,34 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """One spectrum entry, closed or checked: ``provenance`` is "closed-form"
-    or "both"; ``delta`` is the absolute closed-versus-numeric difference
-    when both sides exist; ``state_error`` is None unless the level's state
-    was checked (:func:`verify_sweep`).  ``energy`` is what the solver found
-    when it ran, else the closed value."""
+    """One spectrum entry, closed or checked: a checked one also carries the
+    solver's ``energy_numeric``; ``state_error`` is None unless the level's
+    state was checked (:func:`verify_sweep`).  ``delta``, ``provenance`` and
+    ``energy`` follow from the energies."""
 
     qn: QuantumNumbers
     lam: float
     energy_closed: float | None = None
     energy_numeric: float | None = None
-    delta: float | None = None
-    provenance: str = "closed-form"
     convergence_estimate: float | None = None
     ordering: AmbiguitySet | None = None
     note: str = ""
     state_error: float | None = None
 
     @property
+    def delta(self) -> float | None:
+        """The absolute closed-versus-numeric difference, None unless both exist."""
+        if self.energy_closed is None or self.energy_numeric is None:
+            return None
+        return abs(self.energy_closed - self.energy_numeric)
+
+    @property
+    def provenance(self) -> str:
+        return "closed-form" if self.energy_numeric is None else "both"
+
+    @property
     def energy(self) -> float:
+        """What the solver found when it ran, else the closed value."""
         return self.energy_numeric if self.energy_numeric is not None else self.energy_closed
 
 
@@ -145,10 +155,12 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 # numeric levels (the independent oracle)
 
 
-def _operator(v: ExactRadial, ell: float, grid: Grid) -> DiscretizedOperator:
-    """The family's eigenvalue form -U'' + [(ell^2 - 1/4)/rho^2 + w(rho)] U on the grid."""
-    c = ell * ell - 0.25
-    return discretize(lambda r: c / r**2 + v.w(r), grid)
+def _operator(v: ExactRadial, n_rho: int, lam: float, ell: float,
+              grid: Grid) -> DiscretizedOperator:
+    """The radial equation at lam on the grid plus the closed value eps, so that
+    level n_rho sits at eps, not 0: the refine windows scale with the guess."""
+    effective, closed = radial_potential(v, lam), v.closed(n_rho, ell)
+    return discretize(lambda r: effective(r) + closed, grid)
 
 
 def _check_index(n_points: int, top: int) -> None:
@@ -173,7 +185,7 @@ def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None)
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
     for n_rho, lam, ell in levels:
         _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
-        yield n_rho, lam, ell, _operator(v, ell, grid)
+        yield n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid)
 
 
 def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
@@ -186,7 +198,8 @@ def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_
     _check_index(n_points, n_rho)
     v = potential()
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
-    record = _record(v, n_rho, ell * ell - 1.0, ell, _operator(v, ell, grid))
+    lam = ell * ell - 1.0
+    record = _record(v, n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid))
     return record.energy_numeric, record.convergence_estimate
 
 
@@ -217,14 +230,13 @@ def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
     """The closed spectral value of one level against its numeric one,
     refined from the level's operator op around the closed value."""
     closed = v.closed(n_rho, ell)
-    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, ell), n_rho, closed)
+    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, n_rho, lam, ell),
+                                      n_rho, closed)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
         lam=lam,
         energy_closed=closed,
         energy_numeric=numeric,
-        delta=abs(closed - numeric),
-        provenance="both",
         convergence_estimate=conv,
         note=v.note,
     )
@@ -246,12 +258,12 @@ def verify_family(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_PO
     """Closed-form-versus-numeric sweep over n_rho = 0..n_rho_max.
 
     For each n_rho the closed spectral value is set against the
-    index-n_rho eigenvalue of the family's operator at the quantized radial
-    order ell = sqrt(1 + lambda), all inside one wall (default: the
-    family's).  Each record carries the absolute difference; use
-    :func:`all_within` to gate on a tolerance.  A negative n_rho_max, which
-    would sweep no level and pass vacuously, raises DomainError before any
-    solve, as does everything else :func:`_sweep` refuses.
+    index-n_rho eigenvalue of :func:`_operator` at lambda(n_rho), all inside
+    one wall (default: the family's).  Each record carries the absolute
+    difference; use :func:`all_within` to gate on a tolerance.  A negative
+    n_rho_max, which would sweep no level and pass vacuously, raises
+    DomainError before any solve, as does everything else :func:`_sweep`
+    refuses.
     """
     return [_record(v, *level) for level in _sweep(v, n_rho_max, n_points, rho_max)]
 

@@ -187,12 +187,11 @@ class PowerWell:
 class ExactRadial:
     """An exactly solvable radial family; a subclass is its potential and defines:
 
+    * ``tilde_v(rho)``, vectorized over rho, the v(rho) of :func:`radial_potential`;
     * ``lam(n_rho)``, the quantization lambda(n_rho), which fixes the closed
       energy through ``models.flat_energy``;
-    * ``w(rho)``, vectorized over rho, the potential of the eigenvalue form
-      -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U, ell = sqrt(lambda + 1): the
-      :func:`radial_problem` at lambda(n_rho), with eps moved to the right;
-    * ``closed(n_rho, ell)``, the closed spectral value eps;
+    * ``closed(n_rho, ell)``, ell = sqrt(lambda + 1), the closed spectral
+      value eps, by which the checks shift the radial equation at lambda(n_rho);
     * ``state(n_rho, ell, rho)``, the closed eigenfunction U of that value at
       the points rho > 0: unit norm, sign (-1)^n_rho, so that the outermost
       and largest lobe is positive;
@@ -297,9 +296,6 @@ class CoulombLike(ExactRadial):
     def lam(self, n_rho: int) -> float:
         return coulomb_lambda(self.b, n_rho)
 
-    def w(self, rho):
-        return -2.0 / rho
-
     def closed(self, n_rho: int, ell: float) -> float:
         return -1.0 / (self.b * self.b)
 
@@ -337,9 +333,6 @@ class OscillatorLike(ExactRadial):
 
     def lam(self, n_rho: int) -> float:
         return oscillator_lambda(self.a, self.d, n_rho)
-
-    def w(self, rho):
-        return 0.25 * _square(self.a) * (rho * rho)
 
     def closed(self, n_rho: int, ell: float) -> float:
         return self.a * (2.0 * n_rho + ell + 1.0)
@@ -451,29 +444,37 @@ def radial_domain(domain: tuple[float, float]) -> tuple[float, float]:
     return rho_min, rho_max
 
 
-def radial_problem(model: SeparableModel, lam: float, domain: tuple[float, float]) -> RadialProblem:
-    """Package the reduced radial problem with its effective potential.
-
-    V_eff(rho) = (3/4 + lambda)/rho^2 + 2 v(rho)/rho^2, valid on the
-    :func:`radial_domain` 0 < rho_min < rho_max.
-    """
-    rho_min, rho_max = radial_domain(domain)
-    if model.v is None:
-        raise DomainError("model has no radial potential")
-    v = model.v
+def radial_potential(v, lam: float) -> Callable:
+    """V_eff(rho) = (3/4 + lambda)/rho^2 + 2 v(rho)/rho^2, vectorized over rho."""
 
     def effective_potential(rho):
         rho2 = rho * rho
         return (0.75 + lam) / rho2 + 2.0 * v.tilde_v(rho) / rho2
 
-    return RadialProblem(effective_potential, lam, (rho_min, rho_max))
+    return effective_potential
+
+
+def radial_problem(model: SeparableModel, lam: float, domain: tuple[float, float]) -> RadialProblem:
+    """Package the reduced radial problem with its :func:`radial_potential`,
+    valid on the :func:`radial_domain` 0 < rho_min < rho_max."""
+    rho_min, rho_max = radial_domain(domain)
+    if model.v is None:
+        raise DomainError("model has no radial potential")
+    return RadialProblem(radial_potential(model.v, lam), lam, (rho_min, rho_max))
 
 
 def radial_to_R(rho, u):
-    """Map samples of U back to the physical radial factor R = rho^(-3/2) U."""
+    """Map samples of U back to the physical radial factor R = rho^(-3/2) U.
+
+    Below rho of about 2.6e-206, where rho^(-3/2) passes the float range, R
+    is formed as (U rho^(-3/4)) rho^(-3/4): finite wherever R is, and inf
+    where R itself passes the float range, for the printer to refuse.
+    """
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u)
-    return u * rho**-1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = rho**-1.5
+        return np.where(np.isinf(scale), u * rho**-0.75 * rho**-0.75, u * scale)
 
 
 def pct_map(f, phi: float) -> float:
@@ -568,7 +569,7 @@ def angular_wavefunction_recompose(f, chi, phi):
 # ---------------------------------------------------------------------------
 # model description files
 
-_PROFILE_TOKENS = {"flat": FlatProfile, "cos2": CosSquaredProfile}
+_PROFILE_TOKENS = {cls.kind: cls for cls in (FlatProfile, CosSquaredProfile)}
 _POTENTIAL_KINDS = {cls.kind: cls for cls in (PowerWell, CoulombLike, OscillatorLike)}
 
 

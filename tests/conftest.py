@@ -45,8 +45,7 @@ def zero_zeta_records(m_max, n_points):
         m = (-1) ** j * ((j + 1) // 2)
         numeric = scan_level(gate, -0.75, state_index=j, n_points=n_points)
         records.append(SpectrumRecord(qn=QuantumNumbers(0, m), lam=-0.75,
-                                      energy_closed=0.5 * m * m, energy_numeric=numeric,
-                                      delta=abs(0.5 * m * m - numeric), provenance="both"))
+                                      energy_closed=0.5 * m * m, energy_numeric=numeric))
     return records
 
 

@@ -283,6 +283,29 @@ def test_verify_builds_each_operator_once(coulomb_model_file, monkeypatch, capsy
     assert sizes == [4000, 8001] * 3
 
 
+@pytest.mark.parametrize("family, potential, tol", [
+    ("CoulombLike", {"coulomb_like": {"omega": 0.3333333333333333}}, "1e-9"),
+    ("OscillatorLike", {"oscillator_like": {"a": 1.0, "d": 4.0}}, "5e-7"),
+], ids=["coulomb", "oscillator"])
+def test_verify_fails_a_perturbed_tilde_v(tmp_path, monkeypatch, capsys, family, potential, tol):
+    # the oracle solves the radial equation built from tilde_v, the potential
+    # that effpot prints: a relative 1e-6 error in it moves the levels by about
+    # 1.1e-7 (Coulomb b = 3, unperturbed deltas 1e-11) or 2e-6 (oscillator
+    # d = 4, unperturbed deltas up to 1e-7), past tol
+    from pdm_polar import separation as sp
+
+    model = write_model(tmp_path, "model.json",
+                        {"f": "flat", "potential": potential, "ordering": "bendaniel-duke"})
+    argv = ["verify", "--model", str(model), "--n-rho-max", "1", "--tol", tol]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cls = getattr(sp, family)
+    tilde_v = cls.tilde_v
+    monkeypatch.setattr(cls, "tilde_v", lambda self, rho: tilde_v(self, rho) * (1.0 + 1e-6))
+    assert main(argv) == 4
+    assert not json.loads(capsys.readouterr().out)["all_within_tol"]
+
+
 @pytest.mark.parametrize("rho_max", ["0", "-5", "nan"])
 @pytest.mark.parametrize("command", [["verify", "--n-rho-max", "1"]], ids=["verify"])
 def test_rho_max_must_be_finite_and_positive(oscillator_model_file, command, rho_max):
@@ -446,6 +469,29 @@ def test_radial_wavefunction_far_range_prints_a_zero_tail(name, n_rho, capsys):
     assert all(math.isfinite(v) for v in values)
     assert values[0] != 0.0
     assert values[1:] == [0.0] * 4
+
+
+def test_radial_wavefunction_near_the_origin_prints_a_finite_R():
+    # rho^(-3/2) passes the float range below rho of about 2.6e-206, but
+    # R = rho^(-3/2) U of the b = 3, n_rho = 2 state (ell = 1/2) is about 3.8e149 there
+    import mpmath
+
+    from pdm_polar import separation as sp
+
+    model = GOLDEN / "coulomb.json"
+    result = run_cli(["wavefunction", "--model", str(model), "--state", "radial:n_rho=2",
+                      "--range=1e-300,1", "--samples", "3"])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    values = [row["value"] for row in json.loads(result.stdout)["samples"]]
+    v = sp.load_model(model).v
+    ell = v.level(2)[1]
+    coords = np.array([1e-300, 0.5, 1.0])
+    u = v.state(2, ell, coords)
+    assert values[0] == pytest.approx(float(mpmath.mpf(u[0]) * mpmath.mpf(1e-300) ** -1.5),
+                                      rel=1e-14)
+    # the samples that print the plain product keep its bits
+    assert values[1:] == (u[1:] * coords[1:] ** -1.5).tolist()
 
 
 def test_radial_wavefunction_has_no_grid_bound_on_n_rho(tmp_path):
@@ -718,9 +764,13 @@ def test_control_character_in_an_error_message_prints_valid_json():
     # a parameter's square passes the float range, which a float power raises on
     ["effpot", "--model", "HUGE_A", "--which", "radial", "--range=0.5,2", "--samples", "3"],
     ["effpot", "--model", "HUGE_OMEGA", "--which", "radial", "--range=0.5,2", "--samples", "3"],
+    # R = rho^(-3/2) U ~ rho^(ell - 1) of ell = 0.01 passes the float range at
+    # the least subnormal rho, where R ~ 1e320
+    ["wavefunction", "--model", "LOW_ELL", "--state", "radial:n_rho=0", "--range=5e-324,1",
+     "--samples", "3"],
 ], ids=["spectrum-nan", "effpot-overflow", "effpot-oscillator-power-overflow",
         "effpot-power-well-overflow", "effpot-oscillator-a-squared-overflow",
-        "effpot-coulomb-omega-squared-overflow"])
+        "effpot-coulomb-omega-squared-overflow", "wavefunction-radial-overflow"])
 def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_model_file,
                                                        oscillator_model_file, tmp_path, argv, fmt):
     def model(name, potential):
@@ -731,7 +781,8 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
              "OSCILLATOR": oscillator_model_file,
              "DEEP_WELL": model("deep_well.json", {"power_well": {"v0": 1.0, "k": 200}}),
              "HUGE_A": model("huge_a.json", {"oscillator_like": {"a": 1e200, "d": 1.0}}),
-             "HUGE_OMEGA": model("huge_omega.json", {"coulomb_like": {"omega": 1e200}})}
+             "HUGE_OMEGA": model("huge_omega.json", {"coulomb_like": {"omega": 1e200}}),
+             "LOW_ELL": model("low_ell.json", {"coulomb_like": {"omega": 1.0 / 0.51}})}
     result = run_cli([str(files.get(token, token)) for token in argv] + ["--format", fmt])
     error = one_json_error(result, 3)
     assert error["code"] == "domain"
@@ -758,7 +809,7 @@ def test_non_finite_result_exits_3_with_one_json_error(flat_model_file, coulomb_
     ["scan", "--model", "COS2", "--energy=-inf", "--lambda-range=-1,0"],
     ["scan", "--model", "COS2", "--energy=nan", "--lambda-range=-1,0"],
     ["scan", "--model", "COS2", "--energy", "0.5", "--lambda-range=nan,0"],
-    # a^2 passes the float range: the operator's w = a^2 rho^2/4 is refused as non-finite
+    # a^2 passes the float range: the radial equation that verify solves is refused as non-finite
     ["verify", "--model", "HUGE_A", "--n-rho-max", "0"],
 ], ids=["toy-third-order", "toy-huge-range", "verify-huge-wall", "verify-index-past-grid",
         "toy-fractional-k", "angular-flat-huge-m", "angular-cos2-huge-m",

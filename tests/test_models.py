@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from pdm_polar import (
     CosSquaredProfile,
     CoulombLike,
+    FlatProfile,
     Ordering,
     OscillatorLike,
     QuantumNumbers,
+    SeparableModel,
     SpectrumRecord,
     all_within,
     bracket,
@@ -31,6 +33,7 @@ from pdm_polar import (
     oscillator_lambda,
     oscillator_numeric_level,
     parse_ordering_token,
+    radial_problem,
     scan_curve,
     swap_alpha_gamma,
     toy_radial_solution,
@@ -409,17 +412,32 @@ def test_verify_coulomb_structure_and_honest_deltas():
     assert all_within(records, 1e-4)
 
 
+def checked_record(delta, state_error):
+    """A record whose energies lie delta apart; a delta of None gives no numeric energy."""
+    record = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, energy_closed=0.0,
+                            energy_numeric=delta, state_error=state_error)
+    assert record.delta == delta
+    return record
+
+
+def test_record_delta_and_provenance_follow_its_energies():
+    closed = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, energy_closed=-0.25)
+    assert (closed.delta, closed.provenance) == (None, "closed-form")
+    checked = dataclasses.replace(closed, energy_numeric=-0.5)
+    assert (checked.delta, checked.provenance) == (0.25, "both")
+    # neither can be set apart from the energies
+    with pytest.raises(TypeError):
+        SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, energy_closed=-0.25, delta=0.0)
+
+
 @pytest.mark.parametrize("delta", [None, 0.0, 1e-5, 1.0])
 @pytest.mark.parametrize("state_error", [0.5, 0.75, 1.0])
 def test_all_within_fails_a_state_error_of_one_half_or_more(delta, state_error):
-    record = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, delta=delta,
-                            provenance="both", state_error=state_error)
-    assert not all_within([record], 1e-4)
+    assert not all_within([checked_record(delta, state_error)], 1e-4)
 
 
 def test_all_within_passes_a_state_error_below_one_half_within_tol():
-    record = SpectrumRecord(qn=QuantumNumbers(0, 0), lam=0.0, delta=1e-5,
-                            provenance="both", state_error=0.49)
+    record = checked_record(1e-5, 0.49)
     assert all_within([record], 1e-4)
     assert not all_within([record], 1e-6)
 
@@ -574,12 +592,17 @@ def test_closed_state_largest_lobe_is_positive(family):
 
 def reference_state_errors(v, n_rho_max, n_points):
     """Each level's closed state against the eigenvector of its operator on
-    the default wall grid, built here from the solver's primitives."""
+    the default wall grid: the radial problem that effpot samples at the
+    level's lambda, shifted by its closed value, built here from the
+    solver's primitives."""
     grid = Grid(0.0, v.default_wall(), n_points, DIRICHLET)
+    model = SeparableModel(FlatProfile(), v, BDD)
     errors = []
-    for n_rho, _, ell in v.levels(n_rho_max):
-        c = ell * ell - 0.25
-        op = discretize(lambda r: c / r**2 + v.w(r), grid)
+    for n_rho, lam, ell in v.levels(n_rho_max):
+        domain = (float(grid.points[0]), grid.x_max)
+        effective = radial_problem(model, lam, domain).effective_potential
+        closed = v.closed(n_rho, ell)
+        op = discretize(lambda r: effective(r) + closed, grid)
         numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
         closed = v.state(n_rho, ell, grid.points)
         numeric = math.copysign(1.0, numeric @ closed) * numeric
@@ -1186,7 +1209,6 @@ def _closed_record(a, b, n_rho, m, ordering=None):
         qn=QuantumNumbers(n_rho, m),
         lam=coulomb_lambda(b, n_rho),
         energy_closed=coulomb_energy(a, b, QuantumNumbers(n_rho, m)),
-        provenance="closed-form",
         ordering=ordering if ordering is not None else a,
     )
 
@@ -1241,7 +1263,7 @@ def test_degeneracy_report_groups_checked_records_by_their_numeric_energy():
     # found splits them, where grouping by the closed values would merge them
     closed = _closed_record(BDD, 4.0, 0, 1)
     checked = [dataclasses.replace(closed, energy_numeric=closed.energy_closed * (1.0 + s),
-                                   provenance="both", qn=QuantumNumbers(0, m))
+                                   qn=QuantumNumbers(0, m))
                for s, m in ((0.0, 1), (1e-6, -1))]
     assert checked[0].energy_closed == checked[1].energy_closed
     assert [r.energy for r in checked] == [r.energy_numeric for r in checked]

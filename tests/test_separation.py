@@ -247,12 +247,21 @@ def test_closed_angular_potentials_agree_on_floats_and_arrays(qs, lam, exponents
         assert float_bits(floats) == float_bits(array), profile.kind
 
 
-# The eigenvalue form -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U of each exactly
-# solvable family is the reduced radial problem at lambda(n_rho) with eps moved
-# to the left.  Each side carries a few roundings, and ell^2 - 1/4 cancels near
-# ell = 1/2, so the two agree to 8 eps of the terms' magnitudes before any
-# cancellation; 3e5 random draws over these ranges reached 2.6 eps.
+# Each exactly solvable family has a hand-derived eigenvalue form
+# -U'' + [(ell^2 - 1/4)/rho^2 + w] U = eps U: the reduced radial problem at
+# lambda(n_rho), the closed value eps moved to the right.  The package never
+# builds it: its solver adds ``closed`` to the radial problem, which shifts
+# the level it checks by as much, so the form checks ``closed`` here.  Each
+# side carries a few roundings, and ell^2 - 1/4 cancels near ell = 1/2, so
+# the two agree to 8 eps of the terms' magnitudes before any cancellation;
+# 3e5 random draws over these ranges reached 2.6 eps.
+HAND_DERIVED_W = {CoulombLike: lambda v, rho: -2.0 / rho,
+                  OscillatorLike: lambda v, rho: 0.25 * (v.a * v.a) * (rho * rho)}
+
+
 @settings(max_examples=300, deadline=None)
+@example(family=CoulombLike, n_rho=0, gap=1.0, a=1.0, rho=10.0)
+@example(family=OscillatorLike, n_rho=1, gap=1.0, a=1.0, rho=3.0)
 @given(family=st.sampled_from([CoulombLike, OscillatorLike]), n_rho=st.integers(0, 3),
        gap=st.floats(0.1, 10.0), a=st.floats(0.1, 5.0), rho=st.floats(1e-2, 1e2))
 def test_eigenvalue_form_is_the_radial_problem_at_each_level(family, n_rho, gap, a, rho):
@@ -264,7 +273,7 @@ def test_eigenvalue_form_is_the_radial_problem_at_each_level(family, n_rho, gap,
     lam, ell = v.level(n_rho)
     assert lam == v.lam(n_rho)
     centrifugal = (ell * ell - 0.25) / (rho * rho)
-    w, closed = v.w(rho), v.closed(n_rho, ell)
+    w, closed = HAND_DERIVED_W[family](v, rho), v.closed(n_rho, ell)
     model = SeparableModel(FlatProfile(), v, BDD)
     effective = radial_problem(model, lam, (1e-3, 1e3)).effective_potential(rho)
     scale = (ell * ell + 0.25) / (rho * rho) + abs(w) + abs(closed)
