@@ -44,13 +44,16 @@ Gershgorin interval, in every sector.  Given a guess and a width, it first
 bisects by value in one window about the guess and searches by index only
 if that window does not hold the level.  The lambda scan passes a level's
 previous value moved by one step, and one step; its root residual passes the
-energy target and ``COARSE_WINDOW`` times it; :func:`refine_eigenvalue`
-passes the caller's guess of the level.  The window is certified by a Sturm
-count, so a poor guess costs one index search, never a wrong level; the
-value differs from the index search's only within the bisection tolerance,
-about 4 eps ||T||inf.  So the lambda scan searches by index only for the
-first point of a curve, which has no neighbour (and whose search also gives
-the slope that seeds the second point), and where a window misses.
+energy target and ``COARSE_WINDOW`` times it.  :func:`refine_eigenvalue`
+bisects its level at h about the Rayleigh quotient of the caller's trial
+vector (the verify sweeps pass each level's closed state, sampled on the
+grid), else about the caller's guess, and its level at h/2 about the
+level at h.  The window is certified by a Sturm count, so a
+poor guess costs one index search, never a wrong level; the value differs
+from the index search's only within the bisection tolerance, about
+4 eps ||T||inf.  So the lambda scan searches by index only for the first
+point of a curve, which has no neighbour (and whose search also gives the
+slope that seeds the second point), and where a window misses.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`, as the lambda scan does to decide whether a
@@ -81,9 +84,10 @@ POTENTIAL_CAP = 1e12
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
-# refine_eigenvalue bisects its level at h, and the lambda scan the level at
-# its root, within COARSE_WINDOW * |guess| of the guess, and no window is
-# narrower than the operator's floor, _WINDOW_FLOOR eps ||T||inf
+# refine_eigenvalue bisects its level at h when no trial vector seeds it, and
+# the lambda scan the level at its root, within COARSE_WINDOW * |guess| of the
+# guess, and no window is narrower than the operator's floor,
+# _WINDOW_FLOOR eps ||T||inf
 COARSE_WINDOW = 2e-2
 _WINDOW_FLOOR = 4.0
 
@@ -175,6 +179,16 @@ class DiscretizedOperator:
         if self.grid.boundary == PERIODIC:
             return _parity_sectors(self)
         return ((self.diagonal, self.off_diagonal, slice(None)),)
+
+    def rayleigh(self, z: np.ndarray) -> float:
+        """The Rayleigh quotient (z . T z) / (z . z), ring corners included; not
+        finite for a zero z or one with a non-finite entry."""
+        d, e = self.diagonal, self.off_diagonal
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            num = d @ z**2 + 2.0 * (e @ (z[:-1] * z[1:]))
+            if self.grid.boundary == PERIODIC:
+                num += 2.0 * e[0] * z[0] * z[-1]
+            return float(num / (z @ z))
 
 
 @dataclass(frozen=True)
@@ -446,7 +460,7 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
 
 
 def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
-                      guess: float) -> tuple[float, float]:
+                      guess: float, trial: np.ndarray | None = None) -> tuple[float, float]:
     """:func:`refine` for the one eigenvalue of the given index, without vectors.
 
     ``op`` is the operator at h, which the caller may go on using (for its
@@ -454,17 +468,30 @@ def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
     operator at h/2.  Returns (extrapolated value, |extrapolated - fine|),
     the Richardson step of :func:`refine` applied to
     ``eigenvalue(..., near=...)`` at h and h/2.
-    The level at h is bisected in a window of half-width 2e-2 |guess| around
-    the caller's guess, typically the level's closed value.  The level at
-    h/2 is bisected in a window around the level at h of half-width
-    3 |coarse - guess|, four times the h^2 prediction of its shift when the
-    guess is the h -> 0 limit, and at most 2e-2 |coarse|.  Both windows are
-    certified by a Sturm count, so the values are those of the two index
-    searches, within the bisection tolerance, whatever the guess.
 
-    The guess only sets the cost: a window bisects every level it holds, at
-    O(n) each, so a guess within the level spacing costs about one level,
-    and a poor guess costs one window plus one index search.
+    ``guess`` is typically the level's h -> 0 limit, its closed value, and
+    ``trial`` a vector on ``op``'s nodes near the level's eigenvector,
+    typically its closed state sampled on the grid.  When the trial's
+    Rayleigh quotient (:meth:`DiscretizedOperator.rayleigh`) is finite, the
+    level at h is bisected in a window around it of half-width
+    |quotient - guess| / 16, floored by ``op.floor``.  A closed state puts
+    its quotient within O(h^4) of the level, while the level sits O(h^2)
+    from its limit, so on a resolved grid the window holds the level and
+    needs a few halvings where a 2e-2 |guess| window needs 20 to 30.  With
+    no trial, or a non-finite quotient, the level at h is bisected in a
+    window of half-width 2e-2 |guess| around the guess.  The level at h/2
+    is bisected in a window around the level at h of half-width
+    |coarse - guess|, 4/3 of the h^2 prediction of its shift when the guess
+    is the h -> 0 limit, at most 2e-2 |coarse| and at least the floor of
+    the operator at h/2.  Every window is certified by a Sturm count and
+    falls back to the index search when it misses, so the values are those
+    of the two index searches, within the bisection tolerance, whatever the
+    guess and trial.
+
+    The guess and trial only set the cost: a window bisects every level it
+    holds, at O(n) each, and a narrow one reaches the bisection tolerance in
+    fewer halvings.  A poor trial or guess costs one window plus one index
+    search.
 
     The bisection tolerance is a floor shared with the index search: each
     level is resolved to about eps * ||T||inf = 4 eps / h^2 of its operator
@@ -472,8 +499,11 @@ def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
     12-wide domain that is about 2.5e-7, so above n of about 2e4 the
     convergence estimate measures roundoff, not discretization error.
     """
-    coarse = eigenvalue(op, index, near=(guess, COARSE_WINDOW * abs(guess)))
-    fine_width = min(3.0 * abs(coarse - guess), COARSE_WINDOW * abs(coarse))
+    seed = math.nan if trial is None else op.rayleigh(trial)
+    centre, width = ((seed, abs(seed - guess) / 16.0) if math.isfinite(seed)
+                     else (guess, COARSE_WINDOW * abs(guess)))
+    coarse = eigenvalue(op, index, near=(centre, width))
+    fine_width = min(abs(coarse - guess), COARSE_WINDOW * abs(coarse))
     fine = eigenvalue(op_factory(op.grid.refined()), index, near=(coarse, fine_width))
     return _richardson(coarse, fine)
 

@@ -175,17 +175,19 @@ def _check_order(ell: float) -> None:
 
 
 def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None):
-    """Each level of a sweep as (n_rho, lambda, ell, operator), the operator on
-    the sweep's one wall grid.  The top index is checked before any level is
-    computed, and each level's ell before its operator is built; an operator
-    is built when its level is reached, so one level's is held at a time."""
+    """Each level of a sweep as (n_rho, lambda, ell, operator, state): the
+    operator on the sweep's one wall grid and the closed state sampled on its
+    points.  The top index is checked before any level is computed, and each
+    level's ell before its operator is built; an operator is built when its
+    level is reached, so one level's is held at a time."""
     if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
         _check_index(n_points, n_rho_max)
     levels = v.levels(n_rho_max)
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
+    points = grid.points
     for n_rho, lam, ell in levels:
         _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
-        yield n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid)
+        yield n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid), v.state(n_rho, ell, points)
 
 
 def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
@@ -199,7 +201,8 @@ def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_
     v = potential()
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
     lam = ell * ell - 1.0
-    record = _record(v, n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid))
+    record = _record(v, n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid),
+                     v.state(n_rho, ell, grid.points))
     return record.energy_numeric, record.convergence_estimate
 
 
@@ -226,12 +229,13 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 
 
 def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
-            op: DiscretizedOperator) -> SpectrumRecord:
+            op: DiscretizedOperator, state: np.ndarray) -> SpectrumRecord:
     """The closed spectral value of one level against its numeric one,
-    refined from the level's operator op around the closed value."""
+    refined from the level's operator op around the closed value, the
+    window at h seeded by the closed state sampled on op's grid."""
     closed = v.closed(n_rho, ell)
     numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, n_rho, lam, ell),
-                                      n_rho, closed)
+                                      n_rho, closed, state)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
         lam=lam,
@@ -242,15 +246,12 @@ def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
     )
 
 
-def _state_error(v: ExactRadial, n_rho: int, lam: float, ell: float,
-                 op: DiscretizedOperator) -> float:
-    """h-weighted L2 distance of one sweep level's closed state and the
-    index-n_rho eigenvector of op, signed to agree with it."""
-    grid = op.grid
+def _state_error(n_rho: int, op: DiscretizedOperator, state: np.ndarray) -> float:
+    """h-weighted L2 distance of one sweep level's closed state, sampled on
+    op's grid, and the index-n_rho eigenvector of op, signed to agree with it."""
     numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
-    closed = v.state(n_rho, ell, grid.points)
-    numeric = math.copysign(1.0, numeric @ closed) * numeric
-    return math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2)))
+    numeric = math.copysign(1.0, numeric @ state) * numeric
+    return math.sqrt(op.grid.h * float(np.sum((numeric - state) ** 2)))
 
 
 def verify_family(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POINTS,
@@ -274,9 +275,11 @@ def verify_sweep(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POI
     with its ``state_error``: the h-weighted L2 distance of the level's
     unit-norm closed state and the index-n_rho eigenvector of its unrefined
     operator, signed to agree with it (near 1 or above where the grid or the
-    wall does not hold the state).  One operator per level serves both."""
-    return [replace(_record(v, *level), state_error=_state_error(v, *level))
-            for level in _sweep(v, n_rho_max, n_points, rho_max)]
+    wall does not hold the state).  One operator and one sampled closed state
+    per level serve both: the state seeds the refine window and is checked."""
+    return [replace(_record(v, n_rho, lam, ell, op, state),
+                    state_error=_state_error(n_rho, op, state))
+            for n_rho, lam, ell, op, state in _sweep(v, n_rho_max, n_points, rho_max)]
 
 
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *,

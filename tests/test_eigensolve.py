@@ -48,6 +48,10 @@ def coulombish(r):
     return 0.75 / r**2 - 2.0 / r
 
 
+def radial_oscillator(r):
+    return 3.75 / r**2 + 0.25 * r**2
+
+
 EPS = np.finfo(float).eps
 
 # (grid, potential, prefactor, levels checked); the free ring has the doubly
@@ -56,6 +60,7 @@ SOLVE_CASES = {
     "box": (Grid(0.0, math.pi, 2000, DIRICHLET), zero, 1.0, 5),
     "harmonic": (Grid(-8.0, 8.0, 600, DIRICHLET), harmonic, 0.5, 6),
     "coulombish": (Grid(0.0, 60.0, 2000, DIRICHLET), coulombish, 1.0, 3),
+    "radial oscillator": (Grid(0.0, 12.0, 1000, DIRICHLET), radial_oscillator, 1.0, 4),
     "free ring": (Grid(0.0, 2.0 * math.pi, 1024, PERIODIC), zero, 0.5, 7),
     "cos ring": (Grid(0.0, 2.0 * math.pi, 512, PERIODIC), np.cos, 0.5, 6),
 }
@@ -468,12 +473,33 @@ def test_refine_box_extrapolation():
     assert result.grid.n_points == 2001
 
 
-# the exact levels of two SOLVE_CASES, by index: the l = 1/2 hydrogen levels
-# -1/(j + 3/2)^2 (the 60-wide wall truncates the ones checked by far less
-# than their spacing) and the free ring's m^2/2 with m = (j + 1) // 2
+# the exact levels of SOLVE_CASES, by index: the box's (j + 1)^2, the
+# harmonic j + 1/2, the l = 1/2 hydrogen levels -1/(j + 3/2)^2 (the 60-wide
+# wall truncates the ones checked by far less than their spacing), the
+# l = 3/2 radial oscillator's 2j + 3 and the free ring's m^2/2 with
+# m = (j + 1) // 2
 CLOSED_LEVELS = {
+    "box": lambda j: (j + 1.0) ** 2,
+    "harmonic": lambda j: j + 0.5,
     "coulombish": lambda j: -1.0 / (j + 1.5) ** 2,
+    "radial oscillator": lambda j: 2.0 * j + 3.0,
     "free ring": lambda j: 0.5 * ((j + 1) // 2) ** 2,
+}
+
+
+def hermite_state(j, x):
+    return np.polynomial.hermite.hermval(x, [0.0] * j + [1.0]) * np.exp(-0.5 * x**2)
+
+
+# the unnormalized exact eigenfunctions of the Dirichlet SOLVE_CASES, as
+# functions of the index and the points
+CLOSED_STATES = {
+    "box": lambda j, x: np.sin((j + 1.0) * x),
+    "harmonic": hermite_state,
+    "coulombish": lambda j, r: (r**1.5 * np.exp(-r / (j + 1.5))
+                                * laguerre_assoc(j, 2.0, 2.0 * r / (j + 1.5))),
+    "radial oscillator": lambda j, r: (r**2.5 * np.exp(-0.25 * r**2)
+                                       * laguerre_assoc(j, 2.0, 0.5 * r**2)),
 }
 
 # the caller's guess for level j: its closed value, that value off by half,
@@ -608,31 +634,60 @@ def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch)
                                                                   abs(extrapolated - fine))
 
 
-def spy_on_lapack(monkeypatch):
-    """Record (rows, select, tol, values returned) of every LAPACK request."""
+def spy_on_lapack(monkeypatch, ranges=None):
+    """Record (rows, select, tol, values returned) of every LAPACK request,
+    and its select range in ``ranges`` when given a list."""
     requests = []
     lapack = eigensolve._lapack
 
-    def spy(d, e, select, *args, **kwargs):
-        values = lapack(d, e, select, *args, **kwargs)
+    def spy(d, e, select, select_range, **kwargs):
+        values = lapack(d, e, select, select_range, **kwargs)
         requests.append((len(d), select, kwargs.get("tol", 0.0), len(values)))
+        if ranges is not None:
+            ranges.append(select_range)
         return values
 
     monkeypatch.setattr(eigensolve, "_lapack", spy)
     return requests
 
 
-@pytest.mark.parametrize("case, grid", [
-    ("coulombish", Grid(0.0, 60.0, 20000, DIRICHLET)),
-    ("free ring", Grid(0.0, 2.0 * math.pi, 2048, PERIODIC)),
+# the 90-wide wall holds the n_rho = 2 hydrogen state, which the 60-wide one
+# cuts at 1e-3 of its peak, so its quotient is no longer near the level
+@pytest.mark.parametrize("case, grid, seeded", [
+    pytest.param("coulombish", Grid(0.0, 60.0, 20000, DIRICHLET), False, id="coulombish-grid0"),
+    pytest.param("free ring", Grid(0.0, 2.0 * math.pi, 2048, PERIODIC), False,
+                 id="free ring-grid1"),
+    pytest.param("coulombish", Grid(0.0, 90.0, 20000, DIRICHLET), True, id="coulombish-seeded"),
+    pytest.param("radial oscillator", Grid(0.0, 12.0, 4000, DIRICHLET), True,
+                 id="radial oscillator-seeded"),
 ])
-def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
+def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid, seeded):
+    # a closed state seeds the window at h: it is no wider than the seed's
+    # half-width, max(floor, |quotient - guess| / 16), where the window about
+    # the guess alone would be 2e-2 |guess| wide; the window at h/2 reaches
+    # no further from the level at h than the guess does
     _, potential, prefactor, _ = SOLVE_CASES[case]
-    requests = spy_on_lapack(monkeypatch)
+    factory = functools.partial(discretize, potential, prefactor=prefactor)
+    fine_floor = factory(grid.refined()).floor
+    ranges = []
+    requests = spy_on_lapack(monkeypatch, ranges)
     for index in range(3):
-        factory = functools.partial(discretize, potential, prefactor=prefactor)
-        refine_eigenvalue(factory(grid), factory, index, CLOSED_LEVELS[case](index))
-    assert requests and {select for _, select, _, _ in requests} == {"v"}
+        op, guess = factory(grid), CLOSED_LEVELS[case](index)
+        trial = CLOSED_STATES[case](index, grid.points) if seeded else None
+        coarse = eigenvalue(op, index)
+        requests.clear()
+        ranges.clear()
+        refine_eigenvalue(op, factory, index, guess, trial)
+        assert requests and {select for _, select, _, _ in requests} == {"v"}, index
+        if seeded:
+            windows = {rows: [hi - lo for (n, _, tol, _), (lo, hi) in zip(requests, ranges)
+                              if n == rows and tol == 0.0]
+                       for rows in (grid.n_points, grid.refined().n_points)}
+            half_width = max(op.floor, abs(op.rayleigh(trial) - guess) / 16.0)
+            assert windows[grid.n_points] == [pytest.approx(2.0 * half_width, rel=1e-9)], index
+            [fine] = windows[grid.refined().n_points]
+            # the level at h that refine_eigenvalue bisects is coarse within the floor
+            assert fine <= max(2.0 * (abs(coarse - guess) + op.floor), 2.0 * fine_floor), index
 
 
 @pytest.mark.parametrize("rule", ["zero", "1.5x closed"])
@@ -654,6 +709,55 @@ def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, r
             assert len(counts) <= 1 and len(bisections) <= 1, (index, rows, mine)
             assert sum(m for _, _, m in bisections) <= 1, (index, rows, mine)
             assert len([r for r in mine if r[0] == "i"]) <= 1, (index, rows, mine)
+
+
+DIRICHLET_CASES = sorted(c for c in SOLVE_CASES if SOLVE_CASES[c][0].boundary == DIRICHLET)
+TRIALS = ("closed state", "random", "neighbour's closed state", "zero", "nan")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(DIRICHLET_CASES), data=st.data(),
+       trial_kind=st.sampled_from(TRIALS), rule=st.sampled_from(sorted(GUESS_RULES)))
+def test_trial_vector_sets_only_the_cost(case, data, trial_kind, rule):
+    grid, potential, prefactor, k = SOLVE_CASES[case]
+    factory = functools.partial(discretize, potential, prefactor=prefactor)
+    index = data.draw(st.integers(0, k - 1), label="index")
+    closed_state, points = CLOSED_STATES[case], grid.points
+    if trial_kind == "random":
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        trial = np.random.default_rng(seed).standard_normal(grid.n_points)
+    elif trial_kind == "neighbour's closed state":
+        neighbour = data.draw(st.sampled_from([j for j in (index - 1, index + 1) if j >= 0]),
+                              label="neighbour")
+        trial = closed_state(neighbour, points)
+    elif trial_kind == "zero":
+        trial = np.zeros(grid.n_points)
+    else:
+        trial = closed_state(index, points)
+        if trial_kind == "nan":
+            trial[data.draw(st.integers(0, grid.n_points - 1), label="at")] = math.nan
+    guess = GUESS_RULES[rule](CLOSED_LEVELS[case], index)
+    value, estimate = refine_eigenvalue(factory(grid), factory, index, guess, trial)
+    unseeded, unseeded_estimate = refine_eigenvalue(factory(grid), factory, index, guess)
+    # the bound of test_refine_eigenvalue_matches_refine
+    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm
+    assert abs(value - unseeded) <= 5.0 / 3.0 * per_solve
+    assert abs(estimate - unseeded_estimate) <= 8.0 / 3.0 * per_solve
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_rayleigh_quotient_is_the_dense_matrix_one(case):
+    op = case_operator(case)
+    dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+    if op.grid.boundary == PERIODIC:
+        dense[0, -1] = dense[-1, 0] = op.off_diagonal[0]
+    z = np.random.default_rng(7).standard_normal(op.n)
+    assert op.rayleigh(z) == pytest.approx(z @ dense @ z / (z @ z), rel=1e-12)
+    # not finite, and no RuntimeWarning (an error under this suite's settings)
+    assert not math.isfinite(op.rayleigh(np.zeros(op.n)))
+    for bad in (math.nan, math.inf):
+        z[op.n // 2] = bad
+        assert not math.isfinite(op.rayleigh(z)), bad
 
 
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
