@@ -188,17 +188,17 @@ def cmd_effpot(args):
     else:
         problem = sp.angular_problem(model, args.lam)
         coordinate_name = "q"
-    try:
-        values = [float(problem.effective_potential(c)) for c in coords]
-    except (OverflowError, ZeroDivisionError):
-        # float arithmetic raises where an array's gives inf or nan (a power
-        # past the float range, a division by a square that underflows to 0);
-        # the array's values are refused when printed, as every non-finite one is
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            values = np.asarray(problem.effective_potential(np.array(coords)), dtype=float).tolist()
-    rows = [{"coordinate": c, "potential": v} for c, v in zip(coords, values)]
+    rows = []
+    for c in coords:
+        try:
+            value = float(problem.effective_potential(c))
+        except (OverflowError, ZeroDivisionError):
+            # float arithmetic raises where an array's would give inf or nan (a
+            # power past the float range, a division by a square that underflows
+            # to 0): refused at once, as every non-finite value is when printed
+            raise DomainError(f"refusing to print non-finite value of the potential "
+                              f"at {coordinate_name} = {c!r}") from None
+        rows.append({"coordinate": c, "potential": value})
     payload = {
         "command": "effpot",
         "which": args.which,
@@ -254,8 +254,7 @@ def _radial_rows(model, n_rho, coords) -> list:
     v = model.v
     if not isinstance(v, sp.ExactRadial):
         raise DomainError("radial states need a coulomb-like or oscillator-like model")
-    _, ell = v.level(n_rho)
-    values = radial_to_R(coords, v.state(n_rho, ell, coords))
+    values = radial_to_R(coords, v.state(n_rho, coords))
     return [{"coordinate": float(c), "value": float(v)} for c, v in zip(coords, values)]
 
 
@@ -316,32 +315,27 @@ def cmd_scan(args):
     if not isinstance(model.f, sp.CosSquaredProfile):
         raise ConfigError("the scan needs a cos^2-profile model")
     lo, hi = args.lambda_range
-    no_root = None
     try:
         lam_star, residual = md.heun_regime_scan(
             model.ordering, args.energy, (lo, hi), state_index=args.state_index,
             n_points=args.n_points, curve_samples=args.curve_samples,
         )
     except NoRoot as exc:
-        no_root = exc
-    if no_root is not None:
-        curve = no_root.curve
+        code, curve, outcome = EXIT_NO_ROOT, exc.curve, {"root": None, "message": str(exc)}
     else:
+        code = EXIT_OK
         curve = md.scan_curve(model.ordering, (lo, hi), args.curve_samples,
                               state_index=args.state_index, n_points=args.n_points)
+        outcome = {"root": {"lambda_star": lam_star, "residual": residual}}
     payload = {
         "command": "scan",
         "energy_target": args.energy,
         "lambda_range": [lo, hi],
         "state_index": args.state_index,
         "curve": [{"lambda": lam, "energy": e} for lam, e in curve],
+        **outcome,
     }
-    if no_root is not None:
-        payload["root"] = None
-        payload["message"] = str(no_root)
-        return EXIT_NO_ROOT, payload, None, None
-    payload["root"] = {"lambda_star": lam_star, "residual": residual}
-    return EXIT_OK, payload, None, None
+    return code, payload, None, None
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,10 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 # numeric levels (the independent oracle)
 
 
-def _operator(v: ExactRadial, n_rho: int, lam: float, ell: float,
-              grid: Grid) -> DiscretizedOperator:
+def _operator(v: ExactRadial, lam: float, grid: Grid) -> DiscretizedOperator:
     """The radial equation at lam on the grid plus the closed value eps, so that
-    level n_rho sits at eps, not 0: the refine windows scale with the guess."""
-    effective, closed = radial_potential(v, lam), v.closed(n_rho, ell)
+    its level sits at eps, not 0: the refine windows scale with the guess."""
+    effective, closed = radial_potential(v, lam), v.closed
     return discretize(lambda r: effective(r) + closed, grid)
 
 
@@ -174,35 +173,36 @@ def _check_order(ell: float) -> None:
         raise DomainError(f"need a radial order ell > 0, got {ell}")
 
 
+def _level(v: ExactRadial, n_rho: int, lam: float, ell: float, grid: Grid) -> tuple:
+    """Level n_rho as (n_rho, lambda, operator, state) on the grid, the closed
+    state sampled on its points, once the level's order ell is checked."""
+    _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
+    return n_rho, lam, _operator(v, lam, grid), v.state(n_rho, grid.points)
+
+
 def _sweep(v: ExactRadial, n_rho_max: int, n_points: int, rho_max: float | None):
-    """Each level of a sweep as (n_rho, lambda, ell, operator, state): the
-    operator on the sweep's one wall grid and the closed state sampled on its
-    points.  The top index is checked before any level is computed, and each
-    level's ell before its operator is built; an operator is built when its
-    level is reached, so one level's is held at a time."""
+    """Each level of a sweep as :func:`_level`'s tuple on the sweep's one wall
+    grid.  The top index is checked before any level is computed; an operator
+    is built when its level is reached, so one level's is held at a time."""
     if n_rho_max >= 0:  # a negative one is refused by levels, in its own words
         _check_index(n_points, n_rho_max)
     levels = v.levels(n_rho_max)
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
-    points = grid.points
-    for n_rho, lam, ell in levels:
-        _check_order(ell)  # 0 when lambda = t^2 - 1 rounds to -1
-        yield n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid), v.state(n_rho, ell, points)
+    for level in levels:
+        yield _level(v, *level, grid)
 
 
 def _lone_level(potential: Callable[[], ExactRadial], ell: float, n_rho: int, n_points: int,
                 rho_max: float | None) -> tuple[float, float]:
-    """(eigenvalue, convergence_estimate) of index n_rho at radial order ell:
-    :func:`_record`'s on the level's own wall grid.  ell and n_rho are
-    checked first, and only then is ``potential()`` built, since a bad ell
+    """(eigenvalue, convergence_estimate) of :func:`_level` n_rho of the potential
+    whose level n_rho has radial order ell, on its own wall grid.  ell and n_rho
+    are checked first, and only then is ``potential()`` built, since a bad ell
     or n_rho can empty the level's own b."""
     _check_order(ell)
     _check_index(n_points, n_rho)
     v = potential()
     grid = Grid(0.0, v.wall(rho_max), n_points, DIRICHLET)
-    lam = ell * ell - 1.0
-    record = _record(v, n_rho, lam, ell, _operator(v, n_rho, lam, ell, grid),
-                     v.state(n_rho, ell, grid.points))
+    record = _record(v, *_level(v, n_rho, *v.level(n_rho), grid))
     return record.energy_numeric, record.convergence_estimate
 
 
@@ -222,19 +222,19 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
                              rho_max: float | None = None) -> tuple[float, float]:
     """Index-n_rho eigenvalue of -U'' + [(l^2-1/4)/rho^2 + a^2 rho^2/4] U = d U.
 
-    The exact level is the level's own d = a (2 n_rho + ell + 1).
+    The exact level is the potential's d = a (2 n_rho + ell + 1).
     """
     return _lone_level(lambda: OscillatorLike(a_param, a_param * (2.0 * n_rho + ell + 1.0)),
                        ell, n_rho, n_points, rho_max)
 
 
-def _record(v: ExactRadial, n_rho: int, lam: float, ell: float,
-            op: DiscretizedOperator, state: np.ndarray) -> SpectrumRecord:
-    """The closed spectral value of one level against its numeric one,
+def _record(v: ExactRadial, n_rho: int, lam: float, op: DiscretizedOperator,
+            state: np.ndarray) -> SpectrumRecord:
+    """The family's closed spectral value against level n_rho's numeric one,
     refined from the level's operator op around the closed value, the
     window at h seeded by the closed state sampled on op's grid."""
-    closed = v.closed(n_rho, ell)
-    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, n_rho, lam, ell),
+    closed = v.closed
+    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, lam),
                                       n_rho, closed, state)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
@@ -277,9 +277,9 @@ def verify_sweep(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POI
     operator, signed to agree with it (near 1 or above where the grid or the
     wall does not hold the state).  One operator and one sampled closed state
     per level serve both: the state seeds the refine window and is checked."""
-    return [replace(_record(v, n_rho, lam, ell, op, state),
+    return [replace(_record(v, n_rho, lam, op, state),
                     state_error=_state_error(n_rho, op, state))
-            for n_rho, lam, ell, op, state in _sweep(v, n_rho_max, n_points, rho_max)]
+            for n_rho, lam, op, state in _sweep(v, n_rho_max, n_points, rho_max)]
 
 
 def verify_coulomb(b: float, n_rho_max: int, tol: float, *,
@@ -301,7 +301,7 @@ def verify_coulomb(b: float, n_rho_max: int, tol: float, *,
 def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
                       n_points: int = RADIAL_N_POINTS,
                       rho_max: float | None = None) -> list[SpectrumRecord]:
-    """Sweep of the oscillator-like levels; closed value d = a (2 n_rho + ell + 1).
+    """Sweep of the oscillator-like levels; closed value d, the same on every level.
 
     ``tol`` is accepted for the caller's gate and not used here.
     """
@@ -470,10 +470,6 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
         raise DomainError(f"the lambda range must be finite, got ({lo}, {hi})")
     if lo > hi:
         raise DomainError(f"lambda range is inverted: ({lo}, {hi})")
-    if lo == hi:
-        raise NoRoot(f"degenerate lambda range [{lo}, {hi}]",
-                     curve=scan_curve(a, (lo, hi), curve_samples,
-                                      state_index=state_index, n_points=n_points))
 
     def level(lam: float, near: tuple[float, float] | None = None) -> float:
         return scan_level(a, lam, state_index=state_index, n_points=n_points, near=near)

@@ -190,11 +190,12 @@ class ExactRadial:
     * ``tilde_v(rho)``, vectorized over rho, the v(rho) of :func:`radial_potential`;
     * ``lam(n_rho)``, the quantization lambda(n_rho), which fixes the closed
       energy through ``models.flat_energy``;
-    * ``closed(n_rho, ell)``, ell = sqrt(lambda + 1), the closed spectral
-      value eps, by which the checks shift the radial equation at lambda(n_rho);
-    * ``state(n_rho, ell, rho)``, the closed eigenfunction U of that value at
-      the points rho > 0: unit norm, sign (-1)^n_rho, so that the outermost
-      and largest lobe is positive;
+    * ``closed``, the family's closed spectral value eps (the constant term of
+      2 v/rho^2 moved to the eigenvalue side), by which the checks shift the
+      radial equation at every lambda(n_rho);
+    * ``state(n_rho, rho)``, the closed eigenfunction U of level n_rho, at the
+      order :meth:`level` gives, at the points rho > 0: unit norm, sign
+      (-1)^n_rho, so that the outermost and largest lobe is positive;
     * ``default_wall()``, ``header()`` (the parameters as reports print
       them) and ``note`` (the remark on every checked record).
     """
@@ -296,14 +297,15 @@ class CoulombLike(ExactRadial):
     def lam(self, n_rho: int) -> float:
         return coulomb_lambda(self.b, n_rho)
 
-    def closed(self, n_rho: int, ell: float) -> float:
+    @property
+    def closed(self) -> float:
         return -1.0 / (self.b * self.b)
 
-    def state(self, n_rho: int, ell: float, rho):
+    def state(self, n_rho: int, rho):
         """rho^(ell+1/2) exp(-rho/b) L_n^(2 ell)(2 rho/b), the 3D hydrogen state at
         l = ell - 1/2; its square integrates to
         (b/2)^(2 ell+2) Gamma(n+2 ell+1) (2n+2 ell+1)/n!."""
-        b = self.b
+        b, (_, ell) = self.b, self.level(n_rho)
         log_norm_sq = ((2.0 * ell + 2.0) * math.log(0.5 * b) + math.lgamma(n_rho + 2.0 * ell + 1.0)
                        + math.log(2.0 * n_rho + 2.0 * ell + 1.0) - math.lgamma(n_rho + 1.0))
         return _laguerre_state(n_rho, 2.0 * ell, ell, lambda r: 2.0 * r / b, log_norm_sq, rho)
@@ -334,13 +336,15 @@ class OscillatorLike(ExactRadial):
     def lam(self, n_rho: int) -> float:
         return oscillator_lambda(self.a, self.d, n_rho)
 
-    def closed(self, n_rho: int, ell: float) -> float:
-        return self.a * (2.0 * n_rho + ell + 1.0)
+    @property
+    def closed(self) -> float:
+        return self.d
 
-    def state(self, n_rho: int, ell: float, rho):
+    def state(self, n_rho: int, rho):
         """rho^(ell+1/2) exp(-a rho^2/4) L_n^(ell)(a rho^2/2), the 3D oscillator
         state at l = ell - 1/2; its square integrates to
         (2/a)^(ell+1) Gamma(n+ell+1)/(2 n!) (Abramowitz & Stegun 22.2.12)."""
+        _, ell = self.level(n_rho)
         log_norm_sq = ((ell + 1.0) * math.log(2.0 / self.a) + math.lgamma(n_rho + ell + 1.0)
                        - math.log(2.0) - math.lgamma(n_rho + 1.0))
         return _laguerre_state(n_rho, ell, ell, lambda r: 0.5 * self.a * r**2, log_norm_sq, rho)

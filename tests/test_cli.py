@@ -215,6 +215,18 @@ def test_verify_fails_where_the_grid_cannot_hold_a_closed_state(tmp_path, capsys
     assert max(row["state_error"] for row in payload["records"]) < 0.5
 
 
+def test_verify_prints_the_model_d_as_every_closed_value(tmp_path, capsys):
+    # a (2 n_rho + ell + 1), rebuilt from each level's rounded order, reads
+    # 15.173009999999998 here: the closed value is the model's own d
+    path = write_model(tmp_path, "oscillator.json", {
+        "f": "flat", "potential": {"oscillator_like": {"a": 2.11, "d": 15.17301}},
+        "ordering": "bendaniel-duke"})
+    assert main(["verify", "--model", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["model"]["d"] == 15.17301
+    assert [row["energy_closed"] for row in payload["records"]] == [15.17301] * 3
+
+
 def test_verify_json_records_keep_their_key_order(capsys):
     assert main(["verify", "--model", str(GOLDEN / "coulomb.json")]) == 0
     rows = json.loads(capsys.readouterr().out)["records"]
@@ -448,9 +460,8 @@ def test_radial_wavefunction_prints_the_closed_state(oscillator_model_file, caps
     samples = json.loads(capsys.readouterr().out)["samples"]
     # the family's closed state at the requested points, bit for bit
     v = sp.load_model(oscillator_model_file).v
-    ell = math.sqrt(v.lam(1) + 1.0)
     coords = np.linspace(0.5, 6.0, 7)
-    expected = sp.radial_to_R(coords, v.state(1, ell, coords))
+    expected = sp.radial_to_R(coords, v.state(1, coords))
     assert [row["value"] for row in samples] == expected.tolist()
 
 
@@ -485,9 +496,8 @@ def test_radial_wavefunction_near_the_origin_prints_a_finite_R():
     assert result.stderr == ""
     values = [row["value"] for row in json.loads(result.stdout)["samples"]]
     v = sp.load_model(model).v
-    ell = v.level(2)[1]
     coords = np.array([1e-300, 0.5, 1.0])
-    u = v.state(2, ell, coords)
+    u = v.state(2, coords)
     assert values[0] == pytest.approx(float(mpmath.mpf(u[0]) * mpmath.mpf(1e-300) ** -1.5),
                                       rel=1e-14)
     # the samples that print the plain product keep its bits
@@ -913,15 +923,17 @@ runs = [["scipy.linalg" in sys.modules, "numpy" in sys.modules]]
 from pdm_polar.cli import main
 
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
-    runs.append([code, "scipy.linalg" in sys.modules, "numpy" in sys.modules])
+    message = json.loads(err.getvalue())["error"]["message"] if code else ""
+    runs.append([code, "scipy.linalg" in sys.modules, "numpy" in sys.modules, message])
 print(json.dumps(runs))
 """
 
 
 def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file,
-                                       flat_model_file, cos2_model_file):
+                                       flat_model_file, cos2_model_file, tmp_path):
     # a fresh interpreter: the test process itself has numpy and scipy loaded
     # already.  The closed forms run first, on Python floats, and load neither
     closed_form = [
@@ -937,6 +949,22 @@ def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file
         ["wavefunction", "--model", str(flat_model_file), "--state", "angular:m=1",
          "--range", "0,6.28", "--samples", "5"],
     ]
+    # float arithmetic raises where an array's gives inf or nan: the sample
+    # that raises is refused at once, by its coordinate, with no array evaluation
+    deep_well = write_model(tmp_path, "deep_well.json", {
+        "f": "flat", "potential": {"power_well": {"v0": 1.0, "k": 200}},
+        "ordering": "bendaniel-duke"})
+    refused = {
+        # rho^4, and rho^400 at the last sample, pass the float range
+        1e100: [str(oscillator_model_file), "--range=1e100,1e200"],
+        10.0: [str(deep_well), "--range=1,10", "--samples", "3"],
+        # rho^2 underflows to 0 under the centrifugal term
+        1e-300: [str(coulomb_model_file), "--range=1e-300,1e-200"],
+    }
+    closed_form += [["effpot", "--which", "radial", "--model", *argv] for argv in refused.values()]
+    expected = [[0, False, False, ""]] * (len(closed_form) - len(refused)) + [
+        [3, False, False, f"refusing to print non-finite value of the potential at rho = {rho!r}"]
+        for rho in refused]
     # the radial state is sampled on an array; the solving commands reach
     # LAPACK through scipy's extension module alone
     solving = [
@@ -953,8 +981,8 @@ def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file
     assert result.returncode == 0, result.stderr
     bare_import, *runs = json.loads(result.stdout)
     assert bare_import == [False, False]
-    for argv, outcome in zip(closed_form, runs[:len(closed_form)], strict=True):
-        assert outcome == [0, False, False], argv
+    for argv, outcome, want in zip(closed_form, runs[:len(closed_form)], expected, strict=True):
+        assert outcome == want, argv
     for argv, outcome in zip(solving, runs[len(closed_form):], strict=True):
         assert outcome[:2] == [0, False], argv
 

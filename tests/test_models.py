@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdm_polar import (
@@ -372,6 +372,19 @@ def test_verify_oscillator_within_tolerance():
         assert record.convergence_estimate is not None
 
 
+@settings(max_examples=60, deadline=None)
+# a (2 n_rho + ell + 1), rebuilt from the rounded order of level 5, is d - 1 ulp
+@example(a_param=4.504731942405228, d_over_a=11.010539900664622, n_rho_max=5)
+@given(a_param=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), d_over_a=st.floats(1.01, 113.0),
+       n_rho_max=st.integers(0, 6))
+def test_every_checked_level_reports_the_family_closed_value(a_param, d_over_a, n_rho_max):
+    assume(d_over_a > 2 * n_rho_max + 1)
+    v = OscillatorLike(a_param, a_param * d_over_a)
+    assert v.closed == v.d
+    records = verify_family(v, n_rho_max, n_points=64)
+    assert [r.energy_closed for r in records] == [v.d] * (n_rho_max + 1)
+
+
 @pytest.mark.parametrize("a_param, d, n_rho_max", [(1.0, 60.0, 0), (0.5, 40.0, 1)])
 def test_verify_oscillator_default_wall_holds_a_deep_well(a_param, d, n_rho_max):
     # the outer turning point 2 sqrt(d)/a lies past 12/sqrt(a) once d/a > 9
@@ -562,7 +575,7 @@ def test_closed_state_matches_an_mpmath_laguerre_state(family):
                 ref = np.array([float(u(mpmath.mpf(r)) / norm) for r in rho])
             # an independent sign: the largest sample is positive
             ref *= np.sign(ref[np.argmax(np.abs(ref))])
-            got = v.state(n_rho, ell, rho)
+            got = v.state(n_rho, rho)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (n_rho, nominal_ell)
 
@@ -583,10 +596,10 @@ def test_numeric_eigenvector_converges_to_the_closed_state_at_second_order(famil
 def test_closed_state_largest_lobe_is_positive(family):
     for n_rho in range(12):
         for nominal_ell in (0.02, 0.1, 0.2, 0.5, 0.6, 1.0, 1.17, 2.5, 8.0, 20.0, 40.0):
-            v, ell = family_potential(family, n_rho, nominal_ell)
+            v, _ = family_potential(family, n_rho, nominal_ell)
             reach = (v.default_wall() if family is CoulombLike
                      else 4.0 * math.sqrt(v.d) / v.a + 10.0)
-            u = v.state(n_rho, ell, np.linspace(reach / 20000, reach, 20000))
+            u = v.state(n_rho, np.linspace(reach / 20000, reach, 20000))
             assert u[np.argmax(np.abs(u))] > 0.0, (n_rho, nominal_ell)
 
 
@@ -598,13 +611,13 @@ def reference_state_errors(v, n_rho_max, n_points):
     grid = Grid(0.0, v.default_wall(), n_points, DIRICHLET)
     model = SeparableModel(FlatProfile(), v, BDD)
     errors = []
-    for n_rho, lam, ell in v.levels(n_rho_max):
+    for n_rho, lam, _ in v.levels(n_rho_max):
         domain = (float(grid.points[0]), grid.x_max)
         effective = radial_problem(model, lam, domain).effective_potential
-        closed = v.closed(n_rho, ell)
+        closed = v.closed
         op = discretize(lambda r: effective(r) + closed, grid)
         numeric = eigen_lowest(op, n_rho + 1).eigenvectors[:, n_rho]
-        closed = v.state(n_rho, ell, grid.points)
+        closed = v.state(n_rho, grid.points)
         numeric = math.copysign(1.0, numeric @ closed) * numeric
         errors.append(math.sqrt(grid.h * float(np.sum((numeric - closed) ** 2))))
     return errors
@@ -656,25 +669,28 @@ def test_sweep_refuses_an_unresolved_index_before_any_level(sweep, monkeypatch):
     assert calls["lam"] == 0
 
 
-@pytest.mark.parametrize("v", [CoulombLike(1.0 / 3.0), OscillatorLike(1.0, 6.0)],
+# each model has a level past the sweep's top one, n_rho = 2, for Shifted to read;
+# at b = 5.3 the n_rho = 3 state lies 0.445 from the n_rho = 2 eigenvector, so
+# the Coulomb case takes b = 8, where every wrong state lies 0.66 or more away
+@pytest.mark.parametrize("v", [CoulombLike(1.0 / 8.0), OscillatorLike(1.0, 10.0)],
                          ids=["coulomb", "oscillator"])
 def test_state_errors_flag_a_wrong_state(v):
     family = type(v)
 
     class Shifted(family):
-        def state(self, n_rho, ell, rho):
-            return family.state(self, n_rho + 1, ell, rho)
+        def state(self, n_rho, rho):
+            return family.state(self, n_rho + 1, rho)
 
     class Flipped(family):
-        def state(self, n_rho, ell, rho):
-            return -family.state(self, n_rho, ell, rho)
+        def state(self, n_rho, rho):
+            return -family.state(self, n_rho, rho)
 
     def state_errors(potential, **kwargs):
         return [r.state_error for r in verify_sweep(potential, 2, **kwargs)]
 
     params = dataclasses.astuple(v)
     assert max(state_errors(v)) < 1e-4
-    # each eigenvector is far from the closed state of the next level
+    # each eigenvector is far from the next level's closed state, at that level's own order
     assert min(state_errors(Shifted(*params), n_points=1000)) > 0.5
     # the eigenvector's sign is arbitrary, so the check aligns it
     assert state_errors(Flipped(*params), n_points=1000) == state_errors(v, n_points=1000)

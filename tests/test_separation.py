@@ -273,7 +273,7 @@ def test_eigenvalue_form_is_the_radial_problem_at_each_level(family, n_rho, gap,
     lam, ell = v.level(n_rho)
     assert lam == v.lam(n_rho)
     centrifugal = (ell * ell - 0.25) / (rho * rho)
-    w, closed = HAND_DERIVED_W[family](v, rho), v.closed(n_rho, ell)
+    w, closed = HAND_DERIVED_W[family](v, rho), v.closed
     model = SeparableModel(FlatProfile(), v, BDD)
     effective = radial_problem(model, lam, (1e-3, 1e3)).effective_potential(rho)
     scale = (ell * ell + 0.25) / (rho * rho) + abs(w) + abs(closed)
