@@ -195,9 +195,13 @@ def cmd_effpot(args):
         except (OverflowError, ZeroDivisionError):
             # float arithmetic raises where an array's would give inf or nan (a
             # power past the float range, a division by a square that underflows
-            # to 0): refused at once, as every non-finite value is when printed
+            # to 0)
+            value = math.inf
+        if not math.isfinite(value):
+            # refused at once, by its coordinate, whether it raised or came out
+            # non-finite (a product past the float range, a squared parameter's inf)
             raise DomainError(f"refusing to print non-finite value of the potential "
-                              f"at {coordinate_name} = {c!r}") from None
+                              f"at {coordinate_name} = {c!r}")
         rows.append({"coordinate": c, "potential": value})
     payload = {
         "command": "effpot",

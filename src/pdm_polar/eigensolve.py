@@ -13,13 +13,17 @@ the same with the eigenvalue's rate of change (:func:`eigenvalue_slope`,
 which asks for one vector), the eigenvalues in a window certified by a
 Sturm count (``_window``, which :func:`eigenvalue` tries once when given a
 guess, as the lambda scan and :func:`refine_eigenvalue` give it) and the
-Sturm count at or below a value (:func:`count_below`).  All five go through
-one call site, ``_lapack``, which calls LAPACK's Sturm-sequence bisection
-(``?stebz``), plus inverse iteration (``?stein``) for vectors, directly,
-with the arguments :func:`scipy.linalg.eigh_tridiagonal` would pass,
-without its per-call checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386
-(1967); B. N. Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  The
-two routines are scipy's own ``dstebz`` and ``dstein``, read on the first
+Sturm count at or below a value (:func:`count_below`).  The four that return
+eigenvalues go through one call site, ``_lapack``, which calls LAPACK's
+Sturm-sequence bisection (``?stebz``), plus inverse iteration (``?stein``)
+for vectors, directly, with the arguments
+:func:`scipy.linalg.eigh_tridiagonal` would pass, without its per-call
+checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N.
+Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  A count goes
+through ``_count``, which counts the non-positive pivots of one LDL^T
+factorization (``?pttrf``) by Sylvester's law of inertia: one pass, where
+``?stebz`` would make four to return the same number.  The three routines
+are scipy's own ``dstebz``, ``dstein`` and ``dpttrf``, read on the first
 request from its compiled LAPACK extension ``scipy/linalg/_flapack``
 (``_flapack``), which is loaded from its file without importing the
 ``scipy`` or ``scipy.linalg`` packages: those package imports cost a cold
@@ -51,14 +55,16 @@ grid), else about the caller's guess, and its level at h/2 about the
 level at h.  The window is certified by a Sturm count, so a
 poor guess costs one index search, never a wrong level; the value differs
 from the index search's only within the bisection tolerance, about
-4 eps ||T||inf.  So the lambda scan searches by index only for the first
+4 eps ||T||inf.  The count and the bisection round differently, so a window
+with a level within rounding of its lower end also falls back to the index
+search (``_window``).  So the lambda scan searches by index only for the first
 point of a curve, which has no neighbour (and whose search also gives the
 slope that seeds the second point), and where a window misses.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`, as the lambda scan does to decide whether a
-root exists: a by-value ``?stebz`` request that stops after the Sturm
-count, O(n) per sector, with no bisection towards any eigenvalue.
+root exists: one LDL^T pass per sector, O(n), with no bisection towards any
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -83,13 +89,13 @@ POTENTIAL_CAP = 1e12
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-_HUGE = sys.float_info.max
 # refine_eigenvalue bisects its level at h when no trial vector seeds it, and
 # the lambda scan the level at its root, within COARSE_WINDOW * |guess| of the
 # guess, and no window is narrower than the operator's floor,
-# _WINDOW_FLOOR eps ||T||inf
+# _WINDOW_FLOOR eps ||T||inf: wide enough that a window centred on its level
+# keeps the level's value clear of the margin about its lower end (_window)
 COARSE_WINDOW = 2e-2
-_WINDOW_FLOOR = 4.0
+_WINDOW_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,9 @@ class DiscretizedOperator:
 
     @functools.cached_property
     def floor(self) -> float:
-        """Half-width of the narrowest window bisected by value: the bisection
-        tolerance, or the smallest normal float for a zero operator."""
+        """Half-width of the narrowest window bisected by value, 10 eps
+        ||T||inf (``_window`` says why), or the smallest normal float for a
+        zero operator."""
         return max(_WINDOW_FLOOR * _EPS * self.inf_norm, _TINY)
 
     @functools.cached_property
@@ -266,21 +273,22 @@ def _flapack():
 
 
 def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
-            vectors: bool = False, tol: float = 0.0):
-    """The one LAPACK call site: ascending eigenvalues of one symmetric
+            vectors: bool = False):
+    """The one eigenvalue call site: ascending eigenvalues of one symmetric
     tridiagonal, indices lo..hi (``select="i"``) or values in (lo, hi]
-    (``"v"``), and the vectors too if asked; ``tol`` 0 is LAPACK's default.
+    (``"v"``), and the vectors too if asked.
 
     The arguments are those :func:`scipy.linalg.eigh_tridiagonal` passes for
-    the same request (1-based indices; vectors by inverse iteration on the
-    block-ordered values, then sorted), without its per-call validation.
+    the same request (1-based indices; LAPACK's default tolerance; vectors by
+    inverse iteration on the block-ordered values, then sorted), without its
+    per-call validation.
     """
     lo, hi = select_range
     if select == "i":
         bounds = (2, 0.0, 1.0, lo + 1, hi + 1)
     else:
         bounds = (1, lo, hi, 1, 1)
-    m, w, block, split, info = _flapack().dstebz(diag, off, *bounds, tol, "B" if vectors else "E")
+    m, w, block, split, info = _flapack().dstebz(diag, off, *bounds, 0.0, "B" if vectors else "E")
     if info != 0:  # pragma: no cover - degenerate cluster
         raise DomainError(f"?stebz failed (LAPACK info = {info})")
     w = w[:m]
@@ -294,13 +302,47 @@ def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of one symmetric tridiagonal at or below x.
+    """Number of eigenvalues of one symmetric tridiagonal T at or below x.
 
-    A by-value request for (-inf, x] with the largest finite tolerance, wider
-    than any finite Gershgorin interval: ``?stebz`` takes the Sturm count at
-    x and stops, so the length of what it returns is that count.
+    By Sylvester's law of inertia this is the number of non-positive pivots
+    D of T - xI = L D L^T.  LAPACK's ``dpttrf`` factors while the pivots
+    stay positive and stops at the first one that is not, so the pivots are
+    taken in runs of one sign: T - xI is factored while they are positive,
+    xI - T while they are negative.  Where a run stops at pivot p, the next
+    pivot, d_i - x - e_(i-1)^2 / p, is formed here and starts the run of its
+    own sign.  That is one O(n) pass in all, in one call per run: one per
+    lone negative pivot.  A zero pivot counts as at or below x and goes on
+    as the smallest negative float, as ``?stebz``'s ``-pivmin`` does.
+
+    The count is exact for a matrix T + E (W. Kahan, Stanford CS41 (1966);
+    J. Demmel, I. Dhillon & H. Ren, ETNA 3, 116 (1995)): each pivot rounds
+    d_i - x once and e_(i-1)^2 / p three times, so E moves a diagonal entry
+    by at most eps/2 |d_i - x| and an off-diagonal one by 3/4 eps |e_i|, and
+    by Weyl's theorem no eigenvalue of T + E is further than
+    ||E||inf <= eps (3/4 ||T||inf + |x| / 2) from T's.
     """
-    return len(_lapack(diag, off, "v", (-np.inf, x), tol=_HUGE))
+    dpttrf = _flapack().dpttrf
+    frames = (diag - x, x - diag)  # T - xI, and xI - T for the negative runs
+    # dpttrf overwrites the off-diagonal with the multipliers, and takes a
+    # one-row matrix with one unused off-diagonal slot
+    work = np.append(off, 0.0)
+    n, start, sign, count = len(diag), 0, 0, 0
+    while True:
+        run = frames[sign][start:]
+        # overwrite_d and overwrite_e, passed by position: the call is most of the cost
+        info = dpttrf(run, work[start:max(n - 1, start + 1)], 1, 1)[2]
+        if info == 0:
+            return count + sign * (n - start)
+        pivot = -float(run[info - 1]) if sign else float(run[info - 1])
+        if pivot == 0.0:
+            pivot = -_TINY
+        count += sign * (info - 1) + (pivot < 0.0)
+        start += info
+        if start == n:
+            return count
+        following = float(frames[0][start]) - float(off[start - 1]) ** 2 / pivot
+        sign = int(following < 0.0)
+        frames[sign][start] = abs(following)
 
 
 def _parity_sectors(op: DiscretizedOperator):
@@ -410,7 +452,9 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
 
     A ring counts in each reflection-parity sector and sums the two.  So the
     eigenvalue of a given index lies above x exactly when the count is at
-    most that index.
+    most that index.  Each sector's count is its LDL^T pivot count
+    (``_count``), exact for a matrix within eps (3/4 ||T||inf + |x| / 2) of
+    the sector's: a level nearer x than that may fall on either side.
     """
     return sum(_count(diag, off, x) for diag, off, _ in op.sectors)
 
@@ -418,11 +462,29 @@ def count_below(op: DiscretizedOperator, x: float) -> int:
 def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
     """The level of the given index if one Sturm-certified window holds it, else None.
 
-    The window is (guess - w, guess + w], w = |width| floored by ``op.floor``;
-    a guess outside [-||T||inf, ||T||inf] is moved to its nearer end.  It
-    holds the level when at most ``index`` eigenvalues lie at or below
-    guess - w (:func:`count_below`) and the window holds the rest up to
-    ``index``; a window that the count already rules out is not bisected.
+    The window is (lo, hi] = (guess - w, guess + w], w = |width| floored by
+    ``op.floor``; a guess outside [-||T||inf, ||T||inf] is moved to its
+    nearer end.  ``below``, the count at lo (:func:`count_below`), comes
+    from LDL^T pivots, and the values from one ``?stebz`` request over
+    (lo - z, hi], which counts in its own arithmetic.  The window holds the
+    level when at most ``index`` eigenvalues lie at or below lo, no value
+    returned lies within z of lo, and the values returned reach ``index``
+    counted from ``below``; a window that the count already rules out is
+    not bisected.  A level within z of lo may be counted by one arithmetic
+    and not the other, so its window is refused, and never answers with a
+    neighbour.
+
+    With N = ||T||inf, z = eps (19/4 N + |lo| / 2) is the sum of three
+    bounds: the pivot count's backward error, eps (3/4 N + |lo| / 2)
+    (:func:`_count`); ``?stebz``'s, 3 eps N, since its recurrence rounds
+    each diagonal entry once and each e_i^2 four times (eps N) and it drops
+    an off-diagonal entry below eps sqrt|d_i d_(i+1)| (2 eps N more); and
+    half its bisection tolerance, eps N.  So a level that ``?stebz`` puts at
+    or below lo - z is at or below lo in the pivot count, and a value
+    returned above lo + z is a level above lo in it: ``below`` is the number
+    of levels under the first value returned.  A value returned lies within
+    4 eps N of its level, so a floor window, w = 10 eps N, centred on its
+    level is never refused for a level near lo.
     """
     if not (math.isfinite(guess) and math.isfinite(width)):
         raise DomainError(f"need a finite guess and width, got {guess!r} and {width!r}")
@@ -433,8 +495,11 @@ def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
     below = count_below(op, lo)
     if below > index:
         return None
-    inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo, hi))
+    z = _EPS * (4.75 * norm + 0.5 * abs(lo))
+    inside = np.sort(np.concatenate([_lapack(diag, off, "v", (lo - z, hi))
                                      for diag, off, _ in op.sectors]))
+    if inside.size and inside[0] <= lo + z:
+        return None
     return float(inside[index - below]) if index < below + len(inside) else None
 
 

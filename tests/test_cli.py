@@ -950,21 +950,29 @@ def test_no_command_loads_scipy_linalg(coulomb_model_file, oscillator_model_file
          "--range", "0,6.28", "--samples", "5"],
     ]
     # float arithmetic raises where an array's gives inf or nan: the sample
-    # that raises is refused at once, by its coordinate, with no array evaluation
-    deep_well = write_model(tmp_path, "deep_well.json", {
-        "f": "flat", "potential": {"power_well": {"v0": 1.0, "k": 200}},
-        "ordering": "bendaniel-duke"})
-    refused = {
+    # that raises, or that comes out non-finite, is refused at once, by its
+    # coordinate, with no array evaluation
+    def model(name, potential):
+        return str(write_model(tmp_path, name, {"f": "flat", "potential": potential,
+                                                 "ordering": "bendaniel-duke"}))
+
+    refused = [
         # rho^4, and rho^400 at the last sample, pass the float range
-        1e100: [str(oscillator_model_file), "--range=1e100,1e200"],
-        10.0: [str(deep_well), "--range=1,10", "--samples", "3"],
+        (1e100, [str(oscillator_model_file), "--range=1e100,1e200"]),
+        (10.0, [model("deep_well.json", {"power_well": {"v0": 1.0, "k": 200}}),
+                "--range=1,10", "--samples", "3"]),
         # rho^2 underflows to 0 under the centrifugal term
-        1e-300: [str(coulomb_model_file), "--range=1e-300,1e-200"],
-    }
-    closed_form += [["effpot", "--which", "radial", "--model", *argv] for argv in refused.values()]
+        (1e-300, [str(coulomb_model_file), "--range=1e-300,1e-200"]),
+        # a squared parameter passes the float range: inf, with nothing raised
+        (0.5, [model("huge_omega.json", {"coulomb_like": {"omega": 1e200}}),
+               "--range=0.5,2", "--samples", "3"]),
+        (0.5, [model("huge_a.json", {"oscillator_like": {"a": 1e200, "d": 1.0}}),
+               "--range=0.5,2", "--samples", "3"]),
+    ]
+    closed_form += [["effpot", "--which", "radial", "--model", *argv] for _, argv in refused]
     expected = [[0, False, False, ""]] * (len(closed_form) - len(refused)) + [
         [3, False, False, f"refusing to print non-finite value of the potential at rho = {rho!r}"]
-        for rho in refused]
+        for rho, _ in refused]
     # the radial state is sampled on an array; the solving commands reach
     # LAPACK through scipy's extension module alone
     solving = [

@@ -1,5 +1,6 @@
 """Grid conventions, discretization, and the tridiagonal eigensolver."""
 
+import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -332,6 +333,92 @@ def test_count_below_matches_references(case):
     assert count_below(op, 2.0 * op.inf_norm) == op.n
 
 
+def tridiagonal_norm(diag, off) -> float:
+    """||T||inf of a symmetric tridiagonal without corners."""
+    row = np.abs(diag).copy()
+    row[:-1] += np.abs(off)
+    row[1:] += np.abs(off)
+    return float(np.max(row))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_spectrum(diag: bytes, off: bytes) -> np.ndarray:
+    d, e = np.frombuffer(diag), np.frombuffer(off)
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def dense_eigenvalues(diag, off) -> np.ndarray:
+    """The eigvalsh eigenvalues of the dense symmetric tridiagonal, once per matrix."""
+    return _dense_spectrum(np.ascontiguousarray(diag).tobytes(), np.ascontiguousarray(off).tobytes())
+
+
+def assert_dense_count(diag, off, x):
+    """The pivot count at x is the dense count where no eigvalsh eigenvalue
+    lies within z of x, and lies between the dense counts at x - z and x + z
+    where one does.  z is the count's backward error, eps (3/4 ||T||inf +
+    |x| / 2), plus n eps ||T||inf for eigvalsh's error: its eigenvalues of
+    random tridiagonals lie up to 10 eps ||T||inf from ?stebz's at n = 77
+    and 40 at n = 2000, and a 50-digit Sturm count sides with ?stebz."""
+    dense = dense_eigenvalues(diag, off)
+    norm = tridiagonal_norm(diag, off)
+    z = EPS * ((0.75 + len(diag)) * norm + 0.5 * abs(x))
+    count = _count(diag, off, x)
+    if np.min(np.abs(dense - x)) > z:
+        assert count == np.sum(dense <= x), x
+    else:
+        assert np.sum(dense <= x - z) <= count <= np.sum(dense <= x + z), x
+
+
+def test_count_takes_a_zero_pivot_as_at_or_below():
+    # at an exact level T - xI is singular and a pivot is exactly 0: the
+    # level counts as at or below x, as ?stebz's -pivmin counts it.  A
+    # diagonal matrix has its levels on the diagonal; in the coupled block
+    # [[0, 1], [1, 0]], whose levels are -1 and 1, the pivot after the zero
+    # one, d - x - e^2 / (-tiny), overflows to +inf
+    levels = np.arange(16.0)
+    for x in levels:
+        assert _count(levels, np.zeros(15), x) == x + 1
+    assert _count(np.zeros(3), np.array([1.0, 0.0]), 0.0) == 2
+
+
+# every sector of every SOLVE_CASES operator, by case and position
+CASE_SECTORS = [(case, s) for case in sorted(SOLVE_CASES)
+                for s in range(2 if SOLVE_CASES[case][0].boundary == PERIODIC else 1)]
+COUNT_POINTS = ("far below", "below", "inside", "level", "ulps from a level", "above", "far above")
+
+
+@pytest.mark.parametrize("source", [f"{case}-{s}" for case, s in CASE_SECTORS] + ["random"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), where=st.sampled_from(COUNT_POINTS))
+def test_count_is_the_dense_count(source, data, where):
+    # random tridiagonals hold zero off-diagonals, and so repeated levels,
+    # at scales 1e-3 to 1e6
+    if source == "random":
+        op = data.draw(random_tridiagonals(), label="op")
+        diag, off = op.diagonal, op.off_diagonal
+    else:
+        case, s = source.rsplit("-", 1)
+        # a copy: the cached operator's split is left to the test that counts it
+        diag, off, _ = dataclasses.replace(case_operator(case)).sectors[int(s)]
+    dense = dense_eigenvalues(diag, off)
+    norm = tridiagonal_norm(diag, off)
+    level = float(dense[data.draw(st.integers(0, len(dense) - 1), label="level")])
+    fraction = data.draw(st.floats(0.0, 1.0), label="fraction")
+    x = {
+        "far below": -2.0 * norm,
+        "below": float(dense[0]) - fraction * norm,
+        "inside": float(dense[0]) + fraction * float(dense[-1] - dense[0]),
+        "level": level,
+        "ulps from a level": level,
+        "above": float(dense[-1]) + fraction * norm,
+        "far above": 2.0 * norm,
+    }[where]
+    if where == "ulps from a level":
+        for _ in range(data.draw(st.integers(1, 4), label="ulps")):
+            x = float(np.nextafter(x, data.draw(st.sampled_from([-np.inf, np.inf]), label="way")))
+    assert_dense_count(diag, off, x)
+
+
 def test_ring_is_split_once_per_operator(monkeypatch):
     splits = []
     split = eigensolve._parity_sectors
@@ -634,21 +721,57 @@ def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch)
                                                                   abs(extrapolated - fine))
 
 
-def spy_on_lapack(monkeypatch, ranges=None):
-    """Record (rows, select, tol, values returned) of every LAPACK request,
-    and its select range in ``ranges`` when given a list."""
-    requests = []
-    lapack = eigensolve._lapack
+@pytest.mark.parametrize("shift", [1e4, 3e4])
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_window_with_a_level_at_its_lower_end_never_returns_a_neighbour(shift, index):
+    # the harmonic levels moved up by 1e4 or 3e4, where one ulp, 1.8e-12 or
+    # 3.6e-12, is about eps ||T||inf: a few ulps either side of a level lie
+    # where the pivot count and ?stebz's own count may side differently (at
+    # 3e4 they do, one ulp below level 2).  The window's lower end lo sits on
+    # the level asked for (index 0) or on the one below it, and at 1 to 4
+    # ulps either side; its width of 1 reaches the next level
+    grid, potential, prefactor, _ = SOLVE_CASES["harmonic"]
+    op = discretize(lambda x: potential(x) + shift, grid, prefactor=prefactor)
+    levels = [eigenvalue(op, j) for j in range(index + 2)]
+    bound = 4.0 * EPS * op.inf_norm
+    width = 1.0
+    for way in (-np.inf, np.inf):
+        lo = levels[max(index - 1, 0)]
+        for _ in range(5):
+            guess = lo + width
+            assert guess - width == lo  # the window's lower end is lo itself
+            value = eigensolve._window(op, index, guess, width)
+            assert value is None or abs(value - levels[index]) <= bound, (index, lo)
+            lo = float(np.nextafter(lo, way))
 
-    def spy(d, e, select, select_range, **kwargs):
+
+def spy_on_requests(monkeypatch):
+    """Record (rows, kind, range, result) of every request from here on: a
+    LAPACK request of kind "i" or "v" with its select range and the number
+    of values returned, and a pivot count ("count") with its point and the
+    count."""
+    requests = []
+    lapack, count = eigensolve._lapack, eigensolve._count
+
+    def lapack_spy(d, e, select, select_range, **kwargs):
         values = lapack(d, e, select, select_range, **kwargs)
-        requests.append((len(d), select, kwargs.get("tol", 0.0), len(values)))
-        if ranges is not None:
-            ranges.append(select_range)
+        requests.append((len(d), select, select_range, len(values)))
         return values
 
-    monkeypatch.setattr(eigensolve, "_lapack", spy)
+    def count_spy(d, e, x):
+        below = count(d, e, x)
+        requests.append((len(d), "count", x, below))
+        return below
+
+    monkeypatch.setattr(eigensolve, "_lapack", lapack_spy)
+    monkeypatch.setattr(eigensolve, "_count", count_spy)
     return requests
+
+
+def window_z(norm, lo):
+    """The margin of ``_window`` about its lower end lo, for an operator of
+    norm ||T||inf: eps (19/4 ||T||inf + |lo| / 2)."""
+    return EPS * (4.75 * norm + 0.5 * abs(lo))
 
 
 # the 90-wide wall holds the n_rho = 2 hydrogen state, which the 60-wide one
@@ -665,29 +788,32 @@ def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid, seede
     # a closed state seeds the window at h: it is no wider than the seed's
     # half-width, max(floor, |quotient - guess| / 16), where the window about
     # the guess alone would be 2e-2 |guess| wide; the window at h/2 reaches
-    # no further from the level at h than the guess does
+    # no further from the level at h than the guess does.  Each request by
+    # value reaches z = window_z below its window, and a pivot count certifies it
     _, potential, prefactor, _ = SOLVE_CASES[case]
     factory = functools.partial(discretize, potential, prefactor=prefactor)
-    fine_floor = factory(grid.refined()).floor
-    ranges = []
-    requests = spy_on_lapack(monkeypatch, ranges)
+    fine_op = factory(grid.refined())
+    requests = spy_on_requests(monkeypatch)
     for index in range(3):
         op, guess = factory(grid), CLOSED_LEVELS[case](index)
         trial = CLOSED_STATES[case](index, grid.points) if seeded else None
         coarse = eigenvalue(op, index)
         requests.clear()
-        ranges.clear()
         refine_eigenvalue(op, factory, index, guess, trial)
-        assert requests and {select for _, select, _, _ in requests} == {"v"}, index
+        assert {kind for _, kind, _, _ in requests} == {"count", "v"}, index
         if seeded:
-            windows = {rows: [hi - lo for (n, _, tol, _), (lo, hi) in zip(requests, ranges)
-                              if n == rows and tol == 0.0]
+            windows = {rows: [hi - lo for n, kind, (lo, hi), _ in
+                              (r for r in requests if r[1] == "v") if n == rows]
                        for rows in (grid.n_points, grid.refined().n_points)}
-            half_width = max(op.floor, abs(op.rayleigh(trial) - guess) / 16.0)
-            assert windows[grid.n_points] == [pytest.approx(2.0 * half_width, rel=1e-9)], index
+            quotient = op.rayleigh(trial)
+            half_width = max(op.floor, abs(quotient - guess) / 16.0)
+            z = window_z(op.inf_norm, quotient - half_width)
+            assert windows[grid.n_points] == [pytest.approx(2.0 * half_width + z, rel=1e-9)], index
             [fine] = windows[grid.refined().n_points]
-            # the level at h that refine_eigenvalue bisects is coarse within the floor
-            assert fine <= max(2.0 * (abs(coarse - guess) + op.floor), 2.0 * fine_floor), index
+            # the level at h that refine_eigenvalue bisects is coarse within the
+            # floor, and a window's lower end lies within ||T||inf of 0
+            assert fine <= (max(2.0 * (abs(coarse - guess) + op.floor), 2.0 * fine_op.floor)
+                            + window_z(fine_op.inf_norm, fine_op.inf_norm)), index
 
 
 @pytest.mark.parametrize("rule", ["zero", "1.5x closed"])
@@ -696,18 +822,18 @@ def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, r
     # and one index search per grid, and bisects no level but the one asked for
     _, potential, prefactor, _ = SOLVE_CASES["coulombish"]
     grid = Grid(0.0, 60.0, 20000, DIRICHLET)
-    requests = spy_on_lapack(monkeypatch)
+    requests = spy_on_requests(monkeypatch)
     for index in range(3):
         requests.clear()
         factory = functools.partial(discretize, potential, prefactor=prefactor)
         refine_eigenvalue(factory(grid), factory, index,
                           GUESS_RULES[rule](CLOSED_LEVELS["coulombish"], index))
         for rows in (grid.n_points, grid.refined().n_points):
-            mine = [(select, tol, m) for n, select, tol, m in requests if n == rows]
-            counts = [r for r in mine if r[0] == "v" and r[1] != 0.0]
-            bisections = [r for r in mine if r[0] == "v" and r[1] == 0.0]
+            mine = [(kind, m) for n, kind, _, m in requests if n == rows]
+            counts = [r for r in mine if r[0] == "count"]
+            bisections = [r for r in mine if r[0] == "v"]
             assert len(counts) <= 1 and len(bisections) <= 1, (index, rows, mine)
-            assert sum(m for _, _, m in bisections) <= 1, (index, rows, mine)
+            assert sum(m for _, m in bisections) <= 1, (index, rows, mine)
             assert len([r for r in mine if r[0] == "i"]) <= 1, (index, rows, mine)
 
 
@@ -848,8 +974,9 @@ def test_routines_are_scipys_own():
     from scipy.linalg import _flapack, get_lapack_funcs
 
     assert eigensolve._flapack().__file__ == _flapack.__file__
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+    stebz, stein, pttrf = get_lapack_funcs(("stebz", "stein", "pttrf"), dtype=np.float64)
     assert eigensolve._flapack().dstebz is stebz and eigensolve._flapack().dstein is stein
+    assert eigensolve._flapack().dpttrf is pttrf
 
 
 def test_missing_extension_names_the_directories_searched(monkeypatch, tmp_path):
@@ -891,11 +1018,12 @@ def test_lapack_requests_match_eigh_tridiagonal(op, data):
         w_ref, v_ref = reference(select="i", select_range=(lo, hi))
         np.testing.assert_array_equal(w, w_ref)
         np.testing.assert_array_equal(v, v_ref)
-        # a window between two of those levels, and the count at its top
+        # a window between two of those levels, and the pivot count at its two
+        # ends, the dense count away from ties (assert_dense_count)
         a, b = sorted(data.draw(st.sampled_from(by_index.tolist()), label=end) for end in "ab")
         window = (a - 1e-3 * abs(a), b)
         np.testing.assert_array_equal(
             eigensolve._lapack(diag, off, "v", window),
             reference(eigvals_only=True, select="v", select_range=window))
-        assert _count(diag, off, b) == len(reference(
-            eigvals_only=True, select="v", select_range=(-np.inf, b), tol=np.finfo(float).max))
+        for x in (b, window[0]):
+            assert_dense_count(diag, off, x)

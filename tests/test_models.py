@@ -1072,17 +1072,23 @@ def test_windowed_gate_curve_matches_the_index_search_on_every_ring(n_points, st
 
 
 def _lapack_requests(monkeypatch):
-    """The ``select`` of each LAPACK request from here on: "i" by index, "v" by value."""
+    """The kind of each solver request from here on: the ``select`` of a
+    LAPACK request, "i" by index or "v" by value, and "count" for a Sturm count."""
     from pdm_polar import eigensolve
 
     requests = []
-    lapack = eigensolve._lapack
+    lapack, count = eigensolve._lapack, eigensolve._count
 
     def spy(d, e, select, *args, **kwargs):
         requests.append(select)
         return lapack(d, e, select, *args, **kwargs)
 
+    def count_spy(d, e, x):
+        requests.append("count")
+        return count(d, e, x)
+
     monkeypatch.setattr(eigensolve, "_lapack", spy)
+    monkeypatch.setattr(eigensolve, "_count", count_spy)
     return requests
 
 
@@ -1122,7 +1128,7 @@ def test_unbracketed_scan_decides_without_an_index_request(monkeypatch):
     with pytest.raises(NoRoot):
         heun_regime_scan(MM, 50.0, (-0.9, -0.5), state_index=1, curve_samples=5)
     # the decision is Sturm counts alone; the curve's budget is its own
-    assert before_curve and "i" not in before_curve
+    assert "count" in before_curve and "i" not in before_curve
 
 
 def test_scan_curve_falls_back_when_no_window_certifies(monkeypatch):
