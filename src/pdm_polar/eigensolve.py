@@ -7,24 +7,26 @@ with two boundary treatments:
 * periodic:  x_i = x_min + i h, h = L / n; the corner entries that close
   the ring equal the first off-diagonal entry.
 
-Five requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
+Six requests reach LAPACK: the lowest k eigenpairs (:func:`eigen_lowest`,
 and :func:`refine` over it), one eigenvalue by index (:func:`eigenvalue`),
 the same with the eigenvalue's rate of change (:func:`eigenvalue_slope`,
 which asks for one vector), the eigenvalues in a window certified by a
 Sturm count (``_window``, which :func:`eigenvalue` tries once when given a
-guess, as the lambda scan and :func:`refine_eigenvalue` give it) and the
-Sturm count at or below a value (:func:`count_below`).  The four that return
-eigenvalues go through one call site, ``_lapack``, which calls LAPACK's
-Sturm-sequence bisection (``?stebz``), plus inverse iteration (``?stein``)
-for vectors, directly, with the arguments
-:func:`scipy.linalg.eigh_tridiagonal` would pass, without its per-call
-checks (Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967); B. N.
-Parlett, The Symmetric Eigenvalue Problem (SIAM, 1998)).  A count goes
-through ``_count``, which counts the non-positive pivots of one LDL^T
-factorization (``?pttrf``) by Sylvester's law of inertia: one pass, where
-``?stebz`` would make four to return the same number.  The three routines
-are scipy's own ``dstebz``, ``dstein`` and ``dpttrf``, read on the first
-request from its compiled LAPACK extension ``scipy/linalg/_flapack``
+guess, as the lambda scan gives it), the Sturm count at or below a value
+(:func:`count_below`) and one eigenpair by Rayleigh-quotient iteration from
+a trial vector (:func:`rayleigh_eigenpair`).  The four that bisect go
+through one call site, ``_lapack``, which calls LAPACK's Sturm-sequence
+bisection (``?stebz``), plus inverse iteration (``?stein``) for vectors,
+directly, with the arguments :func:`scipy.linalg.eigh_tridiagonal` would
+pass, without its per-call checks (Barth, Martin & Wilkinson, Numer. Math.
+9, 386 (1967); B. N. Parlett, The Symmetric Eigenvalue Problem (SIAM,
+1998)).  A count goes through ``_count``, which counts the non-positive
+pivots of one LDL^T factorization (``?pttrf``) by Sylvester's law of
+inertia: one pass, where ``?stebz`` would make four to return the same
+number.  The Rayleigh-quotient step solves one shifted tridiagonal system
+(``?gtsv``) and certifies its level with two counts.  The four routines are
+scipy's own ``dstebz``, ``dstein``, ``dpttrf`` and ``dgtsv``, read on the
+first request from its compiled LAPACK extension ``scipy/linalg/_flapack``
 (``_flapack``), which is loaded from its file without importing the
 ``scipy`` or ``scipy.linalg`` packages: those package imports cost a cold
 process several times what the solves of one command do.  Code that never
@@ -48,18 +50,26 @@ Gershgorin interval, in every sector.  Given a guess and a width, it first
 bisects by value in one window about the guess and searches by index only
 if that window does not hold the level.  The lambda scan passes a level's
 previous value moved by one step, and one step; its root residual passes the
-energy target and ``COARSE_WINDOW`` times it.  :func:`refine_eigenvalue`
-bisects its level at h about the Rayleigh quotient of the caller's trial
-vector (the verify sweeps pass each level's closed state, sampled on the
-grid), else about the caller's guess, and its level at h/2 about the
-level at h.  The window is certified by a Sturm count, so a
-poor guess costs one index search, never a wrong level; the value differs
-from the index search's only within the bisection tolerance, about
-4 eps ||T||inf.  The count and the bisection round differently, so a window
-with a level within rounding of its lower end also falls back to the index
-search (``_window``).  So the lambda scan searches by index only for the first
-point of a curve, which has no neighbour (and whose search also gives the
-slope that seeds the second point), and where a window misses.
+energy target and ``COARSE_WINDOW`` times it.  The window is certified by a
+Sturm count, so a poor guess costs one index search, never a wrong level;
+the value differs from the index search's only within the bisection
+tolerance, about 4 eps ||T||inf.  The count and the bisection round
+differently, so a window with a level within rounding of its lower end also
+falls back to the index search (``_window``).  So the lambda scan searches by
+index only for the first point of a curve, which has no neighbour (and whose
+search also gives the slope that seeds the second point), and where a window
+misses.
+
+:func:`rayleigh_eigenpair` is the verify sweeps' solve, on Dirichlet
+operators only, and bisects nothing.  From a trial near the level's
+eigenvector (a closed state sampled on the grid, or the eigenvector of a
+coarser grid prolonged onto it) one ``dgtsv`` solve, two when the residual
+asks, gives the level's value and vector, and two pivot counts certify its
+index.  The value is a Rayleigh quotient, so it is not held at the
+bisection tolerance: where that tolerance is wider than the discretization
+error (n of about 2e4 and up on the verify domains) it lies nearer the
+closed value than the index search's.  A step that fails or does not
+certify returns None, and the caller searches by index.
 
 A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`, as the lambda scan does to decide whether a
@@ -89,9 +99,8 @@ POTENTIAL_CAP = 1e12
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-# refine_eigenvalue bisects its level at h when no trial vector seeds it, and
-# the lambda scan the level at its root, within COARSE_WINDOW * |guess| of the
-# guess, and no window is narrower than the operator's floor,
+# the lambda scan bisects the level at its root within COARSE_WINDOW * |guess|
+# of the guess, and no window is narrower than the operator's floor,
 # _WINDOW_FLOOR eps ||T||inf: wide enough that a window centred on its level
 # keeps the level's value clear of the margin about its lower end (_window)
 COARSE_WINDOW = 2e-2
@@ -135,6 +144,18 @@ class Grid:
         if self.boundary == DIRICHLET:
             return Grid(self.x_min, self.x_max, 2 * self.n_points + 1, self.boundary)
         return Grid(self.x_min, self.x_max, 2 * self.n_points, self.boundary)
+
+    def prolong(self, values: np.ndarray) -> np.ndarray:
+        """Values on a Dirichlet grid's points, linearly interpolated onto the
+        points of :meth:`refined`, where point i is point 2i + 1 and the
+        walls hold zero; a ring raises DomainError."""
+        if self.boundary != DIRICHLET:
+            raise DomainError(f"prolong interpolates Dirichlet grids only, got {self.boundary!r}")
+        fine = np.zeros(2 * self.n_points + 1)
+        fine[1::2] = values
+        fine[2:-1:2] = 0.5 * (values[:-1] + values[1:])
+        fine[0], fine[-1] = 0.5 * values[0], 0.5 * values[-1]
+        return fine
 
     def check_index(self, index: int, name: str = "index") -> None:
         """The solver's resolution rule, checked by every request by index before
@@ -503,7 +524,97 @@ def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
     return float(inside[index - below]) if index < below + len(inside) else None
 
 
-def _richardson(coarse, fine):
+def rayleigh_eigenpair(op: DiscretizedOperator, index: int, trial: np.ndarray):
+    """(eigenvalue, unit eigenvector) of the given index of a Dirichlet
+    operator by Rayleigh-quotient iteration from ``trial``, certified by two
+    pivot counts; None when the step fails or its counts do not certify it.
+
+    The step shifts by q = ``op.rayleigh(trial)`` and solves (T - qI) y = x,
+    x = trial / ||trial||, once with LAPACK ``dgtsv``.  A trial within O(h^2)
+    of the eigenvector, as a closed state sampled on the grid is, puts q
+    within O(h^4) of its level and y much nearer its vector: the iteration
+    converges cubically (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM
+    1998, ch. 4).  A second step, from y, is taken only when the residual
+    bound R below exceeds 500 s.  The vector is y, normalized as
+    :class:`EigenResult`'s are; its sign is arbitrary.  A non-finite quotient,
+    a singular solve (``info != 0``), an R still above 500 s after the second
+    step, or counts that do not certify return None; the caller's fallback is
+    the index search, :func:`eigenvalue`.
+
+    The quotient and the residual come from the solve, with no product by T.
+    The shifted diagonal d - q rounds entry i by delta_i, so the solve is
+    one of T - qI - diag(delta) and T y = q y + delta y + x.  So y's quotient
+    is q' = q + (x.y + y.delta y) / ||y||^2, and its residual, the part of
+    T y / ||y|| orthogonal to y, is at most r + max |delta|, where r^2 =
+    1/||y||^2 - (x.y)^2 / ||y||^4.  The delta term matters: every entry of
+    d - q in one binade rounds alike, which would move the value by up to
+    eps ||T||inf / 2 (about 3e-9 at 2e5 rows on Coulomb b = 3's verify
+    domain), where the corrected quotient is good to about 1e-12 there.
+
+    Rounding.  With N = ||T||inf, |delta_i| <= eps (N + |q|) / 2.  Partial
+    pivoting on a tridiagonal matrix grows no entry by more than twice (N. J.
+    Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002,
+    ch. 9), so the computed y solves the shifted system plus E, ||E|| about 2
+    eps times |L||U|, whose rows sum to at most 12 (N + |q|); s = 24 eps
+    (N + |q|) bounds max |delta| + ||E||.  The dot products and x's norm round
+    r^2 by at most 3 n eps / ||y||^2.  So y / ||y|| has a residual at most R =
+    sqrt(r^2 + 3 n eps / ||y||^2) + s about its own quotient, which lies
+    within s of q'.
+
+    Certificate.  The counts (:func:`count_below`) sit at q' -/+ g, g = 1e3 R,
+    and certify the index when they are index and index + 1.  Each is exact
+    for a matrix within z = eps (3/4 N + |q' -/+ g| / 2) of T at its own end,
+    so no level of T but the one of the given index lies in (q' - g + z,
+    q' + g - z).  Since g >= 1e3 s >= 2.4e4 eps N, z + s < g / 2, so that
+    interval reaches more than g / 2 either side of y's quotient.  By the
+    Kato-Temple inequality (T. Kato, J. Phys. Soc. Japan 4, 334 (1949)),
+    R < g / 2 then puts the level in the interval, within R^2 / (g / 2) =
+    R / 500 of y's quotient: the value returned is within R / 500 + s <= 2 s
+    of the level.  A trial nearer another level converges to that one, whose
+    counts are not index and index + 1.
+    """
+    if op.grid.boundary != DIRICHLET:
+        raise DomainError("rayleigh_eigenpair solves Dirichlet operators only, "
+                          f"got {op.grid.boundary!r}; use eigenvalue")
+    op.grid.check_index(index)
+    q = op.rayleigh(trial)
+    if not math.isfinite(q):
+        return None
+    # the right-hand side x is the trial itself, not normalized: q' does not
+    # depend on its scale, and r^2 and its rounding scale with xx = ||x||^2
+    x, xx = trial, float(trial @ trial)
+    norm, off = op.inf_norm, op.off_diagonal
+    for _ in range(2):
+        s = 24.0 * _EPS * (norm + abs(q))
+        shifted = op.diagonal - q
+        delta = op.diagonal - shifted
+        delta -= q
+        # dl and du are copied, not overwritten: they are the operator's own
+        # off-diagonal; so is b, since x is read again below
+        _, _, _, y, info = _flapack().dgtsv(off, shifted, off, x, 0, 1, 0, 0)
+        yy = float(y @ y)
+        # a finite, non-zero ||y|| also keeps every entry of y finite
+        if info != 0 or not 0.0 < yy < math.inf:
+            return None
+        xy = float(x @ y)
+        delta *= y
+        q += (xy + float(delta @ y)) / yy
+        r2 = xx / yy - (xy / yy) ** 2
+        bound = math.sqrt(max(r2, 0.0) + 3.0 * op.n * _EPS * xx / yy) + s
+        y *= 1.0 / math.sqrt(yy)
+        x, xx = y, 1.0
+        if bound <= 500.0 * s:
+            break
+    else:
+        return None
+    g = 1e3 * bound
+    if count_below(op, q - g) != index or count_below(op, q + g) != index + 1:
+        return None
+    x *= 1.0 / math.sqrt(op.grid.h)
+    return q, x
+
+
+def richardson(coarse, fine):
     """h^2 extrapolation of values at h and h/2, and |extrapolated - fine|."""
     extrapolated = (4.0 * fine - coarse) / 3.0
     return extrapolated, abs(extrapolated - fine)
@@ -520,57 +631,8 @@ def refine(op_factory, grid: Grid, k: int) -> EigenResult:
     coarse = eigen_lowest(op_factory(grid), k)
     fine_grid = grid.refined()
     fine = eigen_lowest(op_factory(fine_grid), k)
-    extrapolated, estimate = _richardson(coarse.eigenvalues, fine.eigenvalues)
+    extrapolated, estimate = richardson(coarse.eigenvalues, fine.eigenvalues)
     return EigenResult(extrapolated, fine.eigenvectors, fine_grid, estimate)
-
-
-def refine_eigenvalue(op: DiscretizedOperator, op_factory, index: int,
-                      guess: float, trial: np.ndarray | None = None) -> tuple[float, float]:
-    """:func:`refine` for the one eigenvalue of the given index, without vectors.
-
-    ``op`` is the operator at h, which the caller may go on using (for its
-    eigenvectors, say); ``op_factory`` maps ``op.grid.refined()`` to the
-    operator at h/2.  Returns (extrapolated value, |extrapolated - fine|),
-    the Richardson step of :func:`refine` applied to
-    ``eigenvalue(..., near=...)`` at h and h/2.
-
-    ``guess`` is typically the level's h -> 0 limit, its closed value, and
-    ``trial`` a vector on ``op``'s nodes near the level's eigenvector,
-    typically its closed state sampled on the grid.  When the trial's
-    Rayleigh quotient (:meth:`DiscretizedOperator.rayleigh`) is finite, the
-    level at h is bisected in a window around it of half-width
-    |quotient - guess| / 16, floored by ``op.floor``.  A closed state puts
-    its quotient within O(h^4) of the level, while the level sits O(h^2)
-    from its limit, so on a resolved grid the window holds the level and
-    needs a few halvings where a 2e-2 |guess| window needs 20 to 30.  With
-    no trial, or a non-finite quotient, the level at h is bisected in a
-    window of half-width 2e-2 |guess| around the guess.  The level at h/2
-    is bisected in a window around the level at h of half-width
-    |coarse - guess|, 4/3 of the h^2 prediction of its shift when the guess
-    is the h -> 0 limit, at most 2e-2 |coarse| and at least the floor of
-    the operator at h/2.  Every window is certified by a Sturm count and
-    falls back to the index search when it misses, so the values are those
-    of the two index searches, within the bisection tolerance, whatever the
-    guess and trial.
-
-    The guess and trial only set the cost: a window bisects every level it
-    holds, at O(n) each, and a narrow one reaches the bisection tolerance in
-    fewer halvings.  A poor trial or guess costs one window plus one index
-    search.
-
-    The bisection tolerance is a floor shared with the index search: each
-    level is resolved to about eps * ||T||inf = 4 eps / h^2 of its operator
-    (unit prefactor).  For the fine grid of an n = 1e5 verify sweep on a
-    12-wide domain that is about 2.5e-7, so above n of about 2e4 the
-    convergence estimate measures roundoff, not discretization error.
-    """
-    seed = math.nan if trial is None else op.rayleigh(trial)
-    centre, width = ((seed, abs(seed - guess) / 16.0) if math.isfinite(seed)
-                     else (guess, COARSE_WINDOW * abs(guess)))
-    coarse = eigenvalue(op, index, near=(centre, width))
-    fine_width = min(abs(coarse - guess), COARSE_WINDOW * abs(coarse))
-    fine = eigenvalue(op_factory(op.grid.refined()), index, near=(coarse, fine_width))
-    return _richardson(coarse, fine)
 
 
 def observed_order(e_h: float, e_h2: float, e_h4: float) -> float:

@@ -52,7 +52,8 @@ from .eigensolve import (
     eigen_lowest,
     eigenvalue,
     eigenvalue_slope,
-    refine_eigenvalue,
+    rayleigh_eigenpair,
+    richardson,
 )
 from .errors import DomainError, NoRoot
 from .separation import (
@@ -95,9 +96,10 @@ class QuantumNumbers:
 @dataclass(frozen=True)
 class SpectrumRecord:
     """One spectrum entry, closed or checked: a checked one also carries the
-    solver's ``energy_numeric``; ``state_error`` is None unless the level's
-    state was checked (:func:`verify_sweep`).  ``delta``, ``provenance`` and
-    ``energy`` follow from the energies."""
+    solver's ``energy_numeric`` and whether the solve from its closed state
+    ``certified`` its index (None where nothing was solved); ``state_error``
+    is None unless the level's state was checked (:func:`verify_sweep`).
+    ``delta``, ``provenance`` and ``energy`` follow from the energies."""
 
     qn: QuantumNumbers
     lam: float
@@ -107,6 +109,7 @@ class SpectrumRecord:
     ordering: AmbiguitySet | None = None
     note: str = ""
     state_error: float | None = None
+    certified: bool | None = None
 
     @property
     def delta(self) -> float | None:
@@ -157,7 +160,7 @@ def oscillator_energy(a: AmbiguitySet, a_param: float, d: float, qn: QuantumNumb
 
 def _operator(v: ExactRadial, lam: float, grid: Grid) -> DiscretizedOperator:
     """The radial equation at lam on the grid plus the closed value eps, so that
-    its level sits at eps, not 0: the refine windows scale with the guess."""
+    its level sits at eps, not 0, and is compared with eps directly."""
     effective, closed = radial_potential(v, lam), v.closed
     return discretize(lambda r: effective(r) + closed, grid)
 
@@ -231,18 +234,32 @@ def oscillator_numeric_level(a_param: float, ell: float, n_rho: int, *,
 def _record(v: ExactRadial, n_rho: int, lam: float, op: DiscretizedOperator,
             state: np.ndarray) -> SpectrumRecord:
     """The family's closed spectral value against level n_rho's numeric one,
-    refined from the level's operator op around the closed value, the
-    window at h seeded by the closed state sampled on op's grid."""
+    Richardson-refined from op's grid and its refined one.
+
+    Each grid's level comes from :func:`rayleigh_eigenpair`: at h from the
+    closed state sampled on op's grid, at h/2 from the eigenvector at h
+    prolonged onto the refined grid.  A step that fails falls back to the
+    index search on its grid.  A level whose step from its closed state does
+    not certify index n_rho is not ``certified``, and its note says so."""
     closed = v.closed
-    numeric, conv = refine_eigenvalue(op, functools.partial(_operator, v, lam),
-                                      n_rho, closed, state)
+    fine_op = _operator(v, lam, op.grid.refined())
+    coarse = rayleigh_eigenpair(op, n_rho, state)
+    certified = coarse is not None
+    if certified:
+        fine = rayleigh_eigenpair(fine_op, n_rho, op.grid.prolong(coarse[1]))
+        levels = coarse[0], eigenvalue(fine_op, n_rho) if fine is None else fine[0]
+    else:
+        levels = eigenvalue(op, n_rho), eigenvalue(fine_op, n_rho)
+    numeric, conv = richardson(*levels)
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, 0),
         lam=lam,
         energy_closed=closed,
         energy_numeric=numeric,
         convergence_estimate=conv,
-        note=v.note,
+        note=v.note if certified else (f"{v.note}; the solve from the closed state "
+                                       f"did not certify index {n_rho}"),
+        certified=certified,
     )
 
 
@@ -276,7 +293,7 @@ def verify_sweep(v: ExactRadial, n_rho_max: int, *, n_points: int = RADIAL_N_POI
     unit-norm closed state and the index-n_rho eigenvector of its unrefined
     operator, signed to agree with it (near 1 or above where the grid or the
     wall does not hold the state).  One operator and one sampled closed state
-    per level serve both: the state seeds the refine window and is checked."""
+    per level serve both: the state starts the level's solve and is checked."""
     return [replace(_record(v, n_rho, lam, op, state),
                     state_error=_state_error(n_rho, op, state))
             for n_rho, lam, op, state in _sweep(v, n_rho_max, n_points, rho_max)]
@@ -310,11 +327,12 @@ def verify_oscillator(a_param: float, d: float, n_rho_max: int, tol: float, *,
 
 
 def all_within(records, tol: float) -> bool:
-    """True when every delta present is <= tol and every state error present
-    is below 1/2, half the distance of the zero function from a unit
+    """True when every delta present is <= tol, no solve failed to certify its
+    index from the level's closed state, and every state error present is
+    below 1/2, half the distance of the zero function from a unit
     eigenvector: a grid or wall that does not hold the closed state checked
     nothing, however small its delta (resolved grids measure <= 0.2)."""
-    return all((r.delta is None or r.delta <= tol)
+    return all((r.delta is None or r.delta <= tol) and r.certified is not False
                and (r.state_error is None or r.state_error < 0.5) for r in records)
 
 
@@ -458,7 +476,8 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
 
     lambda* is resolved to about 8 eps ||M||inf, about 4e-10 at n_points =
     2050 for the gate ordering and bendaniel-duke alike.  The residual keeps
-    the ring's floor of about 4 eps ||T||inf: about 1.9e-10 for the gate, but
+    the ring's bisection tolerance of about 4 eps ||T||inf (its ``floor``,
+    the narrowest window, is 10 eps ||T||inf): about 1.9e-10 for the gate, but
     about 1e-4 for bendaniel-duke, whose ring has ||T||inf = 1.13e11; a
     smaller residual (7.3e-6 for an energy target 1.5 on (-2, 1)) is below
     what the ring resolves.

@@ -1013,30 +1013,40 @@ def test_sampler_is_numpy_linspace_bit_for_bit(lo, hi, n):
 
 def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_file, capsys,
                                                            monkeypatch):
-    # a Sturm count that never certifies a window sends every level to the
-    # index search, which agrees with the windows within the bisection tolerance
+    # a pivot count that never certifies a level sends every level to the
+    # index search, which agrees with the Rayleigh steps within the bisection
+    # tolerance; every record says that its index was not certified, and the
+    # sweep fails (exit 4), however small its deltas
     from pdm_polar import cli, eigensolve
+    from pdm_polar import models as md
 
     argv = ["verify", "--model", str(oscillator_model_file), "--n-rho-max", "1"]
     assert cli.main(argv) == 0
     expected = json.loads(capsys.readouterr().out)["records"]
     norms = {}
-    eigenvalue = eigensolve.eigenvalue
+    eigenvalue = md.eigenvalue
 
     def spy(op, index, **kwargs):
         # the operator at h/2 has the larger norm of the two a level is solved on
         norms[index] = max(norms.get(index, 0.0), op.inf_norm)
         return eigenvalue(op, index, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "eigenvalue", spy)
+    monkeypatch.setattr(md, "eigenvalue", spy)
     monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
-    assert cli.main(argv) == 0
-    records = json.loads(capsys.readouterr().out)["records"]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert json.loads(err)["error"]["exit_code"] == 4
+    assert payload["all_within_tol"] is False
+    records = payload["records"]
     assert [r["n_rho"] for r in records] == [r["n_rho"] for r in expected] == [0, 1]
-    moved = ("energy_numeric", "delta", "convergence_estimate")
+    moved = ("energy_numeric", "delta", "convergence_estimate", "note")
     for record, unpatched in zip(records, expected):
+        assert record["delta"] <= payload["tol"]
+        assert record["note"] == (f"{unpatched['note']}; the solve from the closed state "
+                                  f"did not certify index {record['n_rho']}")
         bound = 4.0 * np.finfo(float).eps * norms[record["n_rho"]]
-        for key in moved:
+        for key in moved[:3]:
             assert abs(record[key] - unpatched[key]) <= bound, (record["n_rho"], key)
         assert ({k: v for k, v in record.items() if k not in moved}
                 == {k: v for k, v in unpatched.items() if k not in moved})

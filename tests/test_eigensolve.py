@@ -28,8 +28,9 @@ from pdm_polar.eigensolve import (
     eigen_lowest,
     eigenvalue,
     observed_order,
+    rayleigh_eigenpair,
     refine,
-    refine_eigenvalue,
+    richardson,
 )
 from pdm_polar.errors import DomainError
 from pdm_polar.specfun import BesselOrder, bessel_j, laguerre_assoc
@@ -107,6 +108,15 @@ def test_grid_refinement_halves_spacing():
     assert g.refined().h == pytest.approx(g.h / 2.0, rel=1e-14)
     gp = Grid(0.0, 1.0, 100, PERIODIC)
     assert gp.refined().h == pytest.approx(gp.h / 2.0, rel=1e-14)
+    # prolong keeps each point's value at its own place on the refined grid and
+    # interpolates exactly a function that is zero at the walls and linear
+    # between grid points: here a tent with its peak on point 49, x = 50/101
+    def tent(x):
+        return np.minimum(51.0 * x, 50.0 * (1.0 - x))
+
+    np.testing.assert_allclose(g.prolong(tent(g.points)), tent(g.refined().points),
+                               rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(g.prolong(tent(g.points))[1::2], tent(g.points))
 
 
 def test_grid_validation():
@@ -135,6 +145,13 @@ REFUSALS = {
                        "2000 grid points resolve 0 <= k - 1 < 500, got k - 1 = 500"),
     "index": (lambda: eigenvalue(case_operator("box"), 500),
               "2000 grid points resolve 0 <= index < 500, got index = 500"),
+    "rayleigh-index": (lambda: rayleigh_eigenpair(case_operator("box"), 500, np.ones(2000)),
+                       "2000 grid points resolve 0 <= index < 500, got index = 500"),
+    "rayleigh-ring": (lambda: rayleigh_eigenpair(case_operator("free ring"), 1, np.ones(1024)),
+                      "rayleigh_eigenpair solves Dirichlet operators only, got 'periodic'; "
+                      "use eigenvalue"),
+    "prolong-ring": (lambda: Grid(0.0, 1.0, 16, PERIODIC).prolong(np.ones(16)),
+                     "prolong interpolates Dirichlet grids only, got 'periodic'"),
     "window-nan-guess": (lambda: eigenvalue(case_operator("box"), 0, near=(math.nan, 1.0)),
                          "need a finite guess and width, got nan and 1.0"),
     "ring-asymmetric": (lambda: eigenvalue(discretize(np.sin, SOLVE_CASES["cos ring"][0]), 0),
@@ -589,23 +606,28 @@ CLOSED_STATES = {
                                        * laguerre_assoc(j, 2.0, 0.5 * r**2)),
 }
 
-# the caller's guess for level j: its closed value, that value off by half,
-# the next level's closed value, and zero
-GUESS_RULES = {
-    "closed": lambda closed, j: closed(j),
-    "1.5x closed": lambda closed, j: 1.5 * closed(j),
-    "next level": lambda closed, j: closed(j + 1),
-    "zero": lambda closed, j: 0.0,
-}
+def factory_of(case):
+    """The operator of a SOLVE_CASES case on any grid."""
+    _, potential, prefactor, _ = SOLVE_CASES[case]
+    return functools.partial(discretize, potential, prefactor=prefactor)
+
+
+def verify_levels(factory, grid, index, trial):
+    """The levels at h and h/2 as the verify sweep solves them: a Rayleigh
+    step from the trial on the grid, and one from the vector at h prolonged
+    onto the refined grid."""
+    value, vector = rayleigh_eigenpair(factory(grid), index, trial)
+    fine, _ = rayleigh_eigenpair(factory(grid.refined()), index, grid.prolong(vector))
+    return value, fine
 
 
 @pytest.mark.parametrize("case", sorted(CLOSED_LEVELS))
 def test_refine_eigenvalue_matches_refine(case):
-    grid, potential, prefactor, k = SOLVE_CASES[case]
-
-    def factory(g):
-        return discretize(potential, g, prefactor=prefactor)
-
+    # the verify sweep's refinement: the Richardson step of refine applied to
+    # the Rayleigh steps at h and h/2 (verify_levels); a ring has no Rayleigh
+    # step and is refined from the index search
+    grid, _, _, k = SOLVE_CASES[case]
+    factory = factory_of(case)
     coarse = reference_lowest(factory(grid), k)
     fine = reference_lowest(factory(grid.refined()), k)
     extrapolated = (4.0 * fine - coarse) / 3.0
@@ -617,16 +639,40 @@ def test_refine_eigenvalue_matches_refine(case):
     # (4 fine - coarse) / 3 carries at most 5/3 of the per-solve difference,
     # and |extrapolated - fine| one per-solve difference more
     per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm
-    for rule, guess_of in GUESS_RULES.items():
-        for j in range(k):
-            value, estimate = refine_eigenvalue(factory(grid), factory, j,
-                                                guess_of(CLOSED_LEVELS[case], j))
-            assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve, (rule, j)
-            assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve, (rule, j)
+    for j in range(k):
+        if grid.boundary == DIRICHLET:
+            levels = verify_levels(factory, grid, j, CLOSED_STATES[case](j, grid.points))
+        else:
+            levels = eigenvalue(factory(grid), j), eigenvalue(factory(grid.refined()), j)
+        value, estimate = richardson(*levels)
+        assert abs(value - extrapolated[j]) <= 5.0 / 3.0 * per_solve, j
+        assert abs(estimate - expected_estimate[j]) <= 8.0 / 3.0 * per_solve, j
+
+
+def test_rayleigh_eigenpair_returns_the_unit_eigenvector():
+    # the vector of eigen_lowest, normalized as its vectors are, up to its sign
+    op = case_operator("coulombish")
+    reference = eigen_lowest(op, 3)
+    for j in range(3):
+        value, vector = rayleigh_eigenpair(op, j, CLOSED_STATES["coulombish"](j, op.grid.points))
+        assert op.grid.h * (vector @ vector) == pytest.approx(1.0, rel=1e-12)
+        overlap = op.grid.h * (vector @ reference.eigenvectors[:, j])
+        assert abs(overlap) == pytest.approx(1.0, rel=1e-9), j
+
+
+def test_rayleigh_eigenpair_leaves_its_operator_and_trial_as_they_were():
+    # dgtsv overwrites its dl and du inputs, and the operator's off-diagonal is
+    # passed as both: an overwrite would corrupt every later request
+    op = case_operator("coulombish")
+    trial = CLOSED_STATES["coulombish"](1, op.grid.points)
+    before = [a.tobytes() for a in (op.diagonal, op.off_diagonal, trial)]
+    for _ in range(2):
+        assert rayleigh_eigenpair(op, 1, trial) is not None
+    assert [a.tobytes() for a in (op.diagonal, op.off_diagonal, trial)] == before
 
 
 # ---------------------------------------------------------------------------
-# the Sturm-certified window of eigenvalue(near=), which refine_eigenvalue uses
+# the Sturm-certified window of eigenvalue(near=), which the lambda scan uses
 
 
 @functools.lru_cache(maxsize=None)
@@ -705,20 +751,14 @@ def test_window_on_the_zero_operator():
 
 def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch):
     # a count that puts every level at or below any point never certifies a
-    # window, so every level comes from the index search
-    grid, potential, prefactor, _ = SOLVE_CASES["coulombish"]
-
-    def factory(g):
-        return discretize(potential, g, prefactor=prefactor)
-
+    # window, so every level comes from the index search, nor a Rayleigh step
+    grid, _, _, _ = SOLVE_CASES["coulombish"]
     op = case_operator("box")
     level = eigenvalue(op, 0)
-    coarse, fine = eigenvalue(factory(grid), 0), eigenvalue(factory(grid.refined()), 0)
-    extrapolated = (4.0 * fine - coarse) / 3.0
     monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
     assert eigenvalue(op, 0, near=(1.0, 1e-3)) == level
-    assert refine_eigenvalue(factory(grid), factory, 0, -0.4) == (extrapolated,
-                                                                  abs(extrapolated - fine))
+    trial = CLOSED_STATES["coulombish"](0, grid.points)
+    assert rayleigh_eigenpair(case_operator("coulombish"), 0, trial) is None
 
 
 @pytest.mark.parametrize("shift", [1e4, 3e4])
@@ -775,66 +815,58 @@ def window_z(norm, lo):
 
 
 # the 90-wide wall holds the n_rho = 2 hydrogen state, which the 60-wide one
-# cuts at 1e-3 of its peak, so its quotient is no longer near the level
-@pytest.mark.parametrize("case, grid, seeded", [
-    pytest.param("coulombish", Grid(0.0, 60.0, 20000, DIRICHLET), False, id="coulombish-grid0"),
-    pytest.param("free ring", Grid(0.0, 2.0 * math.pi, 2048, PERIODIC), False,
-                 id="free ring-grid1"),
-    pytest.param("coulombish", Grid(0.0, 90.0, 20000, DIRICHLET), True, id="coulombish-seeded"),
-    pytest.param("radial oscillator", Grid(0.0, 12.0, 4000, DIRICHLET), True,
+# cuts at 1e-3 of its peak: its closed state is a poorer trial there
+@pytest.mark.parametrize("case, grid", [
+    pytest.param("coulombish", Grid(0.0, 60.0, 20000, DIRICHLET), id="coulombish-grid0"),
+    pytest.param("free ring", Grid(0.0, 2.0 * math.pi, 2048, PERIODIC), id="free ring-grid1"),
+    pytest.param("coulombish", Grid(0.0, 90.0, 20000, DIRICHLET), id="coulombish-seeded"),
+    pytest.param("radial oscillator", Grid(0.0, 12.0, 4000, DIRICHLET),
                  id="radial oscillator-seeded"),
 ])
-def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid, seeded):
-    # a closed state seeds the window at h: it is no wider than the seed's
-    # half-width, max(floor, |quotient - guess| / 16), where the window about
-    # the guess alone would be 2e-2 |guess| wide; the window at h/2 reaches
-    # no further from the level at h than the guess does.  Each request by
-    # value reaches z = window_z below its window, and a pivot count certifies it
-    _, potential, prefactor, _ = SOLVE_CASES[case]
-    factory = functools.partial(discretize, potential, prefactor=prefactor)
-    fine_op = factory(grid.refined())
+def test_refine_eigenvalue_makes_no_index_request(monkeypatch, case, grid):
+    # the levels at h and h/2 of verify_levels make no request to LAPACK's
+    # bisection: on each grid, two pivot counts at q' -/+ g about the value
+    # returned, index and index + 1.  A ring is refused before any request
+    factory = factory_of(case)
     requests = spy_on_requests(monkeypatch)
+    if grid.boundary == PERIODIC:
+        with pytest.raises(DomainError, match="Dirichlet operators only"):
+            rayleigh_eigenpair(factory(grid), 1, np.ones(grid.n_points))
+        assert requests == []
+        return
     for index in range(3):
-        op, guess = factory(grid), CLOSED_LEVELS[case](index)
-        trial = CLOSED_STATES[case](index, grid.points) if seeded else None
-        coarse = eigenvalue(op, index)
         requests.clear()
-        refine_eigenvalue(op, factory, index, guess, trial)
-        assert {kind for _, kind, _, _ in requests} == {"count", "v"}, index
-        if seeded:
-            windows = {rows: [hi - lo for n, kind, (lo, hi), _ in
-                              (r for r in requests if r[1] == "v") if n == rows]
-                       for rows in (grid.n_points, grid.refined().n_points)}
-            quotient = op.rayleigh(trial)
-            half_width = max(op.floor, abs(quotient - guess) / 16.0)
-            z = window_z(op.inf_norm, quotient - half_width)
-            assert windows[grid.n_points] == [pytest.approx(2.0 * half_width + z, rel=1e-9)], index
-            [fine] = windows[grid.refined().n_points]
-            # the level at h that refine_eigenvalue bisects is coarse within the
-            # floor, and a window's lower end lies within ||T||inf of 0
-            assert fine <= (max(2.0 * (abs(coarse - guess) + op.floor), 2.0 * fine_op.floor)
-                            + window_z(fine_op.inf_norm, fine_op.inf_norm)), index
+        levels = verify_levels(factory, grid, index, CLOSED_STATES[case](index, grid.points))
+        for rows, value in zip((grid.n_points, grid.refined().n_points), levels):
+            mine = [(kind, x, below) for n, kind, x, below in requests if n == rows]
+            assert [(kind, below) for kind, _, below in mine] == [("count", index),
+                                                                   ("count", index + 1)], index
+            (_, lo, _), (_, hi, _) = mine
+            assert lo < value < hi and (lo + hi) / 2 == pytest.approx(value, rel=1e-12), index
 
 
 @pytest.mark.parametrize("rule", ["zero", "1.5x closed"])
 def test_refine_eigenvalue_pays_one_index_search_for_a_poor_guess(monkeypatch, rule):
-    # a guess far from the level costs at most one Sturm count, one window
-    # and one index search per grid, and bisects no level but the one asked for
-    _, potential, prefactor, _ = SOLVE_CASES["coulombish"]
+    # a poor trial (none at all, or the closed state stretched by 1.5) costs the
+    # step at most two pivot counts and no bisection: it returns the level, or
+    # None and the caller's one index search
     grid = Grid(0.0, 60.0, 20000, DIRICHLET)
     requests = spy_on_requests(monkeypatch)
     for index in range(3):
+        op = factory_of("coulombish")(grid)
+        trial = (np.zeros(grid.n_points) if rule == "zero"
+                 else CLOSED_STATES["coulombish"](index, grid.points / 1.5))
         requests.clear()
-        factory = functools.partial(discretize, potential, prefactor=prefactor)
-        refine_eigenvalue(factory(grid), factory, index,
-                          GUESS_RULES[rule](CLOSED_LEVELS["coulombish"], index))
-        for rows in (grid.n_points, grid.refined().n_points):
-            mine = [(kind, m) for n, kind, _, m in requests if n == rows]
-            counts = [r for r in mine if r[0] == "count"]
-            bisections = [r for r in mine if r[0] == "v"]
-            assert len(counts) <= 1 and len(bisections) <= 1, (index, rows, mine)
-            assert sum(m for _, m in bisections) <= 1, (index, rows, mine)
-            assert len([r for r in mine if r[0] == "i"]) <= 1, (index, rows, mine)
+        pair = rayleigh_eigenpair(op, index, trial)
+        kinds = [kind for _, kind, _, _ in requests]
+        assert kinds in ([], ["count", "count"]), (index, kinds)
+        value = eigenvalue(op, index) if pair is None else pair[0]
+        assert len([r for r in requests if r[1] == "i"]) <= 1, (index, requests)
+        assert not [r for r in requests if r[1] == "v"], (index, requests)
+        requests.clear()
+        assert abs(value - eigenvalue(op, index)) <= 4.0 * EPS * op.inf_norm, index
+    if rule == "zero":
+        assert pair is None
 
 
 DIRICHLET_CASES = sorted(c for c in SOLVE_CASES if SOLVE_CASES[c][0].boundary == DIRICHLET)
@@ -843,10 +875,14 @@ TRIALS = ("closed state", "random", "neighbour's closed state", "zero", "nan")
 
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(DIRICHLET_CASES), data=st.data(),
-       trial_kind=st.sampled_from(TRIALS), rule=st.sampled_from(sorted(GUESS_RULES)))
-def test_trial_vector_sets_only_the_cost(case, data, trial_kind, rule):
-    grid, potential, prefactor, k = SOLVE_CASES[case]
-    factory = functools.partial(discretize, potential, prefactor=prefactor)
+       trial_kind=st.sampled_from(TRIALS))
+def test_trial_vector_sets_only_the_cost(case, data, trial_kind):
+    # a step that certifies returns the index search's level within the
+    # bisection tolerance, and one that does not leaves the caller the index
+    # search: the trial sets only the cost.  A level's own closed state always
+    # certifies; a neighbour's converges to the neighbour and never does
+    grid, _, _, k = SOLVE_CASES[case]
+    op = factory_of(case)(grid)
     index = data.draw(st.integers(0, k - 1), label="index")
     closed_state, points = CLOSED_STATES[case], grid.points
     if trial_kind == "random":
@@ -862,13 +898,11 @@ def test_trial_vector_sets_only_the_cost(case, data, trial_kind, rule):
         trial = closed_state(index, points)
         if trial_kind == "nan":
             trial[data.draw(st.integers(0, grid.n_points - 1), label="at")] = math.nan
-    guess = GUESS_RULES[rule](CLOSED_LEVELS[case], index)
-    value, estimate = refine_eigenvalue(factory(grid), factory, index, guess, trial)
-    unseeded, unseeded_estimate = refine_eigenvalue(factory(grid), factory, index, guess)
-    # the bound of test_refine_eigenvalue_matches_refine
-    per_solve = 4.0 * EPS * factory(grid.refined()).inf_norm
-    assert abs(value - unseeded) <= 5.0 / 3.0 * per_solve
-    assert abs(estimate - unseeded_estimate) <= 8.0 / 3.0 * per_solve
+    pair = rayleigh_eigenpair(op, index, trial)
+    if trial_kind != "random":
+        assert (pair is not None) == (trial_kind == "closed state")
+    if pair is not None:
+        assert abs(pair[0] - eigenvalue(op, index)) <= 4.0 * EPS * op.inf_norm
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
@@ -887,13 +921,13 @@ def test_rayleigh_quotient_is_the_dense_matrix_one(case):
 
 
 def test_refine_eigenvalue_raises_what_the_index_search_raises():
+    # the index rule, checked before any solve; a ring has no Rayleigh step
     grid = Grid(0.0, 1.0, 64, DIRICHLET)
     with pytest.raises(ValueError, match="resolve 0 <= index < 16, got index = 16"):
-        refine_eigenvalue(discretize(zero, grid), functools.partial(discretize, zero), 16, 1.0)
+        rayleigh_eigenpair(discretize(zero, grid), 16, np.ones(64))
     ring = Grid(0.0, 2.0 * math.pi, 128, PERIODIC)
-    with pytest.raises(ValueError, match="reflection-symmetric"):
-        refine_eigenvalue(discretize(np.sin, ring, prefactor=0.5),
-                          functools.partial(discretize, np.sin, prefactor=0.5), 1, 0.5)
+    with pytest.raises(ValueError, match="Dirichlet operators only"):
+        rayleigh_eigenpair(discretize(np.sin, ring, prefactor=0.5), 1, np.ones(128))
 
 
 def test_observed_order_box():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from pdm_polar import (
     verify_oscillator,
     w_eff,
 )
-from pdm_polar import cli
+from pdm_polar import cli, load_model
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
     angular_confined_levels,
@@ -59,6 +60,8 @@ BDD = Ordering.BENDANIEL_DUKE.ambiguity()
 GW = Ordering.GORA_WILLIAMS.ambiguity()
 ZK = Ordering.ZHU_KROEMER.ambiguity()
 LK = Ordering.LI_KUHN.ambiguity()
+EPS = np.finfo(float).eps
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +504,7 @@ def test_numeric_level_guards_raise_domain_error(monkeypatch, call):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the input was checked")
 
-    monkeypatch.setattr(md, "refine_eigenvalue", no_solve)
+    monkeypatch.setattr(md, "rayleigh_eigenpair", no_solve)
     monkeypatch.setattr(md, "eigenvalue", no_solve)
     with pytest.raises(DomainError):
         call()
@@ -630,7 +633,7 @@ def test_state_errors_guard_their_own_sweep(monkeypatch):
         raise AssertionError("solved before the input was checked")
 
     monkeypatch.setattr(md, "eigen_lowest", no_solve)
-    monkeypatch.setattr(md, "refine_eigenvalue", no_solve)
+    monkeypatch.setattr(md, "rayleigh_eigenpair", no_solve)
     # the sweep's guards hold before either check solves
     with pytest.raises(DomainError,
                        match="4000 grid points resolve 0 <= n_rho < 1000, got n_rho = 1000"):
@@ -694,6 +697,81 @@ def test_state_errors_flag_a_wrong_state(v):
     assert min(state_errors(Shifted(*params), n_points=1000)) > 0.5
     # the eigenvector's sign is arbitrary, so the check aligns it
     assert state_errors(Flipped(*params), n_points=1000) == state_errors(v, n_points=1000)
+
+
+# each level is given the next level's closed state: its solve converges to
+# another index, so no level is certified and the sweep fails, whatever its
+# delta and state error.  Three of these state errors pass the 1/2 rule: 0.445
+# (b = 5.3, level 2), 0.457 and 0.169 (b = 3.6, levels 1 and 2)
+@pytest.mark.parametrize("b, passing_state_errors", [(5.3, 1), (3.6, 2)])
+def test_a_wrong_state_fails_every_level_by_its_certificate(b, passing_state_errors):
+    class Shifted(CoulombLike):
+        def state(self, n_rho, rho):
+            return CoulombLike.state(self, n_rho + 1, rho)
+
+    own = verify_sweep(CoulombLike(1.0 / b), 2, n_points=1000)
+    wrong = verify_sweep(Shifted(1.0 / b), 2, n_points=1000)
+    assert [r.certified for r in own] == [True] * 3
+    assert all_within(own, 1e-4)
+    assert [r.certified for r in wrong] == [False] * 3
+    assert [r.note for r in wrong] == [f"{CoulombLike.note}; the solve from the closed state "
+                                       f"did not certify index {n}" for n in range(3)]
+    assert sum(r.state_error < 0.5 for r in wrong) == passing_state_errors
+    assert not any(all_within([r], math.inf) for r in wrong)
+    # the index search keeps the values: the same levels within the bisection tolerance
+    for r, o in zip(wrong, own):
+        assert r.energy_numeric == pytest.approx(o.energy_numeric, rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([CoulombLike, OscillatorLike]), n_rho_max=st.integers(0, 3),
+       ell=st.floats(1.0, 8.0), a_param=st.floats(0.5, 2.0),
+       n_points=st.sampled_from([500, 1000, 4000, 20000]))
+def test_rayleigh_step_is_the_index_search_or_nearer_the_closed_value(
+        family, n_rho_max, ell, a_param, n_points):
+    # each level of a sweep whose top level has radial order ell, at h from its
+    # closed state and at h/2 from the vector at h prolonged, as verify solves
+    # it: within the bisection tolerance of the index search, or nearer the
+    # closed value where that tolerance is wider than the discretization error
+    import pdm_polar.models as md
+    from pdm_polar.eigensolve import eigenvalue, rayleigh_eigenpair
+
+    v, _ = family_potential(family, n_rho_max, ell, a_param)
+    closed = v.closed
+    for n_rho, lam, op, state in md._sweep(v, n_rho_max, n_points, None):
+        fine_op = md._operator(v, lam, op.grid.refined())
+        coarse = rayleigh_eigenpair(op, n_rho, state)
+        assert coarse is not None, n_rho
+        fine = rayleigh_eigenpair(fine_op, n_rho, op.grid.prolong(coarse[1]))
+        assert fine is not None, n_rho
+        for operator, (value, _) in ((op, coarse), (fine_op, fine)):
+            index_search = eigenvalue(operator, n_rho)
+            assert (abs(value - index_search) <= 4.0 * EPS * operator.inf_norm
+                    or abs(value - closed) < abs(index_search - closed)), (n_rho, operator.n)
+
+
+def test_verify_values_are_not_held_at_the_bisection_tolerance():
+    # b = 3 at 1e5 points: the fine grid's bisection tolerance is about 5e-8,
+    # and a quotient not corrected for the rounding of the shifted diagonal
+    # d - q sits at about 1e-9; the corrected one at a few 1e-12
+    records = verify_family(CoulombLike(1.0 / 3.0), 2, n_points=100000)
+    assert all(r.certified for r in records)
+    assert max(r.delta for r in records) < 1e-10
+
+
+@pytest.mark.parametrize("model", ["coulomb", "oscillator_raw_token"])
+def test_certified_sweeps_make_no_bisection_request(model, monkeypatch):
+    # a silent fallback to the index search would pass every value check
+    from pdm_polar import eigensolve
+
+    def no_request(*args, **kwargs):
+        raise AssertionError("a ?stebz request ran")
+
+    v = load_model(GOLDEN / f"{model}.json").v
+    monkeypatch.setattr(eigensolve, "_lapack", no_request)
+    for n_points in (1024, 4000, 20000):
+        records = verify_family(v, 2, n_points=n_points)
+        assert [r.certified for r in records] == [True] * 3, n_points
 
 
 # ---------------------------------------------------------------------------
