@@ -50,7 +50,7 @@ Gershgorin interval, in every sector.  Given a guess and a width, it first
 bisects by value in one window about the guess and searches by index only
 if that window does not hold the level.  The lambda scan passes a level's
 previous value moved by one step, and one step; its root residual passes the
-energy target and ``COARSE_WINDOW`` times it.  The window is certified by a
+energy target and a fixed fraction of it.  The window is certified by a
 Sturm count, so a poor guess costs one index search, never a wrong level;
 the value differs from the index search's only within the bisection
 tolerance, about 4 eps ||T||inf.  The count and the bisection round
@@ -99,11 +99,9 @@ POTENTIAL_CAP = 1e12
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-# the lambda scan bisects the level at its root within COARSE_WINDOW * |guess|
-# of the guess, and no window is narrower than the operator's floor,
-# _WINDOW_FLOOR eps ||T||inf: wide enough that a window centred on its level
-# keeps the level's value clear of the margin about its lower end (_window)
-COARSE_WINDOW = 2e-2
+# no window is narrower than the operator's floor, _WINDOW_FLOOR eps ||T||inf:
+# wide enough that a window centred on its level keeps the level's value clear
+# of the margin about its lower end (_window)
 _WINDOW_FLOOR = 10.0
 
 

@@ -42,7 +42,6 @@ from typing import Callable
 from ._lazy import LazyNumpy
 from .ambiguity import AmbiguitySet, bracket
 from .eigensolve import (
-    COARSE_WINDOW,
     DIRICHLET,
     PERIODIC,
     DiscretizedOperator,
@@ -57,12 +56,9 @@ from .eigensolve import (
 )
 from .errors import DomainError, NoRoot
 from .separation import (
-    CosSquaredProfile,
     CoulombLike,
     ExactRadial,
     OscillatorLike,
-    SeparableModel,
-    angular_problem,
     coulomb_lambda,
     coulomb_rho_max,
     oscillator_lambda,
@@ -77,6 +73,9 @@ np = LazyNumpy(globals())
 # scan ring (n_points % 4 == 2, see scan_level)
 RADIAL_N_POINTS = 4000
 SCAN_N_POINTS = 2050
+# heun_regime_scan's residual bisects the level at its root within
+# COARSE_WINDOW * |energy_target| of the target
+COARSE_WINDOW = 2e-2
 # relative energy gap within which degeneracy_report groups two records
 _DEGENERACY_RTOL = 1e-9
 
@@ -106,7 +105,6 @@ class SpectrumRecord:
     energy_closed: float | None = None
     energy_numeric: float | None = None
     convergence_estimate: float | None = None
-    ordering: AmbiguitySet | None = None
     note: str = ""
     state_error: float | None = None
     certified: bool | None = None
@@ -522,31 +520,6 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     return lam_star, abs(e_star - energy_target)
 
 
-def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,
-                            delta: float = 1e-3, n_points: int = 2000):
-    """Low angular levels of the wall-confined cos^2 problem, with delta sensitivity.
-
-    The divergence of the effective potential at q = +/-1 confines the state;
-    hard Dirichlet walls are placed at +/-(1 - delta) and the returned
-    sensitivity is the per-level shift when delta is doubled, quantifying the
-    wall placement error empirically.  It raises DomainError before any
-    solve unless 0 < delta < 1/2 and :meth:`Grid.check_index` accepts k - 1.
-    """
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"the wall offset delta must lie in (0, 1/2), got {delta}")
-    Grid(-1.0 + delta, 1.0 - delta, n_points, DIRICHLET).check_index(k - 1, "k - 1")
-    problem = angular_problem(SeparableModel(CosSquaredProfile(), None, a), lam)
-
-    def levels(dlt: float) -> np.ndarray:
-        grid = Grid(-1.0 + dlt, 1.0 - dlt, n_points, DIRICHLET)
-        op = discretize(problem.effective_potential, grid, prefactor=0.5)
-        return np.array([eigenvalue(op, j) for j in range(k)])
-
-    w = levels(delta)
-    w2 = levels(2.0 * delta)
-    return w, np.abs(w - w2)
-
-
 # ---------------------------------------------------------------------------
 # degeneracy analysis
 
@@ -554,9 +527,9 @@ def angular_confined_levels(a: AmbiguitySet, lam: float, k: int = 1, *,
 def degeneracy_report(records) -> list[DegeneracyGroup]:
     """Group records by energy (relative 1e-9) and explain each degeneracy.
 
-    Recognized explanations: magnetic pairs m = +/-|m|, orderings related by
-    an alpha-gamma swap, and distinct orderings sharing the ambiguity
-    bracket.  Groups without a recognized relation are labeled unexplained.
+    The one recognized explanation is a magnetic pair m = +/-|m| at equal
+    n_rho and lambda; a group of several records without one is labeled
+    unexplained.
     """
     records = list(records)
     if not records:
@@ -587,16 +560,6 @@ def degeneracy_report(records) -> list[DegeneracyGroup]:
                     and abs(ri.lam - rj.lam) <= 1e-12 * max(1.0, abs(ri.lam))
                 ):
                     label = f"magnetic pair m = +/-{abs(ri.qn.m)}"
-                    if label not in explanations:
-                        explanations.append(label)
-                if ri.ordering is not None and rj.ordering is not None and ri.ordering != rj.ordering:
-                    oi, oj = ri.ordering, rj.ordering
-                    if oi.alpha == oj.gamma and oi.gamma == oj.alpha and oi.beta == oj.beta:
-                        label = "alpha-gamma swap of the ordering"
-                    elif abs(bracket(oi) - bracket(oj)) <= 1e-12:
-                        label = "distinct orderings with equal ambiguity bracket"
-                    else:
-                        continue
                     if label not in explanations:
                         explanations.append(label)
         if len(members) > 1 and not explanations:

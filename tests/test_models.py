@@ -21,7 +21,6 @@ from pdm_polar import (
     SeparableModel,
     SpectrumRecord,
     all_within,
-    bracket,
     check_constraint27,
     coulomb_energy,
     coulomb_lambda,
@@ -45,7 +44,6 @@ from pdm_polar import (
 from pdm_polar import cli, load_model
 from pdm_polar.errors import DomainError, NoRoot
 from pdm_polar.models import (
-    angular_confined_levels,
     scan_level,
     verify_family,
     verify_sweep,
@@ -830,10 +828,8 @@ def test_ring_callers_never_ask_for_vectors(monkeypatch):
         scan_level(MM, -0.75, state_index=j, n_points=258)
     caller = "heun_regime_scan"
     heun_regime_scan(MM, 0.5, (-1.0, 0.0), n_points=258)
-    caller = "angular_confined_levels"
-    angular_confined_levels(BDD, 0.0, k=2, n_points=400)
     # every caller reaches the one LAPACK call site, and none asks for vectors
-    assert set(flags) == {"scan_level", "heun_regime_scan", "angular_confined_levels"}
+    assert set(flags) == {"scan_level", "heun_regime_scan"}
     assert not any(any(f) for f in flags.values())
 
 
@@ -1265,51 +1261,14 @@ def test_scan_level_guards():
 
 
 # ---------------------------------------------------------------------------
-# confined angular problem
-
-
-def test_angular_confined_levels_reports_sensitivity():
-    levels, sensitivity = angular_confined_levels(BDD, 0.0, k=2, n_points=1200)
-    assert levels.shape == (2,)
-    assert np.all(levels > 0.0)  # potential is positive on (-1, 1)
-    assert np.all(np.isfinite(sensitivity))
-    assert np.all(sensitivity > 0.0)
-    assert np.all(np.diff(levels) > 0.0)
-
-
-def test_angular_confined_zero_zeta_is_box():
-    # with both coefficients zero the walls dominate: E_1 = (pi / L)^2 / 2
-    levels, _ = angular_confined_levels(MM, -0.75, k=1, n_points=3000, delta=1e-3)
-    box = 0.5 * (math.pi / (2.0 * (1.0 - 1e-3))) ** 2
-    assert levels[0] == pytest.approx(box, rel=1e-4)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"k": 200, "n_points": 400}, {"k": 0}, {"delta": 1.0}, {"delta": 0.6}, {"delta": 0.5},
-    {"delta": 0.0}, {"delta": -1e-3}, {"delta": math.nan},
-], ids=["k-past-grid", "k-zero", "delta-1", "delta-0.6", "delta-0.5", "delta-0", "delta-negative",
-        "delta-nan"])
-def test_angular_confined_levels_refuse_before_any_solve(monkeypatch, kwargs):
-    import pdm_polar.models as md
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the input was checked")
-
-    monkeypatch.setattr(md, "eigenvalue", no_solve)
-    with pytest.raises(DomainError):
-        angular_confined_levels(BDD, 0.0, **kwargs)
-
-
-# ---------------------------------------------------------------------------
 # degeneracy report
 
 
-def _closed_record(a, b, n_rho, m, ordering=None):
+def _closed_record(a, b, n_rho, m):
     return SpectrumRecord(
         qn=QuantumNumbers(n_rho, m),
         lam=coulomb_lambda(b, n_rho),
         energy_closed=coulomb_energy(a, b, QuantumNumbers(n_rho, m)),
-        ordering=ordering if ordering is not None else a,
     )
 
 
@@ -1321,30 +1280,6 @@ def test_degeneracy_report_magnetic_pairs():
     labels = {e for g in paired for e in g.explanations}
     assert "magnetic pair m = +/-1" in labels
     assert "magnetic pair m = +/-2" in labels
-
-
-def test_degeneracy_report_equal_bracket_merge():
-    # Zhu-Kroemer and Li-Kuhn share the bracket value 1/2
-    assert bracket(ZK) == bracket(LK)
-    records = [
-        _closed_record(ZK, 4.0, 0, 1, ordering=ZK),
-        _closed_record(LK, 4.0, 0, 1, ordering=LK),
-    ]
-    groups = degeneracy_report(records)
-    assert len(groups) == 1
-    assert "distinct orderings with equal ambiguity bracket" in groups[0].explanations
-
-
-def test_degeneracy_report_alpha_gamma_swap():
-    a = random_ordering(np.random.default_rng(7))
-    swapped = swap_alpha_gamma(a)
-    records = [
-        _closed_record(a, 5.0, 1, 1, ordering=a),
-        _closed_record(swapped, 5.0, 1, 1, ordering=swapped),
-    ]
-    groups = degeneracy_report(records)
-    assert len(groups) == 1
-    assert "alpha-gamma swap of the ordering" in groups[0].explanations
 
 
 def test_degeneracy_report_zero_zeta_pairs():
