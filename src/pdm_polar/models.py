@@ -527,41 +527,30 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
 def degeneracy_report(records) -> list[DegeneracyGroup]:
     """Group records by energy (relative 1e-9) and explain each degeneracy.
 
-    The one recognized explanation is a magnetic pair m = +/-|m| at equal
-    n_rho and lambda; a group of several records without one is labeled
+    The records are sorted by energy, ties kept in their given order, and each
+    group holds the records within the tolerance of its first one.  The one
+    recognized explanation is a magnetic pair m = +/-k at equal n_rho and
+    lambda, lambda compared exactly: every record of one level carries the
+    lambda of one ``lam(n_rho)`` call, bit for bit.  Pairs are labeled in
+    ascending k; a group of several records without one is labeled
     unexplained.
     """
-    records = list(records)
+    records = sorted(records, key=lambda r: r.energy)
     if not records:
         raise DomainError("no records to analyze")
-    order = sorted(range(len(records)), key=lambda i: (records[i].energy, i))
-    groups = []
-    current = [order[0]]
-    for idx in order[1:]:
-        e_ref = records[current[0]].energy
-        e_new = records[idx].energy
+    groups = [[records[0]]]
+    for record in records[1:]:
+        e_ref, e_new = groups[-1][0].energy, record.energy
         if abs(e_new - e_ref) <= _DEGENERACY_RTOL * max(1.0, abs(e_new), abs(e_ref)):
-            current.append(idx)
+            groups[-1].append(record)
         else:
-            groups.append(current)
-            current = [idx]
-    groups.append(current)
+            groups.append([record])
 
     out = []
-    for group in groups:
-        members = [records[i] for i in group]
-        explanations = []
-        for i, ri in enumerate(members):
-            for rj in members[i + 1:]:
-                if (
-                    ri.qn.m == -rj.qn.m
-                    and ri.qn.m != 0
-                    and ri.qn.n_rho == rj.qn.n_rho
-                    and abs(ri.lam - rj.lam) <= 1e-12 * max(1.0, abs(ri.lam))
-                ):
-                    label = f"magnetic pair m = +/-{abs(ri.qn.m)}"
-                    if label not in explanations:
-                        explanations.append(label)
+    for members in groups:
+        keys = {(r.qn.n_rho, r.lam, r.qn.m) for r in members}
+        pairs = sorted({m for n_rho, lam, m in keys if m > 0 and (n_rho, lam, -m) in keys})
+        explanations = [f"magnetic pair m = +/-{m}" for m in pairs]
         if len(members) > 1 and not explanations:
             explanations.append("unexplained within the tracked quantum numbers")
         out.append(

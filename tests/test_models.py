@@ -20,6 +20,7 @@ from pdm_polar import (
     QuantumNumbers,
     SeparableModel,
     SpectrumRecord,
+    TabulatedProfile,
     all_within,
     check_constraint27,
     coulomb_energy,
@@ -40,6 +41,7 @@ from pdm_polar import (
     verify_coulomb,
     verify_oscillator,
     w_eff,
+    xi,
 )
 from pdm_polar import cli, load_model
 from pdm_polar.errors import DomainError, NoRoot
@@ -286,11 +288,20 @@ def von_roos_cases(draw):
     return alpha, gamma, potential, n_rho, rho
 
 
+# f = 2 + cos phi and its derivatives sampled on a uniform periodic table
+_TABLE_STEP = 2.0 * math.pi / 2**14
+_TABLE_PHI = _TABLE_STEP * np.arange(2**14)
+_TABLE = TabulatedProfile(_TABLE_PHI, 2.0 + np.cos(_TABLE_PHI), -np.sin(_TABLE_PHI),
+                          -np.cos(_TABLE_PHI))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(case=von_roos_cases(), profile=st.sampled_from(["flat", "cos2"]), data=st.data())
+@given(case=von_roos_cases(), profile=st.sampled_from(["flat", "cos2", "tabulated"]),
+       data=st.data())
 def test_printed_energy_and_w_eff_satisfy_the_von_roos_hamiltonian(case, profile, data):
     # flat: H psi / psi is the printed energy; cos^2: H[R f^(1/4) chi(q)] / (R f^(1/4))
-    # is -(1/2) chi'' + W_eff chi, with the package's float w_eff
+    # is -(1/2) chi'' + W_eff chi, with the package's float w_eff; tabulated: chi = 1,
+    # so H[R f^(1/4)] / (R f^(1/4)) is W_eff alone and needs no arclength q
     mpmath = pytest.importorskip("mpmath")
     alpha, gamma, potential, n_rho, rho = case
     triple = (Fraction(alpha), -1 - Fraction(alpha) - Fraction(gamma), Fraction(gamma))
@@ -307,6 +318,22 @@ def test_printed_energy_and_w_eff_satisfy_the_von_roos_hamiltonian(case, profile
             expected = flat_energy(ordering, m, lam)
             assert abs(ratio.real - expected) <= 1e-12 * max(1.0, abs(expected))
             assert abs(ratio.imag) <= 1e-12 * max(1.0, abs(expected))
+            return
+        if profile == "tabulated":
+            phi = data.draw(st.floats(0.0, 2.0 * math.pi), label="phi")
+            ratio = von_roos_ratio(triple, lambda p: 2 + mpmath.cos(p), v,
+                                   lambda r, p: r ** mpmath.mpf(-1.5) * u(r) * (2 + mpmath.cos(p)) ** 0.25,
+                                   mpmath.mpf(rho), mpmath.mpf(phi))
+            expected = w_eff(_TABLE, ordering, lam, phi)
+            # the table reads f, f' and f'' linearly, each within h^2/8 (h the spacing,
+            # every second derivative at most 1); W_eff's partial derivatives in them,
+            # on f >= 1 and |f'|, |f''| <= 1, carry that to the bound, doubled for the
+            # terms of second order: O(h^2) in all
+            x, s = xi(ordering), ordering.alpha + ordering.gamma
+            slope = (abs(7 - 8 * x) * (3 / 32 + 1 / 16) + abs(1 + 2 * s) * (1 / 4 + 1 / 8)
+                     + abs(x + s + lam / 2))
+            bound = 2 * slope * _TABLE_STEP**2 / 8 + 1e-10 * max(1.0, abs(expected))
+            assert abs(ratio - expected) <= bound
             return
         phi = data.draw(st.floats(-1.2, 1.2), label="phi")
 
@@ -1307,6 +1334,68 @@ def test_degeneracy_report_groups_checked_records_by_their_numeric_energy():
     # closed-only records still group by their closed values
     merged = degeneracy_report([closed, dataclasses.replace(closed, qn=QuantumNumbers(0, -1))])
     assert len(merged) == 1 and merged[0].explanations == ("magnetic pair m = +/-1",)
+
+
+def test_degeneracy_report_labels_a_group_without_a_pair_unexplained():
+    # m = 0 at two n_rho, made equal in energy: a group of two with no +/-m pair
+    lone = _closed_record(BDD, 4.0, 0, 0)
+    twin = dataclasses.replace(_closed_record(BDD, 4.0, 1, 0), energy_closed=lone.energy_closed)
+    single = _closed_record(BDD, 4.0, 0, 3)
+    groups = degeneracy_report([single, twin, lone])
+    assert [g.records for g in groups] == [(twin, lone), (single,)]
+    assert [g.explanations for g in groups] == [
+        ("unexplained within the tracked quantum numbers",), ()]
+
+
+def _closed_form_spectra(ordering, a, t, b):
+    """(family, record) pairs as the benchmark's closed-form spectra make them:
+    oscillator n_rho 0..4 and Coulomb n_rho 0..2, each at m = -4..4."""
+    d = a * (2 * 4 + 1 + t)
+    tagged = []
+    for n_rho in range(5):
+        for m in range(-4, 5):
+            qn = QuantumNumbers(n_rho, m)
+            tagged.append(("oscillator", SpectrumRecord(qn=qn, lam=oscillator_lambda(a, d, n_rho),
+                                                        energy_closed=oscillator_energy(ordering, a, d, qn))))
+            if n_rho < 3:
+                tagged.append(("coulomb", SpectrumRecord(qn=qn, lam=coulomb_lambda(b, n_rho),
+                                                         energy_closed=coulomb_energy(ordering, b, qn))))
+    return tagged
+
+
+@pytest.mark.parametrize("a, t, b, most_pairs", [(1.37, 2.18, 7.61, 1), (1.0, 1.0, 6.5, 3)],
+                         ids=["drawn", "integer"])
+def test_degeneracy_report_on_the_closed_form_spectra(rng, a, t, b, most_pairs):
+    # the integer parameters put several levels at one energy, oscillator
+    # (4, +/-1), (3, +/-3) and Coulomb (2, +/-4) the most of them, and the
+    # Coulomb level n_rho = 1 at the lambda of the oscillator level n_rho = 2
+    tagged = _closed_form_spectra(GW, a, t, b)
+    family = {id(r): f for f, r in tagged}
+    records = [r for _, r in tagged]
+    reports = [degeneracy_report([records[i] for i in rng.permutation(len(records))])
+               for _ in range(5)]
+    for groups in reports:
+        # every record lands in exactly one group
+        assert sorted(id(r) for g in groups for r in g.records) == sorted(family)
+        group_of = {(family[id(r)], r.qn.n_rho, r.qn.m): g for g in groups for r in g.records}
+        for (fam, n_rho, m), g in group_of.items():
+            # a +/-m pair of one family shares a group; the two families at
+            # equal (n_rho, m) sit at two lambdas, so never in one group
+            assert group_of[fam, n_rho, -m] is g
+            other = "coulomb" if fam == "oscillator" else "oscillator"
+            assert group_of.get((other, n_rho, m)) is not g
+        for g in groups:
+            # every pair is labelled, pairs only within one family, in ascending |m|
+            held = {(family[id(r)], r.qn.n_rho, r.qn.m) for r in g.records}
+            pairs = sorted({m for fam, n_rho, m in held if m > 0 and (fam, n_rho, -m) in held})
+            expected = [f"magnetic pair m = +/-{m}" for m in pairs]
+            if len(g.records) > 1 and not pairs:
+                expected = ["unexplained within the tracked quantum numbers"]
+            assert list(g.explanations) == expected
+    # whatever the input order, the same groups with the same labels
+    assert len({tuple((frozenset(map(id, g.records)), g.explanations) for g in groups)
+                for groups in reports}) == 1
+    assert max(len(g.explanations) for g in reports[0]) == most_pairs
 
 
 def test_degeneracy_report_rejects_empty():
