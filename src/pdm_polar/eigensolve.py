@@ -75,6 +75,14 @@ A caller that only needs to know on which side of a value a level lies
 should use :func:`count_below`, as the lambda scan does to decide whether a
 root exists: one LDL^T pass per sector, O(n), with no bisection towards any
 eigenvalue.
+
+``dgtsv`` and ``dpttrf`` overwrite their inputs, and are called with their
+overwrite flags set on rows of one scratch block that each request
+allocates for itself: six rows for a Rayleigh step, whose two counts reuse
+its first three, and three for a lone count.  The operator's arrays are
+only read, and the vector a step returns is a copy, so no buffer outlives
+its request: the module and the operator keep no scratch, and threads may
+share an operator.
 """
 
 from __future__ import annotations
@@ -320,7 +328,7 @@ def _lapack(diag: np.ndarray, off: np.ndarray, select: str, select_range, *,
     return w[order], v[:, order]
 
 
-def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+def _count(diag: np.ndarray, off: np.ndarray, x: float, scratch: np.ndarray | None = None) -> int:
     """Number of eigenvalues of one symmetric tridiagonal T at or below x.
 
     By Sylvester's law of inertia this is the number of non-positive pivots
@@ -333,6 +341,11 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     lone negative pivot.  A zero pivot counts as at or below x and goes on
     as the smallest negative float, as ``?stebz``'s ``-pivmin`` does.
 
+    ``dpttrf`` factors in place, in ``scratch``: three rows of at least n
+    floats, which hold T - xI, xI - T and a copy of the off-diagonal that it
+    overwrites with the multipliers.  A count without one allocates its own
+    block; ``diag`` and ``off`` are only read.
+
     The count is exact for a matrix T + E (W. Kahan, Stanford CS41 (1966);
     J. Demmel, I. Dhillon & H. Ren, ETNA 3, 116 (1995)): each pivot rounds
     d_i - x once and e_(i-1)^2 / p three times, so E moves a diagonal entry
@@ -341,11 +354,16 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     ||E||inf <= eps (3/4 ||T||inf + |x| / 2) from T's.
     """
     dpttrf = _flapack().dpttrf
-    frames = (diag - x, x - diag)  # T - xI, and xI - T for the negative runs
-    # dpttrf overwrites the off-diagonal with the multipliers, and takes a
-    # one-row matrix with one unused off-diagonal slot
-    work = np.append(off, 0.0)
-    n, start, sign, count = len(diag), 0, 0, 0
+    n = len(diag)
+    if scratch is None:
+        scratch = np.empty((3, n))
+    # T - xI, and xI - T for the negative runs
+    frames = (np.subtract(diag, x, out=scratch[0, :n]), np.subtract(x, diag, out=scratch[1, :n]))
+    # a one-row matrix takes one unused off-diagonal slot
+    work = scratch[2, :n]
+    work[:-1] = off
+    work[-1] = 0.0
+    start, sign, count = 0, 0, 0
     while True:
         run = frames[sign][start:]
         # overwrite_d and overwrite_e, passed by position: the call is most of the cost
@@ -466,16 +484,22 @@ def eigenvalue_slope(op: DiscretizedOperator, index: int, rate: np.ndarray) -> t
     return value, float(rate[nodes] @ psi**2)
 
 
-def count_below(op: DiscretizedOperator, x: float) -> int:
+def count_below(op: DiscretizedOperator, x: float, scratch: np.ndarray | None = None) -> int:
     """Number of eigenvalues of the operator at or below x, without solving.
 
     A ring counts in each reflection-parity sector and sums the two.  So the
     eigenvalue of a given index lies above x exactly when the count is at
     most that index.  Each sector's count is its LDL^T pivot count
     (``_count``), exact for a matrix within eps (3/4 ||T||inf + |x| / 2) of
-    the sector's: a level nearer x than that may fall on either side.
+    the sector's: a level nearer x than that may fall on either side.  The
+    sectors are counted one after the other in one 3-row ``scratch`` block,
+    the caller's or one of the request's own.
     """
-    return sum(_count(diag, off, x) for diag, off, _ in op.sectors)
+    sectors = op.sectors
+    if scratch is None:
+        # the first sector is the longest: a ring's even one holds n/2 + 1 nodes
+        scratch = np.empty((3, len(sectors[0][0])))
+    return sum(_count(diag, off, x, scratch) for diag, off, _ in sectors)
 
 
 def _window(op: DiscretizedOperator, index: int, guess: float, width: float):
@@ -539,6 +563,13 @@ def rayleigh_eigenpair(op: DiscretizedOperator, index: int, trial: np.ndarray):
     step, or counts that do not certify return None; the caller's fallback is
     the index search, :func:`eigenvalue`.
 
+    Scratch.  The step allocates one block of six n-float rows: d - q, the
+    rounding delta, dgtsv's dl and du, and the right-hand side of each solve.
+    ``dgtsv`` overwrites only those rows, the right-hand side with y.  The
+    two counts then reuse the block's first three rows, free once the solve
+    is done, and the vector returned is a copy, so the block dies with the
+    request.
+
     The quotient and the residual come from the solve, with no product by T.
     The shifted diagonal d - q rounds entry i by delta_i, so the solve is
     one of T - qI - diag(delta) and T y = q y + delta y + x.  So y's quotient
@@ -581,15 +612,21 @@ def rayleigh_eigenpair(op: DiscretizedOperator, index: int, trial: np.ndarray):
     # the right-hand side x is the trial itself, not normalized: q' does not
     # depend on its scale, and r^2 and its rounding scale with xx = ||x||^2
     x, xx = trial, float(trial @ trial)
-    norm, off = op.inf_norm, op.off_diagonal
-    for _ in range(2):
+    norm, diag, off = op.inf_norm, op.diagonal, op.off_diagonal
+    # each solve's right-hand side has a row of its own: x, the trial or the
+    # previous solve's y, is read again after dgtsv overwrites it with y
+    block = np.empty((6, op.n))
+    shifted, delta, dl, du = block[0], block[1], block[2, :-1], block[3, :-1]
+    for step in range(2):
         s = 24.0 * _EPS * (norm + abs(q))
-        shifted = op.diagonal - q
-        delta = op.diagonal - shifted
+        np.subtract(diag, q, out=shifted)
+        np.subtract(diag, shifted, out=delta)
         delta -= q
-        # dl and du are copied, not overwritten: they are the operator's own
-        # off-diagonal; so is b, since x is read again below
-        _, _, _, y, info = _flapack().dgtsv(off, shifted, off, x, 0, 1, 0, 0)
+        dl[:] = off
+        du[:] = off
+        rhs = block[4 + step]
+        rhs[:] = x
+        _, _, _, y, info = _flapack().dgtsv(dl, shifted, du, rhs, 1, 1, 1, 1)
         yy = float(y @ y)
         # a finite, non-zero ||y|| also keeps every entry of y finite
         if info != 0 or not 0.0 < yy < math.inf:
@@ -606,10 +643,12 @@ def rayleigh_eigenpair(op: DiscretizedOperator, index: int, trial: np.ndarray):
     else:
         return None
     g = 1e3 * bound
-    if count_below(op, q - g) != index or count_below(op, q + g) != index + 1:
+    # the counts take the block's first three rows, free once the solve is done
+    counts = block[:3]
+    if count_below(op, q - g, counts) != index or count_below(op, q + g, counts) != index + 1:
         return None
-    x *= 1.0 / math.sqrt(op.grid.h)
-    return q, x
+    # a new array, so that the vector returned does not keep the block alive
+    return q, x * (1.0 / math.sqrt(op.grid.h))
 
 
 def richardson(coarse, fine):

@@ -477,7 +477,7 @@ def heun_regime_scan(a: AmbiguitySet, energy_target: float,
     the ring's bisection tolerance of about 4 eps ||T||inf (its ``floor``,
     the narrowest window, is 10 eps ||T||inf): about 1.9e-10 for the gate, but
     about 1e-4 for bendaniel-duke, whose ring has ||T||inf = 1.13e11; a
-    smaller residual (7.3e-6 for an energy target 1.5 on (-2, 1)) is below
+    smaller residual (6.3e-6 for an energy target 1.5 on (-2, 1)) is below
     what the ring resolves.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])

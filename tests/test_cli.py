@@ -1032,7 +1032,7 @@ def test_verify_falls_back_when_no_window_certifies_a_level(oscillator_model_fil
         return eigenvalue(op, index, **kwargs)
 
     monkeypatch.setattr(md, "eigenvalue", spy)
-    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x, *scratch: op.n)
     assert cli.main(argv) == 4
     out, err = capsys.readouterr()
     payload = json.loads(out)

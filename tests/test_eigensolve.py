@@ -1,5 +1,6 @@
 """Grid conventions, discretization, and the tridiagonal eigensolver."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import importlib.machinery
@@ -9,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -660,15 +662,85 @@ def test_rayleigh_eigenpair_returns_the_unit_eigenvector():
         assert abs(overlap) == pytest.approx(1.0, rel=1e-9), j
 
 
+def operator_bytes(op, *extra):
+    """The bytes of the operator's diagonal, off-diagonal and every sector
+    array, then of the extra arrays."""
+    sectors = [a for diag, off, _ in op.sectors for a in (diag, off)]
+    return [a.tobytes() for a in (op.diagonal, op.off_diagonal, *sectors, *extra)]
+
+
 def test_rayleigh_eigenpair_leaves_its_operator_and_trial_as_they_were():
-    # dgtsv overwrites its dl and du inputs, and the operator's off-diagonal is
-    # passed as both: an overwrite would corrupt every later request
+    # dgtsv overwrites its dl, d, du and b, and dpttrf its d and e, in the
+    # request's own scratch; the operator's off-diagonal feeds dl, du and e,
+    # and a ring's odd sector is a view of it, so an overwrite of the operator
+    # would corrupt every later request.  Every request that reaches LAPACK,
+    # on a Dirichlet operator and on a ring, leaves each array as it was
     op = case_operator("coulombish")
     trial = CLOSED_STATES["coulombish"](1, op.grid.points)
-    before = [a.tobytes() for a in (op.diagonal, op.off_diagonal, trial)]
+    before = operator_bytes(op, trial)
     for _ in range(2):
-        assert rayleigh_eigenpair(op, 1, trial) is not None
-    assert [a.tobytes() for a in (op.diagonal, op.off_diagonal, trial)] == before
+        value, _ = rayleigh_eigenpair(op, 1, trial)
+        assert count_below(op, value + 1e-6) == 2
+        assert eigenvalue(op, 1, near=(value, 1e-3)) == pytest.approx(value, rel=1e-9)
+        eigensolve.eigenvalue_slope(op, 1, op.grid.points)
+    assert operator_bytes(op, trial) == before
+    ring = case_operator("cos ring")
+    assert np.shares_memory(ring.sectors[1][1], ring.off_diagonal)
+    before = operator_bytes(ring)
+    for _ in range(2):
+        value = eigenvalue(ring, 3)
+        assert count_below(ring, value + 1e-6) == 4
+        assert eigenvalue(ring, 3, near=(value, 1e-3)) == pytest.approx(value, rel=1e-9)
+        eigensolve.eigenvalue_slope(ring, 3, np.cos(ring.grid.points))
+    assert operator_bytes(ring) == before
+
+
+def test_rayleigh_eigenpair_scratch_is_one_block():
+    # one certified step at 1e5 rows traces at most 7 n floats: the step's
+    # six-row block, which its two counts reuse, and the vector returned
+    n = 100_000
+    grid = Grid(-8.0, 8.0, n, DIRICHLET)
+    op = discretize(harmonic, grid, prefactor=0.5)
+    trial = hermite_state(0, grid.points)
+    # the first step makes the operator's norm and loads LAPACK
+    assert rayleigh_eigenpair(op, 0, trial) is not None
+    tracemalloc.start()
+    try:
+        pair = rayleigh_eigenpair(op, 0, trial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair is not None and pair[1].base is None
+    assert peak <= 7 * n * 8 + 64 * 1024, peak
+
+
+def test_requests_on_one_operator_from_threads_are_the_serial_ones():
+    # four threads, more than the cores of a small runner, alternate Rayleigh
+    # steps and pivot counts on one shared operator, switching as often as the
+    # interpreter allows; scratch that outlived its request would be shared
+    # between them and mix their results
+    grid = Grid(0.0, 60.0, 20000, DIRICHLET)
+    op = factory_of("coulombish")(grid)
+    trials = [CLOSED_STATES["coulombish"](j, grid.points) for j in range(3)]
+
+    def requests(start):
+        out = []
+        for i in range(start, start + 18):
+            j = i % 3
+            value, vector = rayleigh_eigenpair(op, j, trials[j])
+            out.append((value, vector.tobytes(), count_below(op, value + (-1) ** i * 1e-3)))
+        return out
+
+    starts = [0, 1, 2, 3]
+    serial = [requests(start) for start in starts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(starts)) as pool:
+            threaded = list(pool.map(requests, starts, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +827,7 @@ def test_window_that_never_certifies_falls_back_to_the_index_search(monkeypatch)
     grid, _, _, _ = SOLVE_CASES["coulombish"]
     op = case_operator("box")
     level = eigenvalue(op, 0)
-    monkeypatch.setattr(eigensolve, "count_below", lambda op, x: op.n)
+    monkeypatch.setattr(eigensolve, "count_below", lambda op, x, *scratch: op.n)
     assert eigenvalue(op, 0, near=(1.0, 1e-3)) == level
     trial = CLOSED_STATES["coulombish"](0, grid.points)
     assert rayleigh_eigenpair(case_operator("coulombish"), 0, trial) is None
@@ -798,8 +870,8 @@ def spy_on_requests(monkeypatch):
         requests.append((len(d), select, select_range, len(values)))
         return values
 
-    def count_spy(d, e, x):
-        below = count(d, e, x)
+    def count_spy(d, e, x, *scratch):
+        below = count(d, e, x, *scratch)
         requests.append((len(d), "count", x, below))
         return below
 

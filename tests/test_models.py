@@ -1184,9 +1184,9 @@ def _lapack_requests(monkeypatch):
         requests.append(select)
         return lapack(d, e, select, *args, **kwargs)
 
-    def count_spy(d, e, x):
+    def count_spy(d, e, x, *scratch):
         requests.append("count")
-        return count(d, e, x)
+        return count(d, e, x, *scratch)
 
     monkeypatch.setattr(eigensolve, "_lapack", spy)
     monkeypatch.setattr(eigensolve, "_count", count_spy)
