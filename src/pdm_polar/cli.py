@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from . import models as md
 from . import separation as sp
-from .ambiguity import check_constraint27
 from .errors import ConfigError, DomainError, NoRoot, PdmPolarError
 from .separation import radial_problem, radial_to_R
 from .serialize import dump_json, to_csv
@@ -121,7 +120,8 @@ def _table_output(code, payload):
 
 def cmd_spectrum(args):
     model = sp.load_model(args.model)
-    if not isinstance(model.f, sp.FlatProfile):
+    energy = getattr(model.f, "energy", None)  # the profile's closed levels
+    if energy is None:
         raise ConfigError("spectrum tables need a flat angular profile (f = \"flat\")")
     if args.m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {args.m_max}")
@@ -142,7 +142,7 @@ def cmd_spectrum(args):
         )
     records = [
         md.SpectrumRecord(qn=md.QuantumNumbers(n_rho, m), lam=lam,
-                          energy_closed=md.flat_energy(model.ordering, m, lam))
+                          energy_closed=energy(model.ordering, m, lam))
         for n_rho, lam, _ in levels
         for m in range(-args.m_max, args.m_max + 1)
     ]
@@ -264,27 +264,19 @@ def _radial_rows(model, n_rho, coords) -> list:
 
 def _angular_rows(model, m, coords) -> list:
     """Samples of f^(1/4) exp(i m q), q the arclength coordinate of phi."""
-    flat = isinstance(model.f, sp.FlatProfile)
-    if not (flat or isinstance(model.f, sp.CosSquaredProfile)):
+    plane_wave = getattr(model.f, "plane_wave", None)
+    if plane_wave is None:
         raise DomainError("angular wavefunction dumps support flat and cos^2 profiles")
-    if not (flat or check_constraint27(model.ordering)):
-        raise DomainError(
-            "the closed angular form of the cos^2 model exists only for "
-            "orderings satisfying the zero-potential gate"
-        )
+    chart = plane_wave(model.ordering)
     rows = []
-    floor = math.sqrt(sp.MASS_EPS)
     try:
         # plain floats, so that an infinite m q raises rather than warns
         for phi in map(float, coords):
-            # f = cos^2 phi: f^(1/4) = sqrt(cos phi) leaves the real domain for
-            # cos phi < 0; those samples are emitted as nulls rather than
-            # guessing a branch
-            c = 1.0 if flat else math.cos(phi)
-            if c <= floor:
+            point = chart(phi)
+            if point is None:
                 rows.append({"coordinate": phi, "re": None, "im": None})
                 continue
-            amp, q = math.sqrt(c), phi if flat else math.sin(phi)
+            amp, q = point
             rows.append({"coordinate": phi,
                          "re": amp * math.cos(m * q), "im": amp * math.sin(m * q)})
     except (OverflowError, ValueError) as exc:  # m q past the float range, or infinite

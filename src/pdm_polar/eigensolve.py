@@ -139,11 +139,13 @@ class Grid:
             return length / (self.n_points + 1)
         return length / self.n_points
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        if self.boundary == DIRICHLET:
-            return self.x_min + self.h * np.arange(1, self.n_points + 1)
-        return self.x_min + self.h * np.arange(self.n_points)
+        """Made once and kept read-only, so every reader of a grid samples one array."""
+        start = 1 if self.boundary == DIRICHLET else 0
+        points = self.x_min + self.h * np.arange(start, start + self.n_points)
+        points.flags.writeable = False
+        return points
 
     def refined(self) -> "Grid":
         """The grid with spacing h/2 under the same boundary convention."""
@@ -190,9 +192,9 @@ class DiscretizedOperator:
     @functools.cached_property
     def inf_norm(self) -> float:
         """||T||inf, the largest absolute row sum, ring corners included."""
-        row = np.abs(self.diagonal).copy()
-        row[:-1] += np.abs(self.off_diagonal)
-        row[1:] += np.abs(self.off_diagonal)
+        off, row = np.abs(self.off_diagonal), np.abs(self.diagonal)
+        row[:-1] += off
+        row[1:] += off
         if self.grid.boundary == PERIODIC:
             row[0] += abs(self.off_diagonal[0])
             row[-1] += abs(self.off_diagonal[0])

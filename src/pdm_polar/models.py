@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from ._lazy import LazyNumpy
-from .ambiguity import AmbiguitySet, bracket
+from .ambiguity import AmbiguitySet
 from .eigensolve import (
     DIRICHLET,
     PERIODIC,
@@ -58,6 +58,7 @@ from .errors import DomainError, NoRoot
 from .separation import (
     CoulombLike,
     ExactRadial,
+    FlatProfile,
     OscillatorLike,
     coulomb_lambda,
     coulomb_rho_max,
@@ -137,9 +138,7 @@ class DegeneracyGroup:
 # closed forms
 
 
-def flat_energy(a: AmbiguitySet, m: int, lam: float) -> float:
-    """(m^2 - lambda)/2 - [alpha^2 + gamma^2 - beta(beta+1)]."""
-    return 0.5 * (m * m - lam) - bracket(a)
+flat_energy = FlatProfile.energy
 
 
 def coulomb_energy(a: AmbiguitySet, b: float, qn: QuantumNumbers) -> float:

@@ -44,6 +44,7 @@ from ._lazy import LazyNumpy
 from .ambiguity import (
     AmbiguitySet,
     bracket,
+    check_constraint27,
     constraint27_expression,
     parse_ordering_token,
     xi,
@@ -62,7 +63,9 @@ def _any(mask) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# angular mass profiles
+# angular mass profiles: each declares f, f', f'' (value, d1, d2), its arclength
+# map pct_map and its angular_problem; where it has them, its closed plane-wave
+# chart (plane_wave: ordering -> phi -> (f^(1/4), q) or None) and levels (energy)
 
 
 class FlatProfile:
@@ -79,6 +82,26 @@ class FlatProfile:
     def d2(self, phi: float) -> float:
         return 0.0
 
+    def pct_map(self, phi: float) -> float:
+        return phi
+
+    def angular_problem(self, a: AmbiguitySet, lam: float) -> AngularProblem:
+        const = -(bracket(a) + 0.5 * lam)
+
+        def flat_potential(q):
+            shape = getattr(q, "shape", ())
+            return np.full(shape, const) if shape else const
+
+        return AngularProblem(flat_potential, (0.0, 2.0 * math.pi))
+
+    def plane_wave(self, a: AmbiguitySet) -> Callable:
+        return lambda phi: (1.0, phi)
+
+    @staticmethod
+    def energy(a: AmbiguitySet, m: int, lam: float) -> float:
+        """(m^2 - lambda)/2 - [alpha^2 + gamma^2 - beta(beta+1)]."""
+        return 0.5 * (m * m - lam) - bracket(a)
+
 
 class CosSquaredProfile:
     """f(phi) = cos^2 phi; vanishes at phi = pi/2 + k pi."""
@@ -93,6 +116,36 @@ class CosSquaredProfile:
 
     def d2(self, phi: float) -> float:
         return -2.0 * math.cos(2.0 * phi)
+
+    def pct_map(self, phi: float) -> float:
+        if abs(phi) >= 0.5 * math.pi:
+            raise DomainError(f"path from 0 to {phi} crosses the mass zero at phi = +/- pi/2")
+        return math.sin(phi)
+
+    def angular_problem(self, a: AmbiguitySet, lam: float) -> AngularProblem:
+        z1, z2 = zeta_coefficients(a, lam)
+
+        def cos2_potential(q):
+            q2 = q * q
+            fq = 1.0 - q2
+            if _any(fq <= MASS_EPS):
+                raise DomainError("effective potential diverges at q = +/- 1")
+            return (z1 * q2 - z2) / (fq * fq)
+
+        return AngularProblem(cos2_potential, (-1.0, 1.0))
+
+    def plane_wave(self, a: AmbiguitySet) -> Callable:
+        """(sqrt(cos phi), sin phi), None if cos phi <= sqrt(MASS_EPS); zero-potential gate only."""
+        if not check_constraint27(a):
+            raise DomainError("the closed angular form of the cos^2 model exists only for "
+                              "orderings satisfying the zero-potential gate")
+        floor = math.sqrt(MASS_EPS)
+
+        def chart(phi):
+            c = math.cos(phi)  # sqrt(cos phi) is not real for cos phi < 0: no guessed branch
+            return None if c <= floor else (math.sqrt(c), math.sin(phi))
+
+        return chart
 
 
 class TabulatedProfile:
@@ -151,6 +204,29 @@ class TabulatedProfile:
     def d2(self, phi: float) -> float:
         return float(np.interp(self._wrapped(phi), self.phi, self.fpp))
 
+    def pct_map(self, phi: float) -> float:
+        if phi == 0.0:
+            return 0.0
+        mesh = np.linspace(0.0, phi, 4097)
+        fvals = np.array([self.value(p) for p in mesh])
+        if np.any(fvals <= MASS_EPS):
+            raise DomainError(f"mass factor vanishes on the path from 0 to {phi}")
+        roots = np.sqrt(fvals)
+        return float(np.sum(0.5 * (roots[1:] + roots[:-1]) * np.diff(mesh)))
+
+    def angular_problem(self, a: AmbiguitySet, lam: float) -> AngularProblem:
+        mesh = np.linspace(0.0, 2.0 * math.pi, 8193)
+        fvals = np.array([self.value(p) for p in mesh])
+        if np.any(fvals <= MASS_EPS):
+            raise DomainError("tabulated profile vanishes inside (0, 2pi)")
+        q_mesh = np.concatenate([[0.0], np.cumsum(0.5 * (np.sqrt(fvals[1:]) + np.sqrt(fvals[:-1])) * np.diff(mesh))])
+        w_mesh = np.array([w_eff(self, a, lam, p) for p in mesh])
+
+        def tabulated_potential(q):
+            return np.interp(np.mod(q, q_mesh[-1]), q_mesh, w_mesh)
+
+        return AngularProblem(tabulated_potential, (0.0, float(q_mesh[-1])))
+
 
 # ---------------------------------------------------------------------------
 # radial potentials
@@ -189,7 +265,7 @@ class ExactRadial:
 
     * ``tilde_v(rho)``, vectorized over rho, the v(rho) of :func:`radial_potential`;
     * ``lam(n_rho)``, the quantization lambda(n_rho), which fixes the closed
-      energy through ``models.flat_energy``;
+      energy through :meth:`FlatProfile.energy`;
     * ``closed``, the family's closed spectral value eps (the constant term of
       2 v/rho^2 moved to the eigenvalue side), by which the checks shift the
       radial equation at every lambda(n_rho);
@@ -482,76 +558,22 @@ def radial_to_R(rho, u):
 
 
 def pct_map(f, phi: float) -> float:
-    """Arclength coordinate q(phi) = integral_0^phi sqrt(f).
-
-    Exact for the flat (q = phi) and cos^2 (q = sin phi) profiles; tabulated
-    profiles are integrated by the trapezoid rule on a dense mesh.  Raises
-    DomainError when the integration path from 0 to phi meets a zero of f.
-    """
-    phi = float(phi)
-    if isinstance(f, FlatProfile):
-        return phi
-    if isinstance(f, CosSquaredProfile):
-        if abs(phi) >= 0.5 * math.pi:
-            raise DomainError(
-                f"path from 0 to {phi} crosses the mass zero at phi = +/- pi/2"
-            )
-        return math.sin(phi)
-    if phi == 0.0:
-        return 0.0
-    mesh = np.linspace(0.0, phi, 4097)
-    fvals = np.array([f.value(p) for p in mesh])
-    if np.any(fvals <= MASS_EPS):
-        raise DomainError(f"mass factor vanishes on the path from 0 to {phi}")
-    roots = np.sqrt(fvals)
-    return float(np.sum(0.5 * (roots[1:] + roots[:-1]) * np.diff(mesh)))
+    """Arclength coordinate q(phi) = integral_0^phi sqrt(f), as the profile maps it:
+    exactly for flat (q = phi) and cos^2 (q = sin phi), by the trapezoid rule on a
+    dense mesh if tabulated.  DomainError where the path from 0 to phi meets a zero of f."""
+    return f.pct_map(float(phi))
 
 
 def angular_problem(model: SeparableModel, lam: float) -> AngularProblem:
-    """The transformed angular problem for the model at separation constant lam.
+    """The transformed angular problem of the model's profile at separation constant lam.
 
     Flat profile: constant potential on (0, 2pi), periodic.  cos^2 profile:
-    (z1 q^2 - z2)/(1-q^2)^2 on q in (-1, 1), which diverges at the mass
-    zeros unless (z1, z2) = (0, 0), where it is identically zero.
-    Positive tabulated profiles map to a periodic ring of circumference
-    Q = integral sqrt(f), whose potential is read at q mod Q; tabulated
-    profiles that dip below the evaluation floor are rejected.
+    (z1 q^2 - z2)/(1-q^2)^2 on q in (-1, 1), which diverges at the mass zeros
+    unless (z1, z2) = (0, 0), where it is identically zero.  Positive tabulated
+    profiles map to a periodic ring of circumference Q = integral sqrt(f), whose
+    potential is read at q mod Q; one that dips below the floor is rejected.
     """
-    a = model.ordering
-    f = model.f
-    if isinstance(f, FlatProfile):
-        const = -(bracket(a) + 0.5 * lam)
-
-        def flat_potential(q):
-            shape = getattr(q, "shape", ())
-            return np.full(shape, const) if shape else const
-
-        return AngularProblem(flat_potential, (0.0, 2.0 * math.pi))
-
-    if isinstance(f, CosSquaredProfile):
-        z1, z2 = zeta_coefficients(a, lam)
-
-        def cos2_potential(q):
-            q2 = q * q
-            fq = 1.0 - q2
-            if _any(fq <= MASS_EPS):
-                raise DomainError("effective potential diverges at q = +/- 1")
-            return (z1 * q2 - z2) / (fq * fq)
-
-        return AngularProblem(cos2_potential, (-1.0, 1.0))
-
-    # tabulated: mass-positive ring, periodic in the arclength coordinate
-    mesh = np.linspace(0.0, 2.0 * math.pi, 8193)
-    fvals = np.array([f.value(p) for p in mesh])
-    if np.any(fvals <= MASS_EPS):
-        raise DomainError("tabulated profile vanishes inside (0, 2pi)")
-    q_mesh = np.concatenate([[0.0], np.cumsum(0.5 * (np.sqrt(fvals[1:]) + np.sqrt(fvals[:-1])) * np.diff(mesh))])
-    w_mesh = np.array([w_eff(f, a, lam, p) for p in mesh])
-
-    def tabulated_potential(q):
-        return np.interp(np.mod(q, q_mesh[-1]), q_mesh, w_mesh)
-
-    return AngularProblem(tabulated_potential, (0.0, float(q_mesh[-1])))
+    return model.f.angular_problem(model.ordering, lam)
 
 
 def angular_wavefunction_recompose(f, chi, phi):

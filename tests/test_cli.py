@@ -106,12 +106,13 @@ def test_spectrum_rejects_empty_table(coulomb_model_file, option):
 @pytest.mark.parametrize("n_rho_max, m_max", [("4", "10000"), ("10000", "10000")])
 def test_spectrum_above_the_row_cap_builds_no_record(tmp_path, monkeypatch, capsys,
                                                      n_rho_max, m_max):
-    from pdm_polar import models as md
+    from pdm_polar import separation as sp
 
     def no_record(*args):
         raise AssertionError("a record was built before the table size was checked")
 
-    monkeypatch.setattr(md, "flat_energy", no_record)
+    # the table reads each record's energy from the flat profile's closed level
+    monkeypatch.setattr(sp.FlatProfile, "energy", staticmethod(no_record))
     deep = write_model(tmp_path, "deep.json",
                        {"f": "flat", "potential": {"oscillator_like": {"a": 1.0, "d": 1e9}},
                         "ordering": "bendaniel-duke"})

@@ -105,6 +105,29 @@ def test_periodic_grid_layout():
     assert pts[-1] == pytest.approx(2.0 * math.pi - g.h, rel=1e-14)
 
 
+def test_grid_points_are_made_once_and_read_only():
+    for boundary, first in ((DIRICHLET, 1), (PERIODIC, 0)):
+        g = Grid(0.25, 3.0, 64, boundary)
+        assert g.points is g.points
+        assert not g.points.flags.writeable
+        np.testing.assert_array_equal(g.points, 0.25 + g.h * np.arange(first, first + 64))
+        # discretize samples the potential on the very array the grid keeps
+        seen = []
+        discretize(lambda x: seen.append(x) or 0.0 * x, g)
+        assert seen[0] is g.points
+
+
+def test_inf_norm_is_the_largest_absolute_row_sum():
+    rng = np.random.default_rng(7)
+    for boundary in (DIRICHLET, PERIODIC):
+        grid = Grid(0.0, 1.0, 16, boundary)
+        op = DiscretizedOperator(rng.normal(size=16), rng.normal(size=15), grid)
+        dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+        if boundary == PERIODIC:
+            dense[0, -1] = dense[-1, 0] = op.off_diagonal[0]
+        assert op.inf_norm == pytest.approx(float(np.max(np.sum(np.abs(dense), axis=1))), rel=4 * EPS)
+
+
 def test_grid_refinement_halves_spacing():
     g = Grid(0.0, 1.0, 100, DIRICHLET)
     assert g.refined().h == pytest.approx(g.h / 2.0, rel=1e-14)

@@ -4,7 +4,7 @@ The closed-form commands (``spectrum``, ``effpot``, and the toy and angular
 ``wavefunction`` states) do only arithmetic that is exact up to libm, so
 their stdout bytes are pinned in ``tests/golden/<case>.stdout``; the model
 files next to them include one whose ordering token is written in raw case
-with a leading space, which the CLI prints as written.
+with a leading space, which the CLI prints as written, and a tabulated profile.
 
 The numeric commands (``verify``, ``scan``) get no golden bytes, since
 LAPACK's last bits may differ between machines.  Their payloads are compared
@@ -38,6 +38,10 @@ CASES = {
                             "--samples", "7", "--lambda=-0.5"],
     "effpot-angular-csv": ["effpot", "cos2", "--which", "angular", "--range=-0.9,0.9",
                            "--samples", "7", "--lambda=-0.5", "--format", "csv"],
+    "effpot-angular-flat-json": ["effpot", "flat", "--which", "angular", f"--range=0,{TWO_PI}",
+                                 "--samples", "7", "--lambda", "0.5"],
+    "effpot-angular-tabulated-json": ["effpot", "tabulated", "--which", "angular", "--range=0,6",
+                                      "--samples", "7", "--lambda", "0.5"],
     "effpot-radial-json": ["effpot", "coulomb", "--which", "radial", "--range", "0.5,20",
                            "--samples", "9", "--lambda", "3.0"],
     "effpot-radial-csv": ["effpot", "coulomb", "--which", "radial", "--range", "0.5,20",

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_polar import (
+    AngularProblem,
     CosSquaredProfile,
     CoulombLike,
     FlatProfile,
@@ -402,6 +403,55 @@ def test_angular_problem_tabulated_positive_profile():
     assert problem.effective_potential(q) == pytest.approx(
         w_eff(model.f, BDD, 0.5, phi), rel=1e-3, abs=1e-3
     )
+
+
+class _SquaredCosineProfile:
+    """f = (1 + cos(phi)/2)^2, declared in one class: f, f', f'', its exact
+    arclength map q = phi + sin(phi)/2 and its own angular problem."""
+
+    def __init__(self):
+        self.problem = AngularProblem(lambda q: 0.0 * q, (0.0, 2.0 * math.pi))
+        self.asked = []
+
+    def value(self, phi):
+        return (1.0 + 0.5 * math.cos(phi)) ** 2
+
+    def d1(self, phi):
+        return -(1.0 + 0.5 * math.cos(phi)) * math.sin(phi)
+
+    def d2(self, phi):
+        return 0.5 * math.sin(phi) ** 2 - (1.0 + 0.5 * math.cos(phi)) * math.cos(phi)
+
+    def pct_map(self, phi):
+        return phi + 0.5 * math.sin(phi)
+
+    def angular_problem(self, a, lam):
+        self.asked.append((a, lam))
+        return self.problem
+
+
+def test_a_profile_declares_its_own_map_and_angular_problem():
+    # a profile that is neither flat nor cos^2 is read through its own
+    # declarations, not through the tabulated mesh
+    f = _SquaredCosineProfile()
+    phis = [-2.0, 0.0, 0.7, 3.0]
+    assert [pct_map(f, p) for p in phis] == [p + 0.5 * math.sin(p) for p in phis]
+    assert angular_problem(SeparableModel(f, None, BDD), 0.25) is f.problem
+    assert f.asked == [(BDD, 0.25)]
+    seen = []
+    values = angular_wavefunction_recompose(f, lambda q: seen.append(q) or 1.0, np.array(phis))
+    assert seen == [p + 0.5 * math.sin(p) for p in phis]
+    np.testing.assert_array_equal(values.real, [f.value(p) ** 0.25 for p in phis])
+
+
+def test_angular_states_need_the_profiles_closed_plane_wave_chart():
+    # a profile without a chart is refused; cos^2 has one at the zero-potential gate only
+    from pdm_polar import cli
+
+    with pytest.raises(DomainError, match="support flat and cos\\^2 profiles"):
+        cli._angular_rows(SeparableModel(_SquaredCosineProfile(), None, BDD), 1, [0.0])
+    with pytest.raises(DomainError, match="zero-potential gate"):
+        cli._angular_rows(SeparableModel(CosSquaredProfile(), None, BDD), 1, [0.0])
 
 
 def test_angular_problem_tabulated_near_zero_rejected():
